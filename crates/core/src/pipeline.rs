@@ -224,17 +224,25 @@ impl EnrichmentPipeline {
 
         // Step II: train the detector on ontology-derived weak labels. A
         // panic during training (or from the chaos site) degrades to the
-        // fallback detector instead of failing the run.
+        // fallback detector instead of failing the run. A hard trip while
+        // the training rows are built leaves no detector; the trip check
+        // below then truncates the fan-out.
         gov.begin_stage();
         let t0 = Instant::now();
         let features = guarded_stage(Stage::PolysemyDetection, || {
             FeatureContext::build_with_index(corpus, Arc::clone(&occ))
         })?;
+        let stop_rows = || gov.check_hard().is_some();
+        let mut rows_interrupted = false;
         let detector = match catch_unwind(AssertUnwindSafe(|| {
             boe_chaos::inject(boe_chaos::sites::STEP2_TRAIN);
-            self.train_detector(corpus, ontology, &occ, &features, &mut diag)
+            self.train_detector(corpus, ontology, &occ, &features, &stop_rows, &mut diag)
         })) {
-            Ok(d) => d,
+            Ok(Ok(d)) => d,
+            Ok(Err(RowsInterrupted)) => {
+                rows_interrupted = true;
+                None
+            }
             Err(payload) => {
                 let reason = panic_message(payload);
                 diag.detector = DetectorOutcome::Fallback {
@@ -249,7 +257,13 @@ impl EnrichmentPipeline {
             }
         };
         let mut detect_time = t0.elapsed();
-        if let Some(trip) = gov.check_hard() {
+        // Deadline and cancellation trips persist, but an allocation trip
+        // can clear once the discarded rows are freed: an interruption
+        // with no trip left standing was the allocation budget.
+        let trip = gov
+            .check_hard()
+            .or(rows_interrupted.then_some(TripKind::AllocBudget));
+        if let Some(trip) = trip {
             record_trip(
                 &gov,
                 &mut diag,
@@ -566,19 +580,24 @@ impl EnrichmentPipeline {
 
     /// Weak supervision for Step II: ontology terms found in the corpus,
     /// labelled polysemic iff the ontology attaches them to ≥ 2 concepts.
-    /// Returns `None` when either class is missing (detector then
+    /// Returns `Ok(None)` when either class is missing (detector then
     /// defaults to "monosemic", the majority prior); the outcome is
     /// recorded in `diag.detector` either way.
+    ///
+    /// The class balance is decided from the labels alone, so a fallback
+    /// computes no features. The feature rows are built on `boe-par`,
+    /// polling `stop` before each; an interruption discards them all
+    /// (`Err`), so the outcome does not depend on the thread count.
     fn train_detector(
         &self,
         corpus: &Corpus,
         ontology: &Ontology,
         occ: &OccurrenceIndex,
         features: &FeatureContext<'_>,
+        stop: &(dyn Fn() -> bool + Sync),
         diag: &mut RunDiagnostics,
-    ) -> Option<PolysemyDetector> {
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
+    ) -> Result<Option<PolysemyDetector>, RowsInterrupted> {
+        let mut examples = Vec::new();
         for (surface, concepts) in ontology.terms() {
             let Some(tokens) = corpus.phrase_ids(surface) else {
                 continue;
@@ -586,30 +605,45 @@ impl EnrichmentPipeline {
             if !occ.contains(corpus, &tokens) {
                 continue;
             }
-            rows.push(features.features(&tokens, surface));
-            labels.push(concepts.len() >= 2);
+            examples.push((surface, tokens, concepts.len() >= 2));
         }
-        let pos = labels.iter().filter(|&&l| l).count();
-        if pos == 0 || pos == labels.len() || labels.len() < 4 {
+        let pos = examples.iter().filter(|e| e.2).count();
+        if pos == 0 || pos == examples.len() || examples.len() < 4 {
             diag.detector = DetectorOutcome::Fallback {
                 reason: format!(
                     "{} usable training terms, {pos} polysemic — need both classes and ≥ 4 terms",
-                    labels.len()
+                    examples.len()
                 ),
             };
-            return None;
+            return Ok(None);
         }
+        let rows = match boe_par::try_par_map(&examples, &stop, |(surface, tokens, _)| {
+            features.features(tokens, surface)
+        }) {
+            boe_par::ParOutcome::Complete(rows) => rows,
+            boe_par::ParOutcome::Interrupted { .. } => {
+                diag.detector = DetectorOutcome::Fallback {
+                    reason: "training interrupted by a hard budget trip".to_owned(),
+                };
+                return Err(RowsInterrupted);
+            }
+        };
         diag.detector = DetectorOutcome::Trained {
-            examples: labels.len(),
+            examples: examples.len(),
             positives: pos,
         };
-        Some(PolysemyDetector::train(
+        let labels = examples.iter().map(|e| e.2).collect();
+        Ok(Some(PolysemyDetector::train(
             self.config.polysemy_model,
             rows,
             labels,
-        ))
+        )))
     }
 }
+
+/// Detector training stopped at a hard budget trip before its feature
+/// rows were complete.
+struct RowsInterrupted;
 
 /// The four workflow steps, for naming what a pre-Step-I trip truncates.
 const ALL_STEPS: &[Stage] = &[

@@ -13,10 +13,12 @@ use boe_graph::builder::GraphBuilder;
 use boe_graph::community::{community_count, label_propagation, modularity};
 use boe_graph::components::connected_components;
 use boe_graph::kcore::core_numbers;
-use boe_graph::metrics::{average_clustering, density, local_clustering};
+use boe_graph::metrics::{average_clustering, density};
 use boe_graph::pagerank::{pagerank, PageRankParams};
 use boe_graph::{Graph, NodeId};
 use boe_textkit::TokenId;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Names of the 12 graph features, index-aligned with [`graph_features`].
 pub const GRAPH_FEATURE_NAMES: [&str; 12] = [
@@ -36,12 +38,19 @@ pub const GRAPH_FEATURE_NAMES: [&str; 12] = [
 
 /// The corpus-wide induced word graph plus cached global analyses,
 /// shared across all terms being classified.
+///
+/// The 12 features are a property of a *word* (the head node), not of
+/// the term: they are computed at most once per node and memoized. The
+/// memo is `Sync`, so detector training and the per-term classification
+/// fan-out share it; every entry is a pure function of the graph, so
+/// which thread fills it does not matter.
 #[derive(Debug)]
 pub struct TermGraphContext {
     graph: Graph,
-    node_of: std::collections::HashMap<TokenId, NodeId>,
+    node_of: HashMap<TokenId, NodeId>,
     pagerank: Vec<f64>,
     cores: Vec<u32>,
+    memo: Vec<OnceLock<[f64; 12]>>,
 }
 
 impl TermGraphContext {
@@ -63,11 +72,13 @@ impl TermGraphContext {
             .collect();
         let pr = pagerank(&graph, PageRankParams::default());
         let cores = core_numbers(&graph);
+        let memo = (0..graph.node_count()).map(|_| OnceLock::new()).collect();
         TermGraphContext {
             graph,
             node_of,
             pagerank: pr,
             cores,
+            memo,
         }
     }
 
@@ -80,74 +91,86 @@ impl TermGraphContext {
     pub fn node(&self, t: TokenId) -> Option<NodeId> {
         self.node_of.get(&t).copied()
     }
+
+    /// The 12 features of node `v`, computed on first use.
+    fn node_features(&self, v: NodeId) -> [f64; 12] {
+        *self.memo[v.index()].get_or_init(|| self.compute(v))
+    }
+
+    /// The 12 features of node `v`, from its ego network.
+    fn compute(&self, v: NodeId) -> [f64; 12] {
+        let g = &self.graph;
+        let degree = g.degree(v) as f64;
+        let wdegree = g.weighted_degree(v);
+
+        // Ego network minus the center: the sense-split signal. Its
+        // density is v's local clustering coefficient (same closed-pair
+        // count, same formula), so that feature costs nothing extra.
+        let ego_nodes: Vec<NodeId> = g.neighbours(v).iter().map(|&(u, _)| u).collect();
+        let (ego, _) = g.induced_subgraph(&ego_nodes);
+        let ego_density = density(&ego);
+        let lcc = ego_density;
+        let comps = connected_components(&ego);
+        let labels = label_propagation(&ego, 20);
+        let n_comm = community_count(&labels) as f64;
+        let q = modularity(&ego, &labels);
+        let ego_avg_cc = average_clustering(&ego);
+
+        let pr = self.pagerank[v.index()];
+        let core = f64::from(self.cores[v.index()]);
+        let (mean_nb_deg, two_hop) = if ego_nodes.is_empty() {
+            (0.0, 0.0)
+        } else {
+            let n1 = ego_nodes.len() as f64;
+            let mean = ego_nodes.iter().map(|&u| g.degree(u) as f64).sum::<f64>() / n1;
+            // Two-hop expansion: |N2(v)| / |N1(v)| — polysemic hubs
+            // reach more. `reached` marks v, its neighbours, and every
+            // second-hop node once counted.
+            let mut reached = vec![false; g.node_count()];
+            reached[v.index()] = true;
+            for &u in &ego_nodes {
+                reached[u.index()] = true;
+            }
+            let mut n2 = 0usize;
+            for &u in &ego_nodes {
+                for &(w, _) in g.neighbours(u) {
+                    if !reached[w.index()] {
+                        reached[w.index()] = true;
+                        n2 += 1;
+                    }
+                }
+            }
+            (mean, n2 as f64 / n1)
+        };
+
+        [
+            degree,
+            wdegree,
+            lcc,
+            ego_density,
+            comps.count as f64,
+            n_comm,
+            q,
+            ego_avg_cc,
+            pr,
+            core,
+            mean_nb_deg,
+            two_hop,
+        ]
+    }
 }
 
 /// Compute the 12 graph features of `phrase` (multi-word terms use the
 /// component word with the highest degree — the lexical head dominates
 /// the co-occurrence signal). Terms absent from the graph get all-zero
-/// features.
+/// features. Features are memoized per head node in `ctx`.
 pub fn graph_features(ctx: &TermGraphContext, phrase: &[TokenId]) -> [f64; 12] {
     // Representative node: component word with the highest degree.
-    let node = phrase
+    phrase
         .iter()
         .filter_map(|&t| ctx.node(t))
-        .max_by_key(|&n| ctx.graph.degree(n));
-    let Some(v) = node else {
-        return [0.0; 12];
-    };
-    let g = &ctx.graph;
-    let degree = g.degree(v) as f64;
-    let wdegree = g.weighted_degree(v);
-    let lcc = local_clustering(g, v);
-
-    // Ego network minus the center: the sense-split signal.
-    let ego_nodes: Vec<NodeId> = g.neighbours(v).iter().map(|&(u, _)| u).collect();
-    let (ego, _) = g.induced_subgraph(&ego_nodes);
-    let ego_density = density(&ego);
-    let comps = connected_components(&ego);
-    let labels = label_propagation(&ego, 20);
-    let n_comm = community_count(&labels) as f64;
-    let q = modularity(&ego, &labels);
-    let ego_avg_cc = average_clustering(&ego);
-
-    let pr = ctx.pagerank[v.index()];
-    let core = f64::from(ctx.cores[v.index()]);
-    let mean_nb_deg = if ego_nodes.is_empty() {
-        0.0
-    } else {
-        ego_nodes.iter().map(|&u| g.degree(u) as f64).sum::<f64>() / ego_nodes.len() as f64
-    };
-    // Two-hop expansion: |N2(v)| / |N1(v)| — polysemic hubs reach more.
-    let two_hop = {
-        let mut seen: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-        for &u in &ego_nodes {
-            for &(w, _) in g.neighbours(u) {
-                if w != v && !ego_nodes.contains(&w) {
-                    seen.insert(w);
-                }
-            }
-        }
-        if ego_nodes.is_empty() {
-            0.0
-        } else {
-            seen.len() as f64 / ego_nodes.len() as f64
-        }
-    };
-
-    [
-        degree,
-        wdegree,
-        lcc,
-        ego_density,
-        comps.count as f64,
-        n_comm,
-        q,
-        ego_avg_cc,
-        pr,
-        core,
-        mean_nb_deg,
-        two_hop,
-    ]
+        .max_by_key(|&n| ctx.graph.degree(n))
+        .map_or([0.0; 12], |v| ctx.node_features(v))
 }
 
 #[cfg(test)]

@@ -14,29 +14,37 @@ use crate::graph::NodeId;
 pub fn label_propagation(g: &Graph, max_rounds: usize) -> Vec<u32> {
     let n = g.node_count();
     let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut weight_by_label: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+    // Labels are node ids, so a dense weight per label works; `touched`
+    // lists the labels seen around the current node. Edge weights are
+    // positive, so a weight of 0.0 means "not touched yet".
+    let mut weight_by_label = vec![0.0f64; n];
+    let mut touched: Vec<u32> = Vec::new();
     for _ in 0..max_rounds {
         let mut changed = false;
         for v in g.nodes() {
             if g.degree(v) == 0 {
                 continue;
             }
-            weight_by_label.clear();
             for &(u, w) in g.neighbours(v) {
-                *weight_by_label.entry(labels[u.index()]).or_insert(0.0) += w;
+                let l = labels[u.index()];
+                let acc = &mut weight_by_label[l as usize];
+                if *acc == 0.0 {
+                    touched.push(l);
+                }
+                *acc += w;
             }
             // Deterministic argmax: heaviest label, lowest id on ties.
             let mut best = labels[v.index()];
             let mut best_w = f64::NEG_INFINITY;
-            let mut keys: Vec<u32> = weight_by_label.keys().copied().collect();
-            keys.sort_unstable();
-            for l in keys {
-                let w = weight_by_label[&l];
+            touched.sort_unstable();
+            for &l in &touched {
+                let w = std::mem::take(&mut weight_by_label[l as usize]);
                 if w > best_w {
                     best_w = w;
                     best = l;
                 }
             }
+            touched.clear();
             if best != labels[v.index()] {
                 labels[v.index()] = best;
                 changed = true;
@@ -49,18 +57,20 @@ pub fn label_propagation(g: &Graph, max_rounds: usize) -> Vec<u32> {
     relabel_dense(&labels)
 }
 
-/// Renumber labels to a dense 0..k range preserving first-occurrence order.
+/// Renumber labels to a dense 0..k range preserving first-occurrence
+/// order. Every label is below `labels.len()`.
 fn relabel_dense(labels: &[u32]) -> Vec<u32> {
-    let mut map = std::collections::HashMap::new();
+    let mut map = vec![u32::MAX; labels.len()];
     let mut next = 0u32;
     labels
         .iter()
         .map(|&l| {
-            *map.entry(l).or_insert_with(|| {
-                let v = next;
+            let slot = &mut map[l as usize];
+            if *slot == u32::MAX {
+                *slot = next;
                 next += 1;
-                v
-            })
+            }
+            *slot
         })
         .collect()
 }

@@ -11,24 +11,20 @@
 //!   node ids;
 //! * [`metrics`] — degree statistics, density, clustering coefficients;
 //! * [`pagerank`] — weighted PageRank;
-//! * [`centrality`] — Brandes betweenness and closeness centrality;
 //! * [`kcore`] — k-core decomposition;
 //! * [`components`] — connected components;
-//! * [`community`] — label propagation and modularity;
-//! * [`paths`] — BFS distances.
+//! * [`community`] — label propagation and modularity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod centrality;
 pub mod community;
 pub mod components;
 pub mod graph;
 pub mod kcore;
 pub mod metrics;
 pub mod pagerank;
-pub mod paths;
 
 pub use builder::GraphBuilder;
 pub use graph::{Graph, NodeId};

@@ -18,21 +18,13 @@ pub fn density(g: &Graph) -> f64 {
 
 /// Local clustering coefficient of one node: the fraction of its
 /// neighbour pairs that are themselves connected. 0 for degree < 2.
+///
+/// Bit-identical to [`density`] of the node's ego network (the subgraph
+/// induced by its neighbours): both put the same closed-pair count
+/// through the same formula.
 pub fn local_clustering(g: &Graph, v: NodeId) -> f64 {
-    let nbs = g.neighbours(v);
-    let d = nbs.len();
-    if d < 2 {
-        return 0.0;
-    }
-    let mut closed = 0usize;
-    for i in 0..d {
-        for j in (i + 1)..d {
-            if g.has_edge(nbs[i].0, nbs[j].0) {
-                closed += 1;
-            }
-        }
-    }
-    2.0 * closed as f64 / (d * (d - 1)) as f64
+    let mut mark = vec![false; g.node_count()];
+    clustering_with(g, v, &mut mark)
 }
 
 /// Average local clustering coefficient over all nodes (0 for the empty
@@ -41,7 +33,37 @@ pub fn average_clustering(g: &Graph) -> f64 {
     if g.node_count() == 0 {
         return 0.0;
     }
-    g.nodes().map(|v| local_clustering(g, v)).sum::<f64>() / g.node_count() as f64
+    let mut mark = vec![false; g.node_count()];
+    g.nodes()
+        .map(|v| clustering_with(g, v, &mut mark))
+        .sum::<f64>()
+        / g.node_count() as f64
+}
+
+/// [`local_clustering`] with a caller-owned all-`false` mark array,
+/// returned all-`false`. Counts each closed neighbour pair `{u, w}`
+/// once, from `u < w`, in O(Σ deg(u)) over the neighbours `u` of `v`.
+fn clustering_with(g: &Graph, v: NodeId, mark: &mut [bool]) -> f64 {
+    let nbs = g.neighbours(v);
+    let d = nbs.len();
+    if d < 2 {
+        return 0.0;
+    }
+    for &(u, _) in nbs {
+        mark[u.index()] = true;
+    }
+    let mut closed = 0usize;
+    for &(u, _) in nbs {
+        closed += g
+            .neighbours(u)
+            .iter()
+            .filter(|&&(w, _)| u < w && mark[w.index()])
+            .count();
+    }
+    for &(u, _) in nbs {
+        mark[u.index()] = false;
+    }
+    2.0 * closed as f64 / (d * (d - 1)) as f64
 }
 
 /// Summary statistics of the degree distribution.

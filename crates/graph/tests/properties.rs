@@ -3,15 +3,15 @@
 //! Driven by the workspace's own deterministic PRNG (no external
 //! dependencies); each test sweeps seeded random graphs.
 
-use boe_graph::centrality::{betweenness, closeness};
 use boe_graph::community::{community_count, label_propagation, modularity};
 use boe_graph::components::connected_components;
 use boe_graph::kcore::core_numbers;
-use boe_graph::metrics::{density, local_clustering};
+use boe_graph::metrics::{average_clustering, density, local_clustering};
 use boe_graph::pagerank::{pagerank, PageRankParams};
-use boe_graph::paths::bfs_distances;
 use boe_graph::{Graph, NodeId};
 use boe_rng::StdRng;
+
+mod oracle;
 
 const CASES: usize = 80;
 
@@ -43,6 +43,22 @@ fn pagerank_is_a_distribution() {
     }
 }
 
+/// Nodes reachable from `v` (breadth-first), as a membership vector.
+fn reachable(g: &Graph, v: NodeId) -> Vec<bool> {
+    let mut seen = vec![false; g.node_count()];
+    seen[v.index()] = true;
+    let mut queue = std::collections::VecDeque::from([v]);
+    while let Some(x) = queue.pop_front() {
+        for &(u, _) in g.neighbours(x) {
+            if !seen[u.index()] {
+                seen[u.index()] = true;
+                queue.push_back(u);
+            }
+        }
+    }
+    seen
+}
+
 #[test]
 fn components_agree_with_bfs() {
     let mut rng = StdRng::seed_from_u64(21);
@@ -50,10 +66,10 @@ fn components_agree_with_bfs() {
         let g = rand_graph(&mut rng);
         let comps = connected_components(&g);
         for v in g.nodes() {
-            let dists = bfs_distances(&g, v);
+            let reach = reachable(&g, v);
             for u in g.nodes() {
                 let same_component = comps.labels[v.index()] == comps.labels[u.index()];
-                assert_eq!(dists[u.index()].is_some(), same_component);
+                assert_eq!(reach[u.index()], same_component);
             }
         }
         assert_eq!(comps.sizes().iter().sum::<usize>(), g.node_count());
@@ -69,17 +85,6 @@ fn core_numbers_bounded_by_degree() {
         for v in g.nodes() {
             assert!(cores[v.index()] as usize <= g.degree(v));
         }
-    }
-}
-
-#[test]
-fn centralities_are_nonnegative() {
-    let mut rng = StdRng::seed_from_u64(23);
-    for _ in 0..CASES {
-        let g = rand_graph(&mut rng);
-        assert!(betweenness(&g).iter().all(|&x| x >= -1e-9));
-        let cc = closeness(&g);
-        assert!(cc.iter().all(|&x| (0.0..=1.0 + 1e-9).contains(&x)));
     }
 }
 
@@ -126,6 +131,67 @@ fn induced_subgraph_preserves_edge_weights() {
                     g.edge_weight(old_a, old_b)
                 );
             }
+        }
+    }
+}
+
+/// A larger random graph whose weights come from a few values, so label
+/// propagation meets weight ties and multi-round relabelling.
+fn rand_tied_graph(rng: &mut StdRng) -> Graph {
+    let n = rng.gen_range(1usize..60);
+    let mut g = Graph::with_nodes(n);
+    let edges = rng.gen_range(0usize..(4 * n));
+    for _ in 0..edges {
+        let a = rng.gen_range(0..n as u32);
+        let b = rng.gen_range(0..n as u32);
+        let w = [0.5, 1.0, 1.0, 2.0, 0.1 + rng.gen::<f64>()][rng.gen_range(0usize..5)];
+        if a != b {
+            g.add_edge(NodeId(a), NodeId(b), w);
+        }
+    }
+    g
+}
+
+#[test]
+fn clustering_matches_the_pair_probing_oracle_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(27);
+    for case in 0..2 * CASES {
+        let g = if case % 2 == 0 {
+            rand_graph(&mut rng)
+        } else {
+            rand_tied_graph(&mut rng)
+        };
+        assert_eq!(
+            average_clustering(&g).to_bits(),
+            oracle::average_clustering(&g).to_bits()
+        );
+        for v in g.nodes() {
+            assert_eq!(
+                local_clustering(&g, v).to_bits(),
+                oracle::local_clustering(&g, v).to_bits()
+            );
+            // The clustering coefficient is the density of the ego network.
+            let ego: Vec<NodeId> = g.neighbours(v).iter().map(|&(u, _)| u).collect();
+            let (sub, _) = g.induced_subgraph(&ego);
+            assert_eq!(local_clustering(&g, v).to_bits(), density(&sub).to_bits());
+        }
+    }
+}
+
+#[test]
+fn label_propagation_matches_the_hashmap_oracle() {
+    let mut rng = StdRng::seed_from_u64(28);
+    for case in 0..2 * CASES {
+        let g = if case % 2 == 0 {
+            rand_graph(&mut rng)
+        } else {
+            rand_tied_graph(&mut rng)
+        };
+        for rounds in [0, 1, 3, 20] {
+            assert_eq!(
+                label_propagation(&g, rounds),
+                oracle::label_propagation(&g, rounds)
+            );
         }
     }
 }

@@ -14,7 +14,6 @@
 //! * [`pattern`] — the linguistic term patterns (POS-tag sequences) that
 //!   filter multi-word candidate terms, with the pattern probabilities
 //!   LIDF-value needs;
-//! * [`ngram`] — n-gram extraction;
 //! * [`vocab`] — string interning so downstream crates work on `u32` ids.
 //!
 //! Everything is deterministic and allocation-conscious: hot paths operate
@@ -24,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod lang;
-pub mod ngram;
 pub mod normalize;
 pub mod pattern;
 pub mod pos;

@@ -16,34 +16,28 @@ run() {
 TEST_TIMEOUT="${BOE_CI_TEST_TIMEOUT:-1800}"
 
 run cargo build --release --offline
+
+# One test pass runs every suite once: the root `Cargo.toml` sets
+# `default-members` to the root package plus every crate, so this
+# covers, among the rest:
+# * parallel-runtime gates: bit-identical output across thread counts
+#   (`parallel_determinism`), the randomized Step I serial-vs-parallel
+#   sweep (`step1_parallel_equality`), Step II graph features against
+#   their reference (`graph_features_oracle`);
+# * resource-governance gates: budgets trip into truncated reports
+#   (`governor`), `boe-par` early exit keeps a deterministic prefix
+#   (`early_exit`), every chaos site × mode × {1,8} threads stays
+#   bit-identical (`chaos_matrix`);
+# * occurrence-index gates: the positional index reproduces the naive
+#   scan at the resolver level (`occurrence_index_equality`) and the
+#   report level (`occurrence_equality`).
 run timeout "$TEST_TIMEOUT" cargo test -q --offline
-run timeout "$TEST_TIMEOUT" cargo test -q --workspace --offline
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --check
 
-# Parallel-runtime gates: bit-identical output across thread counts
-# (full pipeline + similarity matrix), the randomized Step I
-# serial-vs-parallel equality sweep (EN/FR/ES raw corpora, 1 vs 8
-# threads, byte-level vocabulary/candidate/graph comparison), and a
-# small perf-report smoke run with the runtime forced to 2 threads.
+# A small perf-report smoke run with the runtime forced to 2 threads.
 # Benches always run with chaos explicitly disarmed — an inherited
 # BOE_CHAOS plan would poison the timings (perf_report refuses anyway).
-run cargo test -q --offline --test parallel_determinism
-run timeout "$TEST_TIMEOUT" cargo test -q --offline --test step1_parallel_equality
 run env BOE_THREADS=2 BOE_CHAOS=off cargo run --release --offline -p boe-bench --bin perf_report -- --smoke --out target/BENCH_smoke.json
-
-# Resource-governance gates: budgets trip into truncated reports (never
-# aborts), `boe-par` early exit keeps a deterministic prefix, and the
-# full chaos matrix (every site × mode × {1,8} threads) stays
-# bit-identical across thread counts.
-run timeout "$TEST_TIMEOUT" cargo test -q --offline --test governor
-run timeout "$TEST_TIMEOUT" cargo test -q --offline -p boe-par --test early_exit
-run timeout "$TEST_TIMEOUT" cargo test -q --offline --test chaos_matrix
-
-# Occurrence-index gates: the positional index must reproduce the naive
-# corpus scan bit for bit — at the resolver level (randomized corpora,
-# accented surfaces) and at the EnrichmentReport level (1 and 8 threads).
-run cargo test -q --offline -p boe-corpus --test occurrence_index_equality
-run cargo test -q --offline --test occurrence_equality
 
 echo "ci: all checks passed"

@@ -9,8 +9,17 @@
 
 use bio_onto_enrich::chaos::{self, sites, ChaosPlan, FaultMode};
 use bio_onto_enrich::eval::world::{World, WorldConfig};
+use bio_onto_enrich::par as boe_par;
+use bio_onto_enrich::workflow::diagnostics::DetectorOutcome;
+use bio_onto_enrich::workflow::error::Stage;
 use bio_onto_enrich::workflow::governor::{mem, BudgetConfig, CancelToken, Governor, TripKind};
 use bio_onto_enrich::workflow::{EnrichmentPipeline, PipelineConfig};
+use std::sync::Mutex;
+use std::time::Duration;
+
+/// Serializes the tests that arm a chaos plan or set the thread count:
+/// both are process-global.
+static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn world() -> World {
     World::generate(&WorldConfig {
@@ -142,6 +151,7 @@ fn soft_stage_deadline_degrades_to_the_cheapest_induction() {
 /// site) or carry no deadline (the stall only slows them down).
 #[test]
 fn step1_stall_trips_the_deadline_mid_extraction() {
+    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let w = world();
     let mut plan = ChaosPlan::new(sites::TERMEX_CANDIDATES, FaultMode::Stall);
     plan.stall_ms = 300;
@@ -166,6 +176,86 @@ fn step1_stall_trips_the_deadline_mid_extraction() {
     assert!(report.already_known.is_empty());
     assert_eq!(report.diagnostics.truncated.len(), 4);
     assert!(report.is_degraded());
+}
+
+/// A cancellation that lands while Step II builds its training rows
+/// stops the rows, trains no detector and truncates the whole fan-out.
+/// Both thread counts must give exactly the clean run's terms, all
+/// truncated, whatever prefix of rows each had finished.
+///
+/// A stall at the `pipeline.step2.train` site (just before the rows)
+/// holds Step II open while a second thread cancels, so the first row
+/// poll sees the cancellation. The cancel must land after the natural
+/// time to reach Step II on this world (well under `CANCEL_AFTER_MS`)
+/// and before the stall ends. The plan only slows the other tests of
+/// this binary down: none of them carries a deadline that the stall
+/// could trip after Step I.
+#[test]
+fn cancel_during_training_rows_truncates_the_fan_out_deterministically() {
+    const STALL_MS: u64 = 2500;
+    const CANCEL_AFTER_MS: u64 = 1000;
+    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let w = World::generate(&WorldConfig {
+        n_shared_synonyms: 6,
+        ..WorldConfig {
+            n_concepts: 40,
+            n_holdout: 6,
+            abstracts_per_concept: 3,
+            seed: 0x60BE,
+            ..Default::default()
+        }
+    });
+    let p = pipeline(BudgetConfig::default());
+    let clean = p.run(&w.corpus, &w.reduced_ontology).expect("valid input");
+    assert!(
+        matches!(clean.diagnostics.detector, DetectorOutcome::Trained { .. }),
+        "the world must train a detector: {:?}",
+        clean.diagnostics.detector
+    );
+
+    let mut plan = ChaosPlan::new(sites::STEP2_TRAIN, FaultMode::Stall);
+    plan.stall_ms = STALL_MS;
+    for threads in [1, 8] {
+        boe_par::set_threads(Some(threads));
+        chaos::install(Some(plan.clone()));
+        let token = CancelToken::new();
+        let report = std::thread::scope(|s| {
+            let canceller = token.clone();
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(CANCEL_AFTER_MS));
+                canceller.cancel();
+            });
+            p.run_with_token(&w.corpus, &w.reduced_ontology, token)
+                .expect("cancellation is a trip, not an error")
+        });
+        chaos::install(None);
+
+        let trip = report.diagnostics.hard_trip().expect("must trip");
+        assert_eq!(trip.kind, TripKind::Cancelled);
+        assert_eq!(trip.stage, Stage::PolysemyDetection);
+        assert_eq!(
+            report.diagnostics.detector,
+            DetectorOutcome::Fallback {
+                reason: "training interrupted by a hard budget trip".to_owned()
+            }
+        );
+        assert_eq!(
+            report.diagnostics.truncated,
+            [
+                Stage::PolysemyDetection,
+                Stage::SenseInduction,
+                Stage::SemanticLinkage
+            ]
+        );
+        assert_eq!(report.terms.len(), clean.terms.len());
+        for (t, c) in report.terms.iter().zip(&clean.terms) {
+            assert!(t.truncated, "{}", t.surface);
+            assert_eq!(t.surface, c.surface);
+            assert_eq!(t.term_score.to_bits(), c.term_score.to_bits());
+        }
+        assert_eq!(report.already_known, clean.already_known);
+    }
+    boe_par::set_threads(None);
 }
 
 #[test]

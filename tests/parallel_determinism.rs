@@ -7,6 +7,7 @@
 
 use bio_onto_enrich::eval::world::{World, WorldConfig};
 use bio_onto_enrich::par as boe_par;
+use bio_onto_enrich::workflow::diagnostics::DetectorOutcome;
 use bio_onto_enrich::workflow::linkage::{LinkerConfig, SemanticLinker};
 use bio_onto_enrich::workflow::report::EnrichmentReport;
 use bio_onto_enrich::workflow::{EnrichmentPipeline, PipelineConfig};
@@ -18,6 +19,22 @@ fn world() -> World {
         abstracts_per_concept: 4,
         seed: 0xD17E,
         ..Default::default()
+    })
+}
+
+/// The same shape with planted polysemic ontology terms, so Step II
+/// trains a detector instead of falling back.
+fn planted_world() -> World {
+    World::generate(&WorldConfig {
+        n_shared_synonyms: 12,
+        n_ambiguous_new: 6,
+        ..WorldConfig {
+            n_concepts: 60,
+            n_holdout: 10,
+            abstracts_per_concept: 4,
+            seed: 0xD17E,
+            ..Default::default()
+        }
     })
 }
 
@@ -115,7 +132,39 @@ fn serial_and_parallel_runs_are_bit_identical() {
     let m8 = similarity_matrix(&unit);
     assert_eq!(m1, m8, "similarity matrix diverges across thread counts");
 
+    // Step II: the planted world trains a detector (its feature rows are
+    // built in parallel and memoized per head word), the default world
+    // falls back before computing any feature. Both outcomes are exact
+    // and thread-count invariant.
+    let w2 = planted_world();
+    boe_par::set_threads(Some(1));
+    let trained_serial = pipeline
+        .run(&w2.corpus, &w2.reduced_ontology)
+        .expect("valid input");
+    boe_par::set_threads(Some(8));
+    let trained_parallel = pipeline
+        .run(&w2.corpus, &w2.reduced_ontology)
+        .expect("valid input");
+
     boe_par::set_threads(None);
     assert_reports_identical(&serial, &parallel);
     assert!(!serial.terms.is_empty(), "nothing analysed — vacuous test");
+    let fallback = DetectorOutcome::Fallback {
+        reason: "124 usable training terms, 0 polysemic — need both classes and ≥ 4 terms"
+            .to_owned(),
+    };
+    assert_eq!(serial.diagnostics.detector, fallback);
+    assert_eq!(parallel.diagnostics.detector, fallback);
+
+    assert_reports_identical(&trained_serial, &trained_parallel);
+    let trained = DetectorOutcome::Trained {
+        examples: 135,
+        positives: 9,
+    };
+    assert_eq!(trained_serial.diagnostics.detector, trained);
+    assert_eq!(trained_parallel.diagnostics.detector, trained);
+    assert!(
+        trained_serial.terms.iter().any(|t| t.polysemic),
+        "the trained detector flags no term — vacuous test"
+    );
 }
