@@ -23,8 +23,8 @@
 //!   index: that is what a pipeline run pays);
 //! - `steps_iii_iv` — the pipeline's per-term Step III (sense induction)
 //!   + Step IV (semantic linkage) fan-out, at several thread counts;
-//! - `linkage_naive` vs `linkage_inverted` — the brute-force cosine scan
-//!   against the inverted-index top-k scorer;
+//! - `linkage_propose` — Step IV proposals for every candidate,
+//!   single-threaded;
 //! - `score_kernel_*` / `similarity_matrix` — the isolated Step III/IV
 //!   scoring kernels.
 //!
@@ -355,23 +355,15 @@ fn main() -> ExitCode {
         }
     }
 
-    // Step IV end-to-end proposal, old vs new scorer, single-threaded.
-    // Both paths share the context-gathering front half, so this mostly
-    // bounds the regression risk; the isolated kernels below show the
-    // scorer itself.
+    // Step IV proposals end to end, single-threaded; the isolated
+    // kernels below show the scorer itself.
     boe_par::set_threads(Some(1));
-    let wall_naive = time_ms(runs, || {
-        for s in &candidates {
-            black_box(linker.propose_naive(s).len());
-        }
-    });
-    let wall_inverted = time_ms(runs, || {
+    let wall_propose = time_ms(runs, || {
         for s in &candidates {
             black_box(linker.propose(s).len());
         }
     });
-    report.record("linkage_naive", 1, wall_naive, runs);
-    report.record("linkage_inverted", 1, wall_inverted, runs);
+    report.record("linkage_propose", 1, wall_propose, runs);
     if tripped(&mut report) {
         return finish(&report, &out_path, true);
     }
@@ -467,12 +459,6 @@ fn main() -> ExitCode {
         if i > 0.0 {
             report.set_num("speedup_inventory_build_indexed_vs_naive", n / i);
         }
-    }
-    if wall_inverted > 0.0 {
-        report.set_num(
-            "speedup_linkage_inverted_vs_naive",
-            wall_naive / wall_inverted,
-        );
     }
     if wall_score_inverted > 0.0 {
         report.set_num(

@@ -1,7 +1,7 @@
 //! The ontology-term inventory of a corpus: which ontology terms occur in
 //! the text, where, and with what aggregate context.
 
-use boe_corpus::context::{ContextOptions, ContextScope, StemMap};
+use boe_corpus::context::{ContextOptions, ContextScope, DocContextCache, StemMap};
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
 use boe_ontology::{ConceptId, Ontology};
@@ -29,9 +29,16 @@ pub struct LinkedTerm {
 #[derive(Debug)]
 pub struct OntologyTermInventory {
     terms: Vec<LinkedTerm>,
-    /// Sentence-presence sets: for each term, sorted `(doc, sentence)`
-    /// pairs where it occurs.
-    presence: Vec<Vec<(u32, u32)>>,
+    /// The sentence-keyed neighbourhood: one `(doc, sentence, term
+    /// index)` triple per sentence a term occurs in, sorted, so the
+    /// terms of one sentence form a contiguous run in ascending index
+    /// order.
+    sentence_terms: Vec<(u32, u32, u32)>,
+    /// Per ontology concept (by [`ConceptId::index`]): the inventory
+    /// indices of its terms, in [`boe_ontology::Concept::terms`] order,
+    /// skipping terms absent from the corpus — what [`Self::index_of`]
+    /// returns for each term, resolved once.
+    concept_terms: Vec<Vec<usize>>,
     /// Normalized key → term index.
     by_key: HashMap<String, usize>,
     /// Inverted index over context dimensions: dim → `(term index,
@@ -67,13 +74,26 @@ impl OntologyTermInventory {
         scope: ContextScope,
         occ: &OccurrenceIndex,
     ) -> Self {
-        let opts = ContextOptions {
-            window: None,
-            stemmed: true,
-            scope,
-        };
+        let cache = occ.context_cache(corpus, context_options(scope), Some(stems));
+        Self::build_cached(corpus, onto, stems, extras, scope, occ, cache.as_ref())
+    }
+
+    /// [`Self::build_with_extras`] harvesting contexts through `cache`,
+    /// which must be what [`OccurrenceIndex::context_cache`] returns for
+    /// [`context_options`]`(scope)` and `stems` — the linker keeps that
+    /// cache for its candidates.
+    pub(crate) fn build_cached(
+        corpus: &Corpus,
+        onto: &Ontology,
+        stems: &StemMap,
+        extras: &[String],
+        scope: ContextScope,
+        occ: &OccurrenceIndex,
+        cache: Option<&DocContextCache>,
+    ) -> Self {
+        let opts = context_options(scope);
         let mut terms = Vec::new();
-        let mut presence = Vec::new();
+        let mut sentence_terms = Vec::new();
         let mut by_key: HashMap<String, usize> = HashMap::new();
         // Collect (raw surface, key) pairs. Raw surfaces keep their
         // accents — the corpus tokens do too, so the phrase lookup must
@@ -106,20 +126,19 @@ impl OntologyTermInventory {
             .iter()
             .map(|(surface, _)| corpus.phrase_ids(surface).unwrap_or_default())
             .collect();
-        let harvested = occ.aggregate_contexts_for(corpus, &tokens_of, opts, Some(stems));
+        let harvested = boe_par::par_map(&tokens_of, |phrase| {
+            occ.occurrences_and_context_cached(corpus, phrase, opts, Some(stems), cache)
+        });
         for (((surface, key), tokens), (occs, context)) in
             surfaces.into_iter().zip(tokens_of).zip(harvested)
         {
             if tokens.is_empty() || occs.is_empty() {
                 continue;
             }
-            let mut pres: Vec<(u32, u32)> =
-                occs.iter().map(|o| (o.doc.0, o.sentence as u32)).collect();
-            pres.sort_unstable();
-            pres.dedup();
+            let i = terms.len() as u32;
+            sentence_terms.extend(occs.iter().map(|o| (o.doc.0, o.sentence as u32, i)));
             let concepts = onto.concepts_of_term(&key).to_vec();
             by_key.insert(key.clone(), terms.len());
-            presence.push(pres);
             terms.push(LinkedTerm {
                 surface,
                 key,
@@ -129,6 +148,17 @@ impl OntologyTermInventory {
                 context,
             });
         }
+        sentence_terms.sort_unstable();
+        sentence_terms.dedup();
+        let concept_terms = onto
+            .concepts()
+            .iter()
+            .map(|c| {
+                c.terms()
+                    .filter_map(|t| by_key.get(&boe_textkit::normalize::match_key(t)).copied())
+                    .collect()
+            })
+            .collect();
         let mut postings: HashMap<u32, Vec<(u32, f64)>> = HashMap::new();
         for (i, t) in terms.iter().enumerate() {
             for (dim, v) in t.context.iter() {
@@ -137,7 +167,8 @@ impl OntologyTermInventory {
         }
         OntologyTermInventory {
             terms,
-            presence,
+            sentence_terms,
+            concept_terms,
             by_key,
             postings,
         }
@@ -214,17 +245,42 @@ impl OntologyTermInventory {
     }
 
     /// Indices of terms sharing at least one sentence with any of the
-    /// given `(doc, sentence)` pairs — the *co-occurrence neighbourhood*.
+    /// given `(doc, sentence)` pairs — the *co-occurrence neighbourhood*
+    /// — ascending and unique. Each pair costs one binary search into
+    /// the sentence-keyed runs, so the cost follows the sentences given,
+    /// not the inventory size.
     pub fn cooccurring(&self, sentences: &[(u32, u32)]) -> Vec<usize> {
-        let set: std::collections::HashSet<(u32, u32)> = sentences.iter().copied().collect();
-        (0..self.terms.len())
-            .filter(|&i| self.presence[i].iter().any(|p| set.contains(p)))
-            .collect()
+        let mut hits = Vec::new();
+        for &(doc, sentence) in sentences {
+            let from = self
+                .sentence_terms
+                .partition_point(|&(d, s, _)| (d, s) < (doc, sentence));
+            hits.extend(
+                self.sentence_terms[from..]
+                    .iter()
+                    .take_while(|&&(d, s, _)| (d, s) == (doc, sentence))
+                    .map(|&(_, _, t)| t as usize),
+            );
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        hits
     }
 
-    /// Sentence-presence pairs of term `i`.
-    pub fn presence(&self, i: usize) -> &[(u32, u32)] {
-        &self.presence[i]
+    /// Inventory indices of the corpus-linked terms of `concept`, in the
+    /// concept's term order (as [`Self::index_of`] resolves each term).
+    pub(crate) fn concept_terms(&self, concept: ConceptId) -> &[usize] {
+        &self.concept_terms[concept.index()]
+    }
+}
+
+/// The context options every Step IV harvest uses: stemmed, no window,
+/// at `scope`.
+pub(crate) fn context_options(scope: ContextScope) -> ContextOptions {
+    ContextOptions {
+        window: None,
+        stemmed: true,
+        scope,
     }
 }
 
@@ -311,6 +367,111 @@ mod tests {
         assert!(zeros.iter().all(|&z| z == 0.0));
     }
 
+    /// Brute-force neighbourhood: every term whose own occurrences touch
+    /// one of `sentences`, found by resolving each term afresh.
+    fn brute_force_cooccurring(
+        c: &Corpus,
+        inv: &OntologyTermInventory,
+        sentences: &[(u32, u32)],
+    ) -> Vec<usize> {
+        let occ = OccurrenceIndex::build(c);
+        (0..inv.len())
+            .filter(|&i| {
+                occ.find_occurrences(c, &inv.terms()[i].tokens)
+                    .iter()
+                    .any(|o| sentences.contains(&(o.doc.0, o.sentence as u32)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cooccurring_matches_a_brute_force_scan() {
+        let mut ob = OntologyBuilder::new("t", Language::English);
+        let eye = ob.add_concept("eye diseases", vec![]);
+        let cd = ob.add_concept("corneal diseases", vec!["keratopathy".to_owned()]);
+        ob.add_is_a(cd, eye);
+        ob.add_concept("cornea", vec![]);
+        let o = ob.build().expect("valid");
+        let mut cb = CorpusBuilder::new(Language::English);
+        cb.add_text("keratopathy and corneal diseases are eye diseases. the cornea heals.");
+        cb.add_text("the cornea scars. vision fades.");
+        cb.add_text("eye diseases worsen. keratopathy persists.");
+        let c = cb.build();
+        let stems = StemMap::build(&c);
+        let inv = OntologyTermInventory::build(&c, &o, &stems);
+        assert_eq!(inv.len(), 4);
+        // (0, 0) holds three terms.
+        assert_eq!(inv.cooccurring(&[(0, 0)]).len(), 3);
+        let queries: [&[(u32, u32)]; 7] = [
+            &[],
+            &[(0, 0)],
+            &[(2, 1), (0, 1), (2, 1), (0, 0), (0, 1)],
+            &[(1, 1), (7, 0), (0, 9)],
+            &[(1, 0), (1, 0), (1, 0)],
+            &[(9, 9), (3, 0)],
+            &[(2, 0), (2, 1), (1, 0), (0, 1), (0, 0)],
+        ];
+        for q in queries {
+            let got = inv.cooccurring(q);
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "{q:?}: {got:?}");
+            assert_eq!(got, brute_force_cooccurring(&c, &inv, q), "{q:?}");
+        }
+        assert!(inv.cooccurring(&[(1, 1), (9, 9)]).is_empty());
+    }
+
+    #[test]
+    fn concept_terms_agree_with_index_of_on_accented_surfaces() {
+        let cases = [
+            (
+                Language::French,
+                vec![
+                    ("maladies de l'œil", vec![]),
+                    ("kératite", vec!["inflammation cornéenne"]),
+                    ("ulcère cornéen", vec!["kératite ulcéreuse", "absente"]),
+                ],
+                "la kératite touche l'œil. un ulcère cornéen suit la kératite ulcéreuse. \
+                 l'inflammation cornéenne guérit.",
+            ),
+            (
+                Language::Spanish,
+                vec![
+                    ("enfermedades oculares", vec![]),
+                    ("queratitis", vec!["inflamación corneal"]),
+                    ("úlcera corneal", vec!["úlcera de córnea", "ausente"]),
+                ],
+                "la queratitis daña la visión. una úlcera corneal sigue. \
+                 la úlcera de córnea y la inflamación corneal curan.",
+            ),
+        ];
+        for (lang, concepts, text) in cases {
+            let mut ob = OntologyBuilder::new("t", lang);
+            let ids: Vec<ConceptId> = concepts
+                .iter()
+                .map(|(p, syn)| ob.add_concept(*p, syn.iter().map(|s| s.to_string()).collect()))
+                .collect();
+            ob.add_is_a(ids[1], ids[0]);
+            ob.add_is_a(ids[2], ids[1]);
+            let o = ob.build().expect("valid");
+            let mut cb = CorpusBuilder::new(lang);
+            cb.add_text(text);
+            let c = cb.build();
+            let stems = StemMap::build(&c);
+            let inv = OntologyTermInventory::build(&c, &o, &stems);
+            let mut linked = 0;
+            for concept in o.concepts() {
+                let want: Vec<usize> = concept.terms().filter_map(|t| inv.index_of(t)).collect();
+                assert_eq!(
+                    inv.concept_terms(concept.id),
+                    want,
+                    "{lang:?} {}",
+                    concept.preferred
+                );
+                linked += want.len();
+            }
+            assert_eq!(linked, 4, "{lang:?}: accented surfaces must link");
+        }
+    }
+
     #[test]
     fn presence_is_deduplicated() {
         let mut ob = OntologyBuilder::new("t", Language::English);
@@ -323,6 +484,7 @@ mod tests {
         let inv = OntologyTermInventory::build(&c, &o, &stems);
         let t = inv.get("cornea").expect("linked");
         assert_eq!(t.freq, 2);
-        assert_eq!(inv.presence(0).len(), 1, "one sentence");
+        assert_eq!(inv.sentence_terms, vec![(0, 0, 0)], "one sentence");
+        assert_eq!(inv.cooccurring(&[(0, 0)]), vec![0]);
     }
 }

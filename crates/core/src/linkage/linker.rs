@@ -1,11 +1,10 @@
 //! The semantic linker.
 
-use crate::linkage::inventory::OntologyTermInventory;
-use boe_corpus::context::{ContextOptions, ContextScope, StemMap};
+use crate::linkage::inventory::{context_options, OntologyTermInventory};
+use boe_corpus::context::{ContextScope, DocContextCache, StemMap};
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::Corpus;
 use boe_ontology::{query, ConceptId, Ontology};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How a proposed position entered the candidate list.
@@ -70,15 +69,6 @@ impl Default for LinkerConfig {
     }
 }
 
-/// The shared front half of a proposal: the candidate's aggregate
-/// context, its match key, and the candidate positions in ascending
-/// inventory-index order.
-struct GatheredPositions {
-    context: boe_corpus::SparseVector,
-    key: String,
-    targets: Vec<(usize, PositionOrigin)>,
-}
-
 /// Step-IV semantic linker bound to one corpus + ontology.
 #[derive(Debug)]
 pub struct SemanticLinker<'c> {
@@ -86,6 +76,10 @@ pub struct SemanticLinker<'c> {
     ontology: &'c Ontology,
     stems: StemMap,
     occ: Arc<OccurrenceIndex>,
+    /// Document-scope context bases, shared by the inventory harvest and
+    /// every candidate (`None` at sentence scope and under the naive
+    /// backend, which build each context directly).
+    cache: Option<DocContextCache>,
     inventory: OntologyTermInventory,
     config: LinkerConfig,
 }
@@ -120,19 +114,22 @@ impl<'c> SemanticLinker<'c> {
         occ: Arc<OccurrenceIndex>,
     ) -> Self {
         let stems = StemMap::build(corpus);
-        let inventory = OntologyTermInventory::build_with_extras(
+        let cache = occ.context_cache(corpus, context_options(config.scope), Some(&stems));
+        let inventory = OntologyTermInventory::build_cached(
             corpus,
             ontology,
             &stems,
             candidates,
             config.scope,
             &occ,
+            cache.as_ref(),
         );
         SemanticLinker {
             corpus,
             ontology,
             stems,
             occ,
+            cache,
             inventory,
             config,
         }
@@ -147,144 +144,100 @@ impl<'c> SemanticLinker<'c> {
     /// Returns an empty list when the candidate does not occur in the
     /// corpus.
     ///
-    /// Position contexts are scored through the inventory's inverted
-    /// index ([`OntologyTermInventory::cosines_against`]); the result is
-    /// bit-identical to the brute-force scan kept as
-    /// [`SemanticLinker::propose_naive`].
+    /// The cost follows what the candidate touches: its occurrences (a
+    /// document-scope context comes from the retained cache), the
+    /// sentences they sit in, and the positions they reach. Position
+    /// contexts are scored through the inventory's inverted index
+    /// ([`OntologyTermInventory::cosines_against`]), and only the
+    /// `top_n` survivors are materialized.
     pub fn propose(&self, candidate: &str) -> Vec<Proposition> {
-        let Some(g) = self.gather_positions(candidate) else {
+        let Some(tokens) = self.corpus.phrase_ids(candidate) else {
             return Vec::new();
-        };
-        let indices: Vec<usize> = g.targets.iter().map(|&(i, _)| i).collect();
-        let cosines = self.inventory.cosines_against(&g.context, &indices);
-        self.rank(&g.key, g.targets, cosines)
-    }
-
-    /// [`SemanticLinker::propose`] with the original brute-force cosine
-    /// scan (one merge join per position). Kept as the reference
-    /// implementation the inverted-index path is verified against.
-    pub fn propose_naive(&self, candidate: &str) -> Vec<Proposition> {
-        let Some(g) = self.gather_positions(candidate) else {
-            return Vec::new();
-        };
-        let cosines: Vec<f64> = g
-            .targets
-            .iter()
-            .map(|&(i, _)| g.context.cosine(&self.inventory.terms()[i].context))
-            .collect();
-        self.rank(&g.key, g.targets, cosines)
-    }
-
-    /// Shared front half of both proposal paths: the candidate's
-    /// aggregate context, its match key, and the candidate positions
-    /// (inventory index + origin, ascending index order). `None` when
-    /// the candidate does not occur in the corpus.
-    fn gather_positions(&self, candidate: &str) -> Option<GatheredPositions> {
-        let tokens = self.corpus.phrase_ids(candidate)?;
-        let opts = ContextOptions {
-            window: None,
-            stemmed: true,
-            scope: self.config.scope,
         };
         // One positional resolution serves both the occurrence list and
         // the aggregate context.
-        let (occs, candidate_ctx) =
-            self.occ
-                .occurrences_and_context(self.corpus, &tokens, opts, Some(&self.stems));
+        let (occs, context) = self.occ.occurrences_and_context_cached(
+            self.corpus,
+            &tokens,
+            context_options(self.config.scope),
+            Some(&self.stems),
+            self.cache.as_ref(),
+        );
         if occs.is_empty() {
-            return None;
+            return Vec::new();
         }
         let sentences: Vec<(u32, u32)> =
             occs.iter().map(|o| (o.doc.0, o.sentence as u32)).collect();
+        let inv = &self.inventory;
+        // The candidate's own inventory entry, if it is a known term:
+        // keys are unique in the inventory, so comparing indices is
+        // comparing match keys.
+        let own = inv.index_of(candidate);
 
         // (1) MeSH neighbourhood: ontology terms co-occurring with the
-        // candidate, excluding the candidate itself if it is already a
-        // known term.
-        let candidate_key = boe_textkit::normalize::match_key(candidate);
-        let neighbours: Vec<usize> = self
-            .inventory
+        // candidate, excluding the candidate itself.
+        let neighbours: Vec<usize> = inv
             .cooccurring(&sentences)
             .into_iter()
-            .filter(|&i| self.inventory.terms()[i].key != candidate_key)
+            .filter(|&i| Some(i) != own)
             .collect();
 
         // (2) Candidate positions: neighbours + terms of fathers/sons of
-        // neighbour concepts. Track the best (most direct) origin.
-        let mut positions: HashMap<usize, PositionOrigin> = HashMap::new();
+        // neighbour concepts. The first origin recorded wins: neighbours,
+        // then per neighbour (ascending) and concept, fathers before sons.
+        let mut origins: Vec<Option<PositionOrigin>> = vec![None; inv.len()];
         for &i in &neighbours {
-            positions.entry(i).or_insert(PositionOrigin::Neighbour);
+            origins[i] = Some(PositionOrigin::Neighbour);
         }
         if self.config.expand_hierarchy {
             for &i in &neighbours {
-                let concepts = self.inventory.terms()[i].concepts.clone();
-                for c in concepts {
+                for &c in &inv.terms()[i].concepts {
                     for &f in query::fathers(self.ontology, c) {
-                        self.add_concept_terms(
-                            &mut positions,
-                            f,
-                            PositionOrigin::FatherOfNeighbour,
-                        );
+                        self.add_concept_terms(&mut origins, f, PositionOrigin::FatherOfNeighbour);
                     }
                     for &s in query::sons(self.ontology, c) {
-                        self.add_concept_terms(&mut positions, s, PositionOrigin::SonOfNeighbour);
+                        self.add_concept_terms(&mut origins, s, PositionOrigin::SonOfNeighbour);
                     }
                 }
             }
         }
-        let mut targets: Vec<(usize, PositionOrigin)> = positions.into_iter().collect();
-        targets.sort_unstable_by_key(|&(i, _)| i);
-        Some(GatheredPositions {
-            context: candidate_ctx,
-            key: candidate_key,
-            targets,
-        })
-    }
-
-    /// Shared back half of both proposal paths: build, filter, rank and
-    /// truncate the propositions given per-target cosines (aligned with
-    /// `targets`).
-    fn rank(
-        &self,
-        candidate_key: &str,
-        targets: Vec<(usize, PositionOrigin)>,
-        cosines: Vec<f64>,
-    ) -> Vec<Proposition> {
-        let mut props: Vec<Proposition> = targets
-            .into_iter()
-            .zip(cosines)
-            .map(|((i, origin), cosine)| {
-                let t = &self.inventory.terms()[i];
-                Proposition {
-                    term: t.surface.clone(),
-                    concepts: t.concepts.clone(),
-                    cosine,
-                    origin,
-                }
-            })
-            .filter(|p| boe_textkit::normalize::match_key(&p.term) != candidate_key)
+        // Ascending index order, the candidate never among them.
+        let targets: Vec<usize> = (0..inv.len())
+            .filter(|&i| origins[i].is_some() && Some(i) != own)
             .collect();
-        props.sort_by(|a, b| {
-            b.cosine
-                .partial_cmp(&a.cosine)
+        let cosines = inv.cosines_against(&context, &targets);
+
+        // (3) Rank by cosine (ties by surface), keep the top N, and only
+        // then clone their surfaces and concepts.
+        let terms = inv.terms();
+        let mut ranked: Vec<(usize, f64)> = targets.into_iter().zip(cosines).collect();
+        ranked.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.term.cmp(&b.term))
+                .then_with(|| terms[a.0].surface.cmp(&terms[b.0].surface))
         });
-        props.truncate(self.config.top_n);
-        props
+        ranked.truncate(self.config.top_n);
+        ranked
+            .into_iter()
+            .map(|(i, cosine)| Proposition {
+                term: terms[i].surface.clone(),
+                concepts: terms[i].concepts.clone(),
+                cosine,
+                origin: origins[i].expect("every target has an origin"),
+            })
+            .collect()
     }
 
-    /// Add every corpus-linked term of `concept` as a position with
-    /// `origin` (neighbour origin wins if already present).
+    /// Record `origin` for every corpus-linked term of `concept` that has
+    /// none yet.
     fn add_concept_terms(
         &self,
-        positions: &mut HashMap<usize, PositionOrigin>,
+        origins: &mut [Option<PositionOrigin>],
         concept: ConceptId,
         origin: PositionOrigin,
     ) {
-        for term in self.ontology.concept(concept).terms() {
-            if let Some(idx) = self.inventory.index_of(term) {
-                positions.entry(idx).or_insert(origin);
-            }
+        for &i in self.inventory.concept_terms(concept) {
+            origins[i].get_or_insert(origin);
         }
     }
 }
@@ -410,40 +363,6 @@ mod tests {
         // The candidate itself was passed as an extra but must never be
         // proposed as its own position.
         assert!(props.iter().all(|p| p.term != "corneal injuries"));
-    }
-
-    #[test]
-    fn inverted_index_matches_naive_scan_exactly() {
-        let (c, o) = world();
-        for expand_hierarchy in [true, false] {
-            let linker = SemanticLinker::with_candidates(
-                &c,
-                &o,
-                LinkerConfig {
-                    expand_hierarchy,
-                    ..Default::default()
-                },
-                &["epithelium".to_owned(), "stroma".to_owned()],
-            );
-            for candidate in ["corneal injuries", "epithelium", "nonexistent term"] {
-                let fast = linker.propose(candidate);
-                let naive = linker.propose_naive(candidate);
-                assert_eq!(fast.len(), naive.len(), "{candidate}");
-                for (f, n) in fast.iter().zip(&naive) {
-                    assert_eq!(f.term, n.term, "{candidate}");
-                    assert_eq!(f.concepts, n.concepts);
-                    assert_eq!(f.origin, n.origin);
-                    assert_eq!(
-                        f.cosine.to_bits(),
-                        n.cosine.to_bits(),
-                        "{candidate} / {}: {} vs {}",
-                        f.term,
-                        f.cosine,
-                        n.cosine
-                    );
-                }
-            }
-        }
     }
 
     #[test]

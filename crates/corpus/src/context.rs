@@ -191,41 +191,57 @@ pub fn context_vector(
 pub struct DocContextCache {
     /// Per doc: the full filtered context vector.
     base: Vec<SparseVector>,
-    /// Per doc, per sentence: the dimension each position contributes
-    /// (`None` for stopwords and non-lexical tokens).
-    dims: Vec<Vec<Vec<Option<u32>>>>,
+    /// The dimension every corpus position contributes, documents and
+    /// sentences laid end to end ([`Self::FILTERED`] for stopwords and
+    /// non-lexical tokens).
+    dims: Vec<u32>,
+    /// Per corpus sentence (documents in order): offset of its first
+    /// position in `dims`, plus a final entry for the end of `dims`.
+    sentence_start: Vec<usize>,
+    /// Per doc: index of its first sentence in `sentence_start`.
+    doc_first_sentence: Vec<usize>,
 }
 
 impl DocContextCache {
+    /// Marks a position that contributes no dimension.
+    const FILTERED: u32 = u32::MAX;
+
     /// Precompute the base vector and position-dimension map of every
     /// document under `opts`/`stems` (the window option is ignored, as
     /// it is at document scope generally).
     pub fn build(corpus: &Corpus, opts: ContextOptions, stems: Option<&StemMap>) -> Self {
         let mut base = Vec::with_capacity(corpus.len());
-        let mut dims = Vec::with_capacity(corpus.len());
+        let mut dims = Vec::new();
+        let mut sentence_start = Vec::new();
+        let mut doc_first_sentence = Vec::with_capacity(corpus.len());
         for doc in corpus.docs() {
-            let mut doc_dims: Vec<Vec<Option<u32>>> = Vec::with_capacity(doc.sentences.len());
+            doc_first_sentence.push(sentence_start.len());
             let mut pairs = Vec::new();
             for s in &doc.sentences {
-                let mut sent_dims = Vec::with_capacity(s.tokens.len());
+                sentence_start.push(dims.len());
                 for (i, &t) in s.tokens.iter().enumerate() {
                     if corpus.is_stopword(t) || !s.tags[i].is_term_internal() {
-                        sent_dims.push(None);
+                        dims.push(Self::FILTERED);
                         continue;
                     }
                     let dim = match (opts.stemmed, stems) {
                         (true, Some(sm)) => sm.stem_dim(t),
                         _ => t.0,
                     };
-                    sent_dims.push(Some(dim));
+                    debug_assert_ne!(dim, Self::FILTERED, "dimension collides with the sentinel");
+                    dims.push(dim);
                     pairs.push((dim, 1.0));
                 }
-                doc_dims.push(sent_dims);
             }
             base.push(SparseVector::from_pairs(pairs));
-            dims.push(doc_dims);
         }
-        DocContextCache { base, dims }
+        sentence_start.push(dims.len());
+        DocContextCache {
+            base,
+            dims,
+            sentence_start,
+            doc_first_sentence,
+        }
     }
 
     /// The document-scope context vector of one occurrence —
@@ -253,11 +269,12 @@ impl DocContextCache {
         occ: Occurrence,
         phrase_len: usize,
     ) -> impl Iterator<Item = u32> + '_ {
-        let sent = &self.dims[occ.doc.0 as usize][occ.sentence];
-        sent[occ.start..(occ.start + phrase_len).min(sent.len())]
+        let s = self.doc_first_sentence[occ.doc.0 as usize] + occ.sentence;
+        let (lo, hi) = (self.sentence_start[s], self.sentence_start[s + 1]);
+        self.dims[lo + occ.start..(lo + occ.start + phrase_len).min(hi)]
             .iter()
-            .flatten()
             .copied()
+            .filter(|&d| d != Self::FILTERED)
     }
 
     /// The aggregate (summed) document-scope context over `occs` (sorted

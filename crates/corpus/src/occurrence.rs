@@ -27,7 +27,10 @@
 //! runnable end-to-end so tests can enforce the contract at the
 //! `EnrichmentReport` level.
 
-use crate::context::{context_vector, find_occurrences_naive, ContextOptions, Occurrence, StemMap};
+use crate::context::{
+    context_vector, find_occurrences_naive, ContextOptions, ContextScope, DocContextCache,
+    Occurrence, StemMap,
+};
 use crate::corpus::Corpus;
 use crate::index::{InvertedIndex, Posting};
 use crate::vector::SparseVector;
@@ -207,11 +210,50 @@ impl OccurrenceIndex {
         (occs, SparseVector::sum_of(&vectors))
     }
 
+    /// The [`DocContextCache`] a harvest under `opts` goes through:
+    /// built only for the indexed backend at [`ContextScope::Document`].
+    /// Document scope otherwise rebuilds a whole document's vector per
+    /// occurrence; one per-document base shared by every phrase turns
+    /// that into an exact count subtraction (bit-identical — see
+    /// [`DocContextCache`]). Sentence scope needs no cache, and the naive
+    /// backend stays the plain reference construction end-to-end.
+    pub fn context_cache(
+        &self,
+        corpus: &Corpus,
+        opts: ContextOptions,
+        stems: Option<&StemMap>,
+    ) -> Option<DocContextCache> {
+        (self.is_indexed() && opts.scope == ContextScope::Document)
+            .then(|| DocContextCache::build(corpus, opts, stems))
+    }
+
+    /// [`Self::occurrences_and_context`], taking the aggregate from
+    /// `cache` when one is given. `cache` must come from
+    /// [`Self::context_cache`] with the same `opts` and `stems`, so the
+    /// result is bit-identical either way.
+    pub fn occurrences_and_context_cached(
+        &self,
+        corpus: &Corpus,
+        phrase: &[TokenId],
+        opts: ContextOptions,
+        stems: Option<&StemMap>,
+        cache: Option<&DocContextCache>,
+    ) -> (Vec<Occurrence>, SparseVector) {
+        match cache {
+            Some(cache) => {
+                let occs = self.find_occurrences(corpus, phrase);
+                let context = cache.aggregate(&occs, phrase.len());
+                (occs, context)
+            }
+            None => self.occurrences_and_context(corpus, phrase, opts, stems),
+        }
+    }
+
     /// Batch context harvesting: [`Self::occurrences_and_context`] for
-    /// many phrases in one call, fanned out across threads with
-    /// `boe_par` (input order preserved — result `i` belongs to
-    /// `phrases[i]`, bit-identical to the serial loop at any thread
-    /// count).
+    /// many phrases in one call, through one [`Self::context_cache`],
+    /// fanned out across threads with `boe_par` (input order preserved —
+    /// result `i` belongs to `phrases[i]`, bit-identical to the serial
+    /// loop at any thread count).
     pub fn aggregate_contexts_for(
         &self,
         corpus: &Corpus,
@@ -219,20 +261,9 @@ impl OccurrenceIndex {
         opts: ContextOptions,
         stems: Option<&StemMap>,
     ) -> Vec<(Vec<Occurrence>, SparseVector)> {
-        // Document scope rebuilds a whole document's vector per
-        // occurrence; one per-document base shared by every phrase turns
-        // that into an exact count subtraction (bit-identical — see
-        // [`DocContextCache`]). The naive backend skips the cache and
-        // stays the plain reference construction end-to-end.
-        let cache = (self.is_indexed() && opts.scope == crate::context::ContextScope::Document)
-            .then(|| crate::context::DocContextCache::build(corpus, opts, stems));
-        boe_par::par_map(phrases, |phrase| match &cache {
-            Some(cache) => {
-                let occs = self.find_occurrences(corpus, phrase);
-                let context = cache.aggregate(&occs, phrase.len());
-                (occs, context)
-            }
-            None => self.occurrences_and_context(corpus, phrase, opts, stems),
+        let cache = self.context_cache(corpus, opts, stems);
+        boe_par::par_map(phrases, |phrase| {
+            self.occurrences_and_context_cached(corpus, phrase, opts, stems, cache.as_ref())
         })
     }
 

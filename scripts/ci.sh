@@ -23,7 +23,8 @@ run cargo build --release --offline
 # * parallel-runtime gates: bit-identical output across thread counts
 #   (`parallel_determinism`), the randomized Step I serial-vs-parallel
 #   sweep (`step1_parallel_equality`), Step II graph features against
-#   their reference (`graph_features_oracle`);
+#   their reference (`graph_features_oracle`), Step IV proposals against
+#   theirs (`linkage_oracle`);
 # * resource-governance gates: budgets trip into truncated reports
 #   (`governor`), `boe-par` early exit keeps a deterministic prefix
 #   (`early_exit`), every chaos site × mode × {1,8} threads stays

@@ -12,6 +12,11 @@ use bio_onto_enrich::workflow::linkage::{LinkerConfig, SemanticLinker};
 use bio_onto_enrich::workflow::report::EnrichmentReport;
 use bio_onto_enrich::workflow::{EnrichmentPipeline, PipelineConfig};
 
+#[path = "oracle/linkage.rs"]
+mod oracle;
+
+use oracle::{assert_same_propositions, LinkageOracle};
+
 fn world() -> World {
     World::generate(&WorldConfig {
         n_concepts: 60,
@@ -98,17 +103,22 @@ fn serial_and_parallel_runs_are_bit_identical() {
         .run(&w.corpus, &w.reduced_ontology)
         .expect("valid input");
 
-    // Step-IV kernels: the inverted-index scorer must return exactly the
-    // naive scan's top-10 (order, terms, cosine bits), still at 8 threads.
+    // Step IV: the linker must return exactly the reference
+    // implementation's top-10 (order, terms, cosine bits), still at 8
+    // threads.
     let linker = SemanticLinker::new(&w.corpus, &w.reduced_ontology, LinkerConfig::default());
+    let reference = LinkageOracle::new(
+        &w.corpus,
+        &w.reduced_ontology,
+        linker.inventory(),
+        LinkerConfig::default(),
+    );
     for h in &w.holdout {
-        let fast = linker.propose(&h.surface);
-        let naive = linker.propose_naive(&h.surface);
-        assert_eq!(fast.len(), naive.len(), "{}", h.surface);
-        for (f, n) in fast.iter().zip(&naive) {
-            assert_eq!(f.term, n.term, "{}", h.surface);
-            assert_eq!(f.cosine.to_bits(), n.cosine.to_bits(), "{}", h.surface);
-        }
+        assert_same_propositions(
+            &linker.propose(&h.surface),
+            &reference.propose(&h.surface),
+            &h.surface,
+        );
     }
 
     // Step-III kernel: the row-range-chunked similarity matrix must stay
