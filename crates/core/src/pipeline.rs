@@ -24,6 +24,13 @@
 //! under the cheapest Step-III configuration with Step IV skipped.
 //! Either way the partial report is returned with the trip recorded in
 //! its diagnostics; the run never aborts mid-flight.
+//!
+//! The driver is a small stage runner over one private run state. Each
+//! stage runs through `Run::step` (stage clock, panic guard, timing) and
+//! ends at a `Run::checkpoint`, the one place a hard trip is attributed
+//! and recorded. Every early stop is a `?`, so every run that returns a
+//! report leaves through the same report assembly, which appends a
+//! truncated report for each term the fan-out did not finish.
 
 use crate::diagnostics::{BudgetTrip, Degradation, DetectorOutcome, RunDiagnostics, StageTiming};
 use crate::error::{EnrichError, Stage};
@@ -142,23 +149,44 @@ impl EnrichmentPipeline {
         ontology: &Ontology,
         gov: Governor,
     ) -> Result<EnrichmentReport, EnrichError> {
-        let mut diag = RunDiagnostics::default();
+        let mut run = Run::new(&gov);
+        if let Err(Stop::Failed(e)) = self.stages(&mut run, corpus, ontology) {
+            return Err(e);
+        }
 
-        // Upfront validation. The chaos site sits inside the guard so an
-        // injected panic surfaces as a typed stage failure.
+        // Report assembly, the single exit of every run that returns a
+        // report. A final late-trip poll lets a budget that tripped after
+        // the last checkpoint still reach the caller.
+        guarded_stage(Stage::Reporting, || {
+            boe_chaos::inject(boe_chaos::sites::REPORT)
+        })?;
+        if run.diag.hard_trip().is_none() {
+            if let Some(trip) = gov.check_hard() {
+                run.record_trip(trip, Stage::Reporting, &[]);
+            }
+        }
+        let unprocessed = run.pending[run.processed..].iter().map(truncated_report);
+        Ok(EnrichmentReport {
+            terms: run.done.into_iter().chain(unprocessed).collect(),
+            already_known: run.already_known,
+            diagnostics: run.diag,
+        })
+    }
+
+    /// Validation and Steps I–IV, filling `run`. Every early stop is a
+    /// `?`: [`Stop::Truncated`] leaves the unprocessed terms to report
+    /// assembly, [`Stop::Failed`] fails the run.
+    fn stages(&self, run: &mut Run<'_>, corpus: &Corpus, ontology: &Ontology) -> Result<(), Stop> {
+        let gov = run.gov;
+
+        // Upfront validation, untimed. The chaos site sits inside the
+        // guard so an injected panic surfaces as a typed stage failure.
         gov.begin_stage();
         guarded_stage(Stage::Validation, || {
             boe_chaos::inject(boe_chaos::sites::VALIDATE);
-            validate(corpus, ontology, &mut diag)
+            validate(corpus, ontology, &mut run.diag)
         })??;
-        if let Some(trip) = gov.check_hard() {
-            record_trip(&gov, &mut diag, trip, Stage::Validation, ALL_STEPS);
-            return Ok(EnrichmentReport {
-                terms: Vec::new(),
-                already_known: Vec::new(),
-                diagnostics: diag,
-            });
-        }
+        run.checkpoint(Stage::Validation, ALL_STEPS, false)?;
 
         // Step I: extract and rank candidates. Candidates already in the
         // ontology are training data for Step II, not enrichment targets.
@@ -166,55 +194,28 @@ impl EnrichmentPipeline {
         // candidate (hard trips only: soft stage deadlines keep their
         // degrade-later semantics), so a long Step I can no longer starve
         // `--deadline-ms` / cancellation until the first stage boundary.
-        gov.begin_stage();
-        let t0 = Instant::now();
         let stop_step1 = || gov.check_hard().is_some();
-        let extracted = guarded_stage(Stage::TermExtraction, || {
+        let extracted = run.step(Stage::TermExtraction, |_| {
             boe_chaos::inject(boe_chaos::sites::STEP1_EXTRACT);
             TermExtractor::try_new(corpus, self.config.candidates, &stop_step1).map(|extractor| {
-                let ranked = extractor.top(corpus, self.config.measure, self.config.top_terms);
-                let mut already_known = Vec::new();
-                let mut new_terms = Vec::new();
-                for r in ranked {
-                    if ontology.contains_term(&r.surface) {
-                        already_known.push(r.surface);
-                    } else {
-                        new_terms.push(r);
-                    }
-                }
-                (already_known, new_terms)
+                extractor
+                    .top(corpus, self.config.measure, self.config.top_terms)
+                    .into_iter()
+                    .partition::<Vec<_>, _>(|r| ontology.contains_term(&r.surface))
             })
         })?;
-        diag.timings.push(StageTiming {
-            stage: Stage::TermExtraction,
-            elapsed: t0.elapsed(),
-        });
-        let Some((already_known, new_terms)) = extracted else {
+        let Some((known, new_terms)) = extracted else {
             // Interrupted mid-extraction: partial candidate statistics
             // would be prefix-dependent, so Step I reports no terms at
             // all — deterministic at any thread count.
-            let trip = gov.check_hard().unwrap_or(TripKind::Deadline);
-            record_trip(&gov, &mut diag, trip, Stage::TermExtraction, ALL_STEPS);
-            return Ok(EnrichmentReport {
-                terms: Vec::new(),
-                already_known: Vec::new(),
-                diagnostics: diag,
-            });
+            return run.checkpoint(Stage::TermExtraction, ALL_STEPS, true);
         };
-        if new_terms.is_empty() {
-            diag.warn("step I extracted no new candidate terms");
+        run.already_known = known.into_iter().map(|r| r.surface).collect();
+        run.pending = new_terms;
+        if run.pending.is_empty() {
+            run.diag.warn("step I extracted no new candidate terms");
         }
-        if let Some(trip) = gov.check_hard() {
-            record_trip(&gov, &mut diag, trip, Stage::TermExtraction, FANOUT_STEPS);
-            return Ok(EnrichmentReport {
-                terms: new_terms
-                    .iter()
-                    .map(|r| truncated_report(&r.surface, r.score))
-                    .collect(),
-                already_known,
-                diagnostics: diag,
-            });
-        }
+        run.checkpoint(Stage::TermExtraction, FANOUT_STEPS, false)?;
 
         // One occurrence index per run: every remaining stage (detector
         // training, per-term features, sense contexts, linkage) resolves
@@ -225,71 +226,38 @@ impl EnrichmentPipeline {
         // Step II: train the detector on ontology-derived weak labels. A
         // panic during training (or from the chaos site) degrades to the
         // fallback detector instead of failing the run. A hard trip while
-        // the training rows are built leaves no detector; the trip check
+        // the training rows are built leaves no detector; the checkpoint
         // below then truncates the fan-out.
-        gov.begin_stage();
-        let t0 = Instant::now();
-        let features = guarded_stage(Stage::PolysemyDetection, || {
-            FeatureContext::build_with_index(corpus, Arc::clone(&occ))
-        })?;
         let stop_rows = || gov.check_hard().is_some();
-        let mut rows_interrupted = false;
-        let detector = match catch_unwind(AssertUnwindSafe(|| {
-            boe_chaos::inject(boe_chaos::sites::STEP2_TRAIN);
-            self.train_detector(corpus, ontology, &occ, &features, &stop_rows, &mut diag)
-        })) {
-            Ok(Ok(d)) => d,
-            Ok(Err(RowsInterrupted)) => {
-                rows_interrupted = true;
-                None
-            }
-            Err(payload) => {
-                let reason = panic_message(payload);
-                diag.detector = DetectorOutcome::Fallback {
-                    reason: format!("training panicked: {reason}"),
-                };
-                diag.degrade(
-                    "",
-                    Stage::PolysemyDetection,
-                    format!("detector training panicked: {reason}"),
-                );
-                None
-            }
-        };
-        let mut detect_time = t0.elapsed();
-        // Deadline and cancellation trips persist, but an allocation trip
-        // can clear once the discarded rows are freed: an interruption
-        // with no trip left standing was the allocation budget.
-        let trip = gov
-            .check_hard()
-            .or(rows_interrupted.then_some(TripKind::AllocBudget));
-        if let Some(trip) = trip {
-            record_trip(
-                &gov,
-                &mut diag,
-                trip,
-                Stage::PolysemyDetection,
-                FANOUT_STEPS,
-            );
-            diag.timings.push(StageTiming {
-                stage: Stage::PolysemyDetection,
-                elapsed: detect_time,
-            });
-            return Ok(EnrichmentReport {
-                terms: new_terms
-                    .iter()
-                    .map(|r| truncated_report(&r.surface, r.score))
-                    .collect(),
-                already_known,
-                diagnostics: diag,
-            });
-        }
+        let (features, detector, rows_interrupted) =
+            run.step(Stage::PolysemyDetection, |diag| {
+                let features = FeatureContext::build_with_index(corpus, Arc::clone(&occ));
+                let trained = catch_unwind(AssertUnwindSafe(|| {
+                    boe_chaos::inject(boe_chaos::sites::STEP2_TRAIN);
+                    self.train_detector(corpus, ontology, &occ, &features, &stop_rows, diag)
+                }));
+                match trained {
+                    Ok(Ok(d)) => (features, d, false),
+                    Ok(Err(RowsInterrupted)) => (features, None, true),
+                    Err(payload) => {
+                        let reason = panic_message(payload);
+                        diag.detector = DetectorOutcome::Fallback {
+                            reason: format!("training panicked: {reason}"),
+                        };
+                        diag.degrade(
+                            "",
+                            Stage::PolysemyDetection,
+                            format!("detector training panicked: {reason}"),
+                        );
+                        (features, None, false)
+                    }
+                }
+            })?;
+        run.checkpoint(Stage::PolysemyDetection, FANOUT_STEPS, rows_interrupted)?;
 
         // Step III/IV setup: the inducer and linker are corpus-wide and
         // shared by every term; a panic here cannot be downgraded.
-        gov.begin_stage();
-        let t0 = Instant::now();
-        let (inducer, linker) = guarded_stage(Stage::SenseInduction, || {
+        let (inducer, linker) = run.step(Stage::SenseInduction, |_| {
             boe_chaos::inject(boe_chaos::sites::STEP34_SETUP);
             let inducer = SenseInducer::with_index(corpus, self.config.senses, Arc::clone(&occ));
             let linker = SemanticLinker::with_candidates_indexed(
@@ -301,23 +269,7 @@ impl EnrichmentPipeline {
             );
             (inducer, linker)
         })?;
-        let mut induce_time = t0.elapsed();
-        let mut link_time = Duration::ZERO;
-        if let Some(trip) = gov.check_hard() {
-            record_trip(&gov, &mut diag, trip, Stage::SenseInduction, FANOUT_STEPS);
-            diag.timings.push(StageTiming {
-                stage: Stage::PolysemyDetection,
-                elapsed: detect_time,
-            });
-            return Ok(EnrichmentReport {
-                terms: new_terms
-                    .iter()
-                    .map(|r| truncated_report(&r.surface, r.score))
-                    .collect(),
-                already_known,
-                diagnostics: diag,
-            });
-        }
+        run.checkpoint(Stage::SenseInduction, FANOUT_STEPS, false)?;
 
         // Steps II–IV fan out across candidate terms: each term is
         // independent given the trained detector, the inducer and the
@@ -329,9 +281,9 @@ impl EnrichmentPipeline {
         // interruption keeps the deterministic completed prefix.
         gov.begin_stage();
         let stop = || gov.check().is_some();
-        let fan = catch_unwind(AssertUnwindSafe(|| {
+        let (outcomes, panicked) = fan_out(|| {
             boe_chaos::inject(boe_chaos::sites::FANOUT);
-            boe_par::try_par_map(&new_terms, &stop, |r| {
+            boe_par::try_par_map(&run.pending, &stop, |r| {
                 self.process_term(
                     corpus,
                     r,
@@ -341,141 +293,58 @@ impl EnrichmentPipeline {
                     Some(&linker),
                 )
             })
-        }));
-        let (outcomes, fanout_panic) = match fan {
-            Ok(o) => (o.into_results(), None),
-            Err(payload) => (Vec::new(), Some(panic_message(payload))),
-        };
-
-        let mut terms = Vec::with_capacity(new_terms.len());
-        let processed = outcomes.len();
-        for o in outcomes {
-            detect_time += o.detect;
-            induce_time += o.induce;
-            link_time += o.link;
-            diag.degraded.extend(o.degraded);
-            terms.extend(o.report);
-        }
-
-        let remaining = &new_terms[processed..];
-        if let Some(msg) = fanout_panic {
+        });
+        run.absorb(outcomes);
+        if let Some(msg) = panicked {
             // A panic that escaped the per-term guards (e.g. the chaos
             // PAR_WORKER or FANOUT site) degrades Steps II–IV wholesale.
-            diag.degrade(
+            run.diag.degrade(
                 "",
                 Stage::PolysemyDetection,
                 format!("fan-out panicked: {msg}; steps II–IV skipped for all terms"),
             );
-            terms.extend(
-                remaining
-                    .iter()
-                    .map(|r| truncated_report(&r.surface, r.score)),
+            return Err(Stop::Truncated);
+        }
+        let remaining = run.pending.len() - run.processed;
+        if remaining == 0 {
+            return Ok(());
+        }
+        // A hard trip mid-fan-out keeps the completed prefix.
+        run.checkpoint(Stage::SenseInduction, FANOUT_STEPS, false)?;
+
+        // Soft stage-deadline trip: re-run the remaining terms under the
+        // cheapest Step-III configuration with Step IV skipped, on a
+        // fresh stage clock.
+        run.record_trip(TripKind::StageDeadline, Stage::SenseInduction, &[]);
+        run.diag.degrade(
+            "",
+            Stage::SenseInduction,
+            format!(
+                "stage deadline: {remaining} term(s) re-run with the cheapest induction, linkage skipped"
+            ),
+        );
+        gov.begin_stage();
+        let cheap =
+            SenseInducer::with_index(corpus, self.config.senses.cheapest(), Arc::clone(&occ));
+        let stop_hard = || gov.check_hard().is_some();
+        let (outcomes, panicked) = fan_out(|| {
+            boe_par::try_par_map(&run.pending[run.processed..], &stop_hard, |r| {
+                self.process_term(corpus, r, detector.as_ref(), &features, &cheap, None)
+            })
+        });
+        run.absorb(outcomes);
+        if let Some(msg) = panicked {
+            run.diag.degrade(
+                "",
+                Stage::SenseInduction,
+                format!("cheap fan-out panicked: {msg}"),
             );
-        } else if !remaining.is_empty() {
-            if let Some(trip) = gov.check_hard() {
-                // Hard trip mid-fan-out: keep the completed prefix, give
-                // the rest score-only truncated reports.
-                record_trip(&gov, &mut diag, trip, Stage::SenseInduction, FANOUT_STEPS);
-                terms.extend(
-                    remaining
-                        .iter()
-                        .map(|r| truncated_report(&r.surface, r.score)),
-                );
-            } else {
-                // Soft stage-deadline trip: re-run the remaining terms
-                // under the cheapest Step-III configuration with Step IV
-                // skipped, on a fresh stage clock.
-                record_trip(
-                    &gov,
-                    &mut diag,
-                    TripKind::StageDeadline,
-                    Stage::SenseInduction,
-                    &[],
-                );
-                diag.degrade(
-                    "",
-                    Stage::SenseInduction,
-                    format!(
-                        "stage deadline: {} term(s) re-run with the cheapest induction, linkage skipped",
-                        remaining.len()
-                    ),
-                );
-                gov.begin_stage();
-                let cheap = SenseInducer::with_index(
-                    corpus,
-                    self.config.senses.cheapest(),
-                    Arc::clone(&occ),
-                );
-                let stop_hard = || gov.check_hard().is_some();
-                let cheap_fan = catch_unwind(AssertUnwindSafe(|| {
-                    boe_par::try_par_map(remaining, &stop_hard, |r| {
-                        self.process_term(corpus, r, detector.as_ref(), &features, &cheap, None)
-                    })
-                }));
-                match cheap_fan {
-                    Ok(o) => {
-                        let partial = o.into_results();
-                        let cheap_done = partial.len();
-                        for out in partial {
-                            detect_time += out.detect;
-                            induce_time += out.induce;
-                            diag.degraded.extend(out.degraded);
-                            terms.extend(out.report);
-                        }
-                        let rest = &remaining[cheap_done..];
-                        if !rest.is_empty() {
-                            if let Some(trip) = gov.check_hard() {
-                                record_trip(
-                                    &gov,
-                                    &mut diag,
-                                    trip,
-                                    Stage::SenseInduction,
-                                    FANOUT_STEPS,
-                                );
-                            }
-                            terms
-                                .extend(rest.iter().map(|r| truncated_report(&r.surface, r.score)));
-                        }
-                    }
-                    Err(payload) => {
-                        diag.degrade(
-                            "",
-                            Stage::SenseInduction,
-                            format!("cheap fan-out panicked: {}", panic_message(payload)),
-                        );
-                        terms.extend(
-                            remaining
-                                .iter()
-                                .map(|r| truncated_report(&r.surface, r.score)),
-                        );
-                    }
-                }
-            }
+            return Err(Stop::Truncated);
         }
-
-        for (stage, elapsed) in [
-            (Stage::PolysemyDetection, detect_time),
-            (Stage::SenseInduction, induce_time),
-            (Stage::SemanticLinkage, link_time),
-        ] {
-            diag.timings.push(StageTiming { stage, elapsed });
+        if run.processed < run.pending.len() {
+            return run.checkpoint(Stage::SenseInduction, FANOUT_STEPS, true);
         }
-
-        // Report assembly, with a final late-trip poll so a budget that
-        // tripped after the last fan-out item still reaches the caller.
-        guarded_stage(Stage::Reporting, || {
-            boe_chaos::inject(boe_chaos::sites::REPORT)
-        })?;
-        if diag.hard_trip().is_none() {
-            if let Some(trip) = gov.check_hard() {
-                record_trip(&gov, &mut diag, trip, Stage::Reporting, &[]);
-            }
-        }
-        Ok(EnrichmentReport {
-            terms,
-            already_known,
-            diagnostics: diag,
-        })
+        Ok(())
     }
 
     /// Steps II–IV for one candidate term. `linker` is `None` in the
@@ -531,12 +400,7 @@ impl EnrichmentPipeline {
                 boe_chaos::inject_keyed(boe_chaos::sites::TERM_INDUCE, chaos_key);
                 inducer.induce(&tokens, polysemic)
             },
-            || InducedSenses {
-                k: 1,
-                concepts: Vec::new(),
-                assignments: Vec::new(),
-                repaired: 0,
-            },
+            single_sense,
         );
         if senses.repaired > 0 {
             out.degraded.push(Degradation {
@@ -660,47 +524,167 @@ const FANOUT_STEPS: &[Stage] = &[
     Stage::SemanticLinkage,
 ];
 
-/// Record a budget trip in the diagnostics with the governor's measured
-/// value and limit, naming the stages the trip truncates.
-fn record_trip(
-    gov: &Governor,
-    diag: &mut RunDiagnostics,
-    kind: TripKind,
-    stage: Stage,
-    truncated: &[Stage],
-) {
-    let (measured, limit) = gov.describe(kind);
-    let detail = match kind {
-        TripKind::Deadline => "wall-clock deadline exceeded",
-        TripKind::StageDeadline => "stage exceeded its soft deadline",
-        TripKind::Cancelled => "cancellation requested",
-        TripKind::AllocBudget => "allocation budget exhausted",
-    };
-    diag.trip(
-        BudgetTrip {
-            kind,
-            stage,
-            detail: detail.to_owned(),
-            measured,
-            limit,
-        },
-        truncated.iter().copied(),
-    );
+/// Why the stages of a run stopped early.
+enum Stop {
+    /// A hard trip or a wholesale fan-out failure: report assembly gives
+    /// the unprocessed terms truncated reports.
+    Truncated,
+    /// The run fails with this error.
+    Failed(EnrichError),
+}
+
+impl From<EnrichError> for Stop {
+    fn from(e: EnrichError) -> Self {
+        Stop::Failed(e)
+    }
+}
+
+/// The state of one governed run, filled stage by stage and turned into
+/// the report at the single exit of [`EnrichmentPipeline::run_governed`].
+struct Run<'g> {
+    gov: &'g Governor,
+    diag: RunDiagnostics,
+    already_known: Vec<String>,
+    /// Step I's new terms, in rank order.
+    pending: Vec<RankedTerm>,
+    /// How many of `pending` the fan-out has finished; the rest get
+    /// truncated reports.
+    processed: usize,
+    /// Reports of the finished terms, in term order (a term whose tokens
+    /// are missing finishes without one).
+    done: Vec<TermReport>,
+}
+
+impl<'g> Run<'g> {
+    fn new(gov: &'g Governor) -> Self {
+        Run {
+            gov,
+            diag: RunDiagnostics::default(),
+            already_known: Vec::new(),
+            pending: Vec::new(),
+            processed: 0,
+            done: Vec::new(),
+        }
+    }
+
+    /// Begin `stage` on the governor, run `f` under the stage panic guard
+    /// (a panic fails the run with [`EnrichError::StageFailure`]) and add
+    /// the elapsed time to the stage's timing.
+    fn step<T>(
+        &mut self,
+        stage: Stage,
+        f: impl FnOnce(&mut RunDiagnostics) -> T,
+    ) -> Result<T, Stop> {
+        self.gov.begin_stage();
+        let t0 = Instant::now();
+        let out = guarded_stage(stage, || f(&mut self.diag))?;
+        self.add_time(stage, t0.elapsed());
+        Ok(out)
+    }
+
+    /// Stop the run on a hard trip, recording it at `stage` as truncating
+    /// `truncates`. `interrupted` says the stage's work was cut short by a
+    /// hard poll: deadline and cancellation trips persist, but an
+    /// allocation trip can clear once the discarded work is freed, so an
+    /// interruption with no trip left standing was the allocation budget.
+    fn checkpoint(
+        &mut self,
+        stage: Stage,
+        truncates: &[Stage],
+        interrupted: bool,
+    ) -> Result<(), Stop> {
+        let trip = self
+            .gov
+            .check_hard()
+            .or(interrupted.then_some(TripKind::AllocBudget));
+        match trip {
+            Some(kind) => {
+                self.record_trip(kind, stage, truncates);
+                Err(Stop::Truncated)
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Merge a fan-out pass's outcomes, in term order, and add their
+    /// per-stage time sums to the Steps II–IV timings.
+    fn absorb(&mut self, outcomes: Vec<TermOutcome>) {
+        let (mut detect, mut induce, mut link) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+        self.processed += outcomes.len();
+        for o in outcomes {
+            detect += o.detect;
+            induce += o.induce;
+            link += o.link;
+            self.diag.degraded.extend(o.degraded);
+            self.done.extend(o.report);
+        }
+        self.add_time(Stage::PolysemyDetection, detect);
+        self.add_time(Stage::SenseInduction, induce);
+        self.add_time(Stage::SemanticLinkage, link);
+    }
+
+    /// Add `elapsed` to `stage`'s timing, appending the stage on first use.
+    fn add_time(&mut self, stage: Stage, elapsed: Duration) {
+        match self.diag.timings.iter_mut().find(|t| t.stage == stage) {
+            Some(t) => t.elapsed += elapsed,
+            None => self.diag.timings.push(StageTiming { stage, elapsed }),
+        }
+    }
+
+    /// Record a budget trip in the diagnostics with the governor's
+    /// measured value and limit, naming the stages the trip truncates.
+    fn record_trip(&mut self, kind: TripKind, stage: Stage, truncated: &[Stage]) {
+        let (measured, limit) = self.gov.describe(kind);
+        let detail = match kind {
+            TripKind::Deadline => "wall-clock deadline exceeded",
+            TripKind::StageDeadline => "stage exceeded its soft deadline",
+            TripKind::Cancelled => "cancellation requested",
+            TripKind::AllocBudget => "allocation budget exhausted",
+        };
+        self.diag.trip(
+            BudgetTrip {
+                kind,
+                stage,
+                detail: detail.to_owned(),
+                measured,
+                limit,
+            },
+            truncated.iter().copied(),
+        );
+    }
+}
+
+/// Run one pass of the per-term fan-out, catching a panic that escapes
+/// the per-term guards: the completed outcomes in term order (a prefix
+/// when interrupted, none after a panic) and the panic message, if any.
+fn fan_out(
+    pass: impl FnOnce() -> boe_par::ParOutcome<TermOutcome>,
+) -> (Vec<TermOutcome>, Option<String>) {
+    match catch_unwind(AssertUnwindSafe(pass)) {
+        Ok(o) => (o.into_results(), None),
+        Err(payload) => (Vec::new(), Some(panic_message(payload))),
+    }
+}
+
+/// A single sense with no concepts: what a term gets when its Step III
+/// failed or never ran.
+fn single_sense() -> InducedSenses {
+    InducedSenses {
+        k: 1,
+        concepts: Vec::new(),
+        assignments: Vec::new(),
+        repaired: 0,
+    }
 }
 
 /// A score-only report for a term whose Steps II–IV were truncated by a
 /// hard budget trip (or a wholesale fan-out failure).
-fn truncated_report(surface: &str, score: f64) -> TermReport {
+fn truncated_report(r: &RankedTerm) -> TermReport {
     TermReport {
-        surface: surface.to_owned(),
-        term_score: score,
+        surface: r.surface.clone(),
+        term_score: r.score,
         polysemic: false,
-        senses: InducedSenses {
-            k: 1,
-            concepts: Vec::new(),
-            assignments: Vec::new(),
-            repaired: 0,
-        },
+        senses: single_sense(),
         propositions: Vec::new(),
         truncated: true,
     }
@@ -929,6 +913,36 @@ mod tests {
             DetectorOutcome::NotAttempted,
             "training outcome must be recorded"
         );
+    }
+
+    #[test]
+    fn interrupted_checkpoint_blames_the_standing_trip_or_the_alloc_budget() {
+        let gov = Governor::new(Default::default());
+        let mut run = Run::new(&gov);
+        assert!(run
+            .checkpoint(Stage::TermExtraction, ALL_STEPS, false)
+            .is_ok());
+        assert!(run.diag.trips.is_empty());
+        // Interrupted with nothing standing: the allocation budget, which
+        // is the one hard trip that can clear.
+        assert!(matches!(
+            run.checkpoint(Stage::TermExtraction, ALL_STEPS, true),
+            Err(Stop::Truncated)
+        ));
+        let trip = run.diag.hard_trip().expect("recorded");
+        assert_eq!(trip.kind, TripKind::AllocBudget);
+        assert_eq!(trip.stage, Stage::TermExtraction);
+        assert_eq!(run.diag.truncated, ALL_STEPS);
+
+        gov.cancel_token().cancel();
+        let mut run = Run::new(&gov);
+        assert!(matches!(
+            run.checkpoint(Stage::PolysemyDetection, FANOUT_STEPS, true),
+            Err(Stop::Truncated)
+        ));
+        assert_eq!(run.diag.trips.len(), 1);
+        assert_eq!(run.diag.trips[0].kind, TripKind::Cancelled);
+        assert_eq!(run.diag.truncated, FANOUT_STEPS);
     }
 
     #[test]

@@ -33,6 +33,11 @@ run cargo build --release --offline
 #   scan at the resolver level (`occurrence_index_equality`) and the
 #   report level (`occurrence_equality`).
 run timeout "$TEST_TIMEOUT" cargo test -q --offline
+# `perfbench/` is its own workspace (the end-to-end benchmark runner),
+# so the pass above never builds it. Its tests catch a library API break
+# and a mismatch between the pipeline and its traced rebuild before the
+# benchmark itself runs.
+run timeout "$TEST_TIMEOUT" cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --check
 

@@ -268,3 +268,60 @@ fn unlimited_budget_reports_nothing() {
     assert!(report.diagnostics.truncated.is_empty());
     assert!(report.terms.iter().all(|t| !t.truncated));
 }
+
+/// The diagnostics time exactly the stages a run entered, in workflow
+/// order: a trip keeps the time of every stage it reached, including a
+/// Step III/IV setup that ran past the deadline.
+#[test]
+fn timings_name_exactly_the_stages_entered() {
+    const STALL_MS: u64 = 1200;
+    const DEADLINE_MS: u64 = 400;
+    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let w = world();
+    let run = |deadline_ms: Option<u64>, stall_site: Option<&str>| {
+        if let Some(site) = stall_site {
+            let mut plan = ChaosPlan::new(site, FaultMode::Stall);
+            plan.stall_ms = STALL_MS;
+            chaos::install(Some(plan));
+        }
+        let report = pipeline(BudgetConfig {
+            deadline_ms,
+            ..Default::default()
+        })
+        .run(&w.corpus, &w.reduced_ontology)
+        .expect("a tripped run still returns a report");
+        chaos::install(None);
+        let stages: Vec<Stage> = report.diagnostics.timings.iter().map(|t| t.stage).collect();
+        let tripped_at = report.diagnostics.hard_trip().map(|t| t.stage);
+        (stages, tripped_at)
+    };
+
+    assert_eq!(run(Some(0), None), (vec![], Some(Stage::Validation)));
+    assert_eq!(
+        run(Some(DEADLINE_MS), Some(sites::TERMEX_CANDIDATES)),
+        (vec![Stage::TermExtraction], Some(Stage::TermExtraction))
+    );
+    assert_eq!(
+        run(Some(DEADLINE_MS), Some(sites::STEP34_SETUP)),
+        (
+            vec![
+                Stage::TermExtraction,
+                Stage::PolysemyDetection,
+                Stage::SenseInduction
+            ],
+            Some(Stage::SenseInduction)
+        )
+    );
+    assert_eq!(
+        run(None, None),
+        (
+            vec![
+                Stage::TermExtraction,
+                Stage::PolysemyDetection,
+                Stage::SenseInduction,
+                Stage::SemanticLinkage
+            ],
+            None
+        )
+    );
+}
