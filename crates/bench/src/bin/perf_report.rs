@@ -7,20 +7,17 @@
 //!   ingestion through the per-document `add_text` loop vs the batch
 //!   `add_texts` path (parallel tokenize+tag, serial intern), at several
 //!   thread counts;
-//! - `term_extraction_serial` vs `term_extraction_parallel` — the Step I
-//!   candidate scan: the serial reference (quadratic nested-occurrence
-//!   loop) vs the parallel kernel (per-doc scan + sentence-local
-//!   interval index), at several thread counts;
-//! - `tergraph_serial` vs `tergraph_parallel` — the Step I term
-//!   co-occurrence graph build + TeRGraph node scores;
-//! - `occurrence_resolution_naive` vs `occurrence_resolution_indexed` —
-//!   phrase-occurrence lookup for every ontology term + candidate,
-//!   full-corpus scans against the shared positional
-//!   [`OccurrenceIndex`] (single-threaded: this win is algorithmic);
-//! - `inventory_build_naive` vs `inventory_build_indexed` — the Step IV
-//!   ontology-term inventory harvest through each resolution backend,
-//!   at several thread counts (the indexed timing includes building the
-//!   index: that is what a pipeline run pays);
+//! - `term_extraction` — the Step I candidate scan (one pass in
+//!   document order, nesting over sentence-local occurrence lists),
+//!   single-threaded: the kernel runs no threads;
+//! - `tergraph_parallel` — the Step I term co-occurrence graph build +
+//!   TeRGraph node scores, at several thread counts;
+//! - `occurrence_resolution_indexed` — phrase-occurrence lookup for
+//!   every ontology term + candidate through the shared positional
+//!   [`OccurrenceIndex`], single-threaded; `occurrence_index_build`
+//!   times building that index;
+//! - `inventory_build_indexed` — the Step IV ontology-term inventory
+//!   harvest through the prebuilt index, at several thread counts;
 //! - `steps_iii_iv` — the pipeline's per-term Step III (sense induction)
 //!   + Step IV (semantic linkage) fan-out, at several thread counts;
 //! - `linkage_propose` — Step IV proposals for every candidate,
@@ -35,9 +32,9 @@
 //! host grants the process enough cores — `threads_available` records
 //! what it granted, and on a single-core host the `speedup_*_Nt`
 //! thread-scaling keys are omitted entirely (a `thread_scaling` note
-//! says why) instead of publishing fabricated 1× figures. Algorithmic
-//! `*_vs_naive`/`*_vs_quadratic` speedups are single-threaded
-//! comparisons and stay valid on any host.
+//! says why) instead of publishing fabricated 1× figures. The
+//! single-threaded `speedup_score_kernel_inverted_vs_naive` and
+//! `speedup_corpus_ingest_batch_vs_serial_1t` stay valid on any host.
 //!
 //! Two honesty guards protect published numbers:
 //!
@@ -53,11 +50,8 @@ use boe_core::governor::{BudgetConfig, Governor};
 use boe_core::linkage::{LinkerConfig, OntologyTermInventory, SemanticLinker};
 use boe_core::senses::{SenseInducer, SenseInducerConfig};
 use boe_core::termex::candidates::CandidateOptions;
-use boe_core::termex::{
-    extract_candidates, extract_candidates_serial, tergraph_scores, tergraph_scores_serial,
-    term_cooccurrence_graph, term_cooccurrence_graph_serial,
-};
-use boe_corpus::context::{aggregate_context, ContextOptions, ContextScope, StemMap};
+use boe_core::termex::{extract_candidates, tergraph_scores, term_cooccurrence_graph};
+use boe_corpus::context::{ContextOptions, ContextScope, StemMap};
 use boe_corpus::corpus::CorpusBuilder;
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::SparseVector;
@@ -214,21 +208,13 @@ fn main() -> ExitCode {
         report.record("corpus_ingest_batch", t, wall, runs);
     }
 
-    // Step I candidate extraction: the serial reference (quadratic
-    // nested-occurrence loop) vs the parallel interval-index kernel.
+    // Step I candidate extraction.
     let copts = CandidateOptions::default();
     boe_par::set_threads(Some(1));
-    let wall_extract_serial = time_ms(runs, || {
-        black_box(extract_candidates_serial(corpus, copts).len());
+    let wall = time_ms(runs, || {
+        black_box(extract_candidates(corpus, copts).len());
     });
-    report.record("term_extraction_serial", 1, wall_extract_serial, runs);
-    for &t in thread_counts {
-        boe_par::set_threads(Some(t));
-        let wall = time_ms(runs, || {
-            black_box(extract_candidates(corpus, copts).len());
-        });
-        report.record("term_extraction_parallel", t, wall, runs);
-    }
+    report.record("term_extraction", 1, wall, runs);
     if tripped(&mut report) {
         boe_par::set_threads(None);
         return finish(&report, &out_path, true);
@@ -238,11 +224,6 @@ fn main() -> ExitCode {
     boe_par::set_threads(Some(1));
     let cand_set = extract_candidates(corpus, copts);
     report.set_num("candidate_set_size", cand_set.len() as f64);
-    let wall_tg_serial = time_ms(runs, || {
-        let g = term_cooccurrence_graph_serial(corpus, &cand_set);
-        black_box(tergraph_scores_serial(&g).len());
-    });
-    report.record("tergraph_serial", 1, wall_tg_serial, runs);
     for &t in thread_counts {
         boe_par::set_threads(Some(t));
         let wall = time_ms(runs, || {
@@ -257,8 +238,8 @@ fn main() -> ExitCode {
     }
 
     // Occurrence-resolution kernel: every ontology term + candidate
-    // (the phrase population Steps I–IV actually resolve), naive
-    // full-corpus scans vs the prebuilt positional index.
+    // (the phrase population Steps I–IV actually resolve) through the
+    // prebuilt positional index.
     let mut phrases: Vec<Vec<TokenId>> = onto
         .terms()
         .into_iter()
@@ -268,14 +249,6 @@ fn main() -> ExitCode {
     report.set_num("resolved_phrases", phrases.len() as f64);
     boe_par::set_threads(Some(1));
     let index = OccurrenceIndex::build(corpus);
-    let naive = OccurrenceIndex::naive();
-    let wall_res_naive = time_ms(runs, || {
-        let mut n = 0usize;
-        for p in &phrases {
-            n += naive.find_occurrences(corpus, p).len();
-        }
-        black_box(n);
-    });
     let wall_res_indexed = time_ms(runs.max(3), || {
         let mut n = 0usize;
         for p in &phrases {
@@ -283,7 +256,6 @@ fn main() -> ExitCode {
         }
         black_box(n);
     });
-    report.record("occurrence_resolution_naive", 1, wall_res_naive, runs);
     report.record(
         "occurrence_resolution_indexed",
         1,
@@ -320,23 +292,10 @@ fn main() -> ExitCode {
         });
         report.record("steps_iii_iv", t, wall, runs);
 
-        // Step IV inventory harvest through each resolution backend.
-        // Stems and index are prebuilt: a pipeline run builds both once
-        // and shares them across every stage, so only the per-term
-        // harvest differs between the backends (the index build itself
-        // is timed separately as `occurrence_index_build`).
-        let wall = time_ms(runs, || {
-            let inv = OntologyTermInventory::build_with_extras(
-                corpus,
-                onto,
-                &inv_stems,
-                &[],
-                LinkerConfig::default().scope,
-                &naive,
-            );
-            black_box(inv.len());
-        });
-        report.record("inventory_build_naive", t, wall, runs);
+        // Step IV inventory harvest. Stems and index are prebuilt: a
+        // pipeline run builds both once and shares them across every
+        // stage (the index build itself is timed separately as
+        // `occurrence_index_build`).
         let wall = time_ms(runs, || {
             let inv = OntologyTermInventory::build_with_extras(
                 corpus,
@@ -381,7 +340,7 @@ fn main() -> ExitCode {
         .iter()
         .map(|s| {
             let tokens = corpus.phrase_ids(s).expect("filtered above");
-            aggregate_context(corpus, &tokens, opts, Some(&stems))
+            index.aggregate_context(corpus, &tokens, opts, Some(&stems))
         })
         .collect();
     let inv = linker.inventory();
@@ -429,7 +388,6 @@ fn main() -> ExitCode {
             "inventory_build_indexed",
             "similarity_matrix",
             "corpus_ingest_batch",
-            "term_extraction_parallel",
             "tergraph_parallel",
         ];
         for &t in thread_counts.iter().filter(|&&t| t > 1) {
@@ -446,35 +404,11 @@ fn main() -> ExitCode {
              (multi-thread runs time-slice a single core)",
         );
     }
-    if wall_res_indexed > 0.0 {
-        report.set_num(
-            "speedup_occurrence_resolution_indexed_vs_naive",
-            wall_res_naive / wall_res_indexed,
-        );
-    }
-    if let (Some(n), Some(i)) = (
-        report.wall_ms("inventory_build_naive", 1),
-        report.wall_ms("inventory_build_indexed", 1),
-    ) {
-        if i > 0.0 {
-            report.set_num("speedup_inventory_build_indexed_vs_naive", n / i);
-        }
-    }
     if wall_score_inverted > 0.0 {
         report.set_num(
             "speedup_score_kernel_inverted_vs_naive",
             wall_score_naive / wall_score_inverted,
         );
-    }
-    // Step I algorithmic speedups: same thread count (1), different
-    // algorithm — valid on any host.
-    if let Some(p) = report.wall_ms("term_extraction_parallel", 1) {
-        if p > 0.0 {
-            report.set_num(
-                "speedup_term_extraction_indexed_vs_quadratic",
-                wall_extract_serial / p,
-            );
-        }
     }
     if let Some(p) = report.wall_ms("corpus_ingest_batch", 1) {
         if p > 0.0 {
@@ -482,11 +416,6 @@ fn main() -> ExitCode {
                 "speedup_corpus_ingest_batch_vs_serial_1t",
                 wall_ingest_serial / p,
             );
-        }
-    }
-    if let Some(p) = report.wall_ms("tergraph_parallel", 1) {
-        if p > 0.0 {
-            report.set_num("speedup_tergraph_parallel_vs_serial_1t", wall_tg_serial / p);
         }
     }
 

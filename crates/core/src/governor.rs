@@ -249,8 +249,10 @@ impl Governor {
 
 /// Global allocation accounting, fed by a counting [`std::alloc::GlobalAlloc`]
 /// shim that only binary crates install (library crates forbid `unsafe`).
-/// Everything here is safe: the shim calls [`note_alloc`]/[`note_dealloc`]
-/// and flips [`mark_tracking_installed`] once at startup.
+/// Everything here is safe: the shim calls [`note_alloc`](mem::note_alloc)/
+/// [`note_dealloc`](mem::note_dealloc) and flips
+/// [`mark_tracking_installed`](mem::mark_tracking_installed) once at
+/// startup.
 pub mod mem {
     use super::{AtomicBool, AtomicI64, Ordering};
 

@@ -41,7 +41,7 @@ use crate::report::{EnrichmentReport, TermReport};
 use crate::senses::{InducedSenses, SenseInducer, SenseInducerConfig};
 use crate::termex::candidates::CandidateOptions;
 use crate::termex::{RankedTerm, TermExtractor, TermMeasure};
-use boe_corpus::occurrence::{OccurrenceIndex, OccurrenceResolution};
+use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::Corpus;
 use boe_ontology::Ontology;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,14 +63,6 @@ pub struct PipelineConfig {
     pub senses: SenseInducerConfig,
     /// Step-IV configuration.
     pub linker: LinkerConfig,
-    /// How Steps I–IV resolve phrase occurrences. [`Indexed`] builds one
-    /// positional [`OccurrenceIndex`] per run and shares it across every
-    /// stage; [`NaiveScan`] keeps the full-corpus reference scans (same
-    /// output bit for bit, kept for equality testing).
-    ///
-    /// [`Indexed`]: OccurrenceResolution::Indexed
-    /// [`NaiveScan`]: OccurrenceResolution::NaiveScan
-    pub resolution: OccurrenceResolution,
     /// Resource budgets (deadline, per-stage deadline, allocation).
     /// Unlimited by default.
     pub budget: crate::governor::BudgetConfig,
@@ -85,7 +77,6 @@ impl Default for PipelineConfig {
             polysemy_model: PolysemyModel::Forest,
             senses: SenseInducerConfig::default(),
             linker: LinkerConfig::default(),
-            resolution: OccurrenceResolution::default(),
             budget: crate::governor::BudgetConfig::default(),
         }
     }
@@ -198,13 +189,14 @@ impl EnrichmentPipeline {
         let extracted = run.step(Stage::TermExtraction, |_| {
             boe_chaos::inject(boe_chaos::sites::STEP1_EXTRACT);
             TermExtractor::try_new(corpus, self.config.candidates, &stop_step1).map(|extractor| {
-                extractor
+                let (known, new_terms): (Vec<_>, Vec<_>) = extractor
                     .top(corpus, self.config.measure, self.config.top_terms)
                     .into_iter()
-                    .partition::<Vec<_>, _>(|r| ontology.contains_term(&r.surface))
+                    .partition(|r| ontology.contains_term(&r.surface));
+                (known, new_terms, extractor.into_index())
             })
         })?;
-        let Some((known, new_terms)) = extracted else {
+        let Some((known, new_terms, index)) = extracted else {
             // Interrupted mid-extraction: partial candidate statistics
             // would be prefix-dependent, so Step I reports no terms at
             // all — deterministic at any thread count.
@@ -217,11 +209,10 @@ impl EnrichmentPipeline {
         }
         run.checkpoint(Stage::TermExtraction, FANOUT_STEPS, false)?;
 
-        // One occurrence index per run: every remaining stage (detector
-        // training, per-term features, sense contexts, linkage) resolves
-        // phrase occurrences through this shared index instead of
-        // scanning the corpus per phrase.
-        let occ = Arc::new(self.config.resolution.build(corpus));
+        // One inverted index per run: Step I's becomes the occurrence
+        // index every remaining stage (detector training, per-term
+        // features, sense contexts, linkage) resolves phrases through.
+        let occ = Arc::new(OccurrenceIndex::from(index));
 
         // Step II: train the detector on ontology-derived weak labels. A
         // panic during training (or from the chaos site) degrades to the

@@ -1,6 +1,5 @@
 //! Candidate-term extraction via linguistic patterns.
 
-use boe_corpus::doc::DocId;
 use boe_corpus::Corpus;
 use boe_textkit::pattern::PatternSet;
 use boe_textkit::TokenId;
@@ -88,33 +87,18 @@ impl Default for CandidateOptions {
     }
 }
 
-/// Per-candidate occurrence statistics accumulated by the scan passes.
+/// The pattern matches of one token sequence: the pattern of its first
+/// match and every (doc, sentence, start, len), in reading order.
 struct Raw {
     pattern: usize,
-    freq: u32,
-    docs: Vec<DocId>,
-    /// (doc, sentence, start, len) of each occurrence.
     occs: Vec<(u32, u32, u32, u32)>,
 }
 
-/// One pattern match found by a per-document scan.
-struct ScanOcc {
-    tokens: Vec<TokenId>,
-    pattern: usize,
-    sentence: u32,
-    start: u32,
-    len: u32,
-}
+/// (start, len, candidate index) of every kept occurrence in a sentence.
+type SentenceOccs = Vec<(u32, u32, usize)>;
 
 /// Extract the candidate set of `corpus` using its language's pattern
 /// inventory. Nested occurrences are tracked (C-value needs them).
-///
-/// The per-document pattern scan and the per-candidate nesting pass run
-/// on `boe_par` (contiguous chunks, in-order merge), and nesting uses a
-/// sentence-local interval index instead of the quadratic all-pairs scan
-/// — the output is bit-identical to [`extract_candidates_serial`] at
-/// any thread count (equality-tested in
-/// `tests/step1_parallel_equality.rs`).
 pub fn extract_candidates(corpus: &Corpus, opts: CandidateOptions) -> CandidateSet {
     try_extract_candidates(corpus, opts, &|| false).expect("never-stop predicate cannot interrupt")
 }
@@ -124,173 +108,42 @@ pub fn extract_candidates(corpus: &Corpus, opts: CandidateOptions) -> CandidateS
 /// the nesting pass. Once it returns `true` the extraction winds down
 /// and `None` is returned — partial candidate statistics would be
 /// corpus-prefix-dependent, so an interrupted extraction yields no set
-/// at all rather than a misleading one. The predicate must be monotonic
-/// (once `true`, stay `true`).
+/// at all rather than a misleading one.
+///
+/// One pass in document order collects every pattern match per token
+/// sequence (the first match fixes the candidate's pattern); nesting is
+/// then counted against the kept occurrences of the same sentence.
 pub fn try_extract_candidates<S>(
     corpus: &Corpus,
     opts: CandidateOptions,
     should_stop: &S,
 ) -> Option<CandidateSet>
 where
-    S: Fn() -> bool + Sync,
+    S: Fn() -> bool,
 {
     boe_chaos::inject(boe_chaos::sites::TERMEX_CANDIDATES);
     let patterns = PatternSet::for_language(corpus.language());
-    // Phase 1 (parallel): scan each document for pattern matches. Every
-    // worker only reads the corpus; results come back in document order.
-    let scan = boe_par::try_par_map(corpus.docs(), should_stop, |doc| {
-        let mut occs = Vec::new();
-        for (si, s) in doc.sentences.iter().enumerate() {
-            for m in patterns.matches(&s.tags) {
-                if m.len > opts.max_len {
-                    continue;
-                }
-                let tokens = &s.tokens[m.start..m.start + m.len];
-                if opts.stopword_boundary_filter {
-                    let first = tokens[0];
-                    let last = tokens[m.len - 1];
-                    if corpus.is_stopword(first) || corpus.is_stopword(last) {
-                        continue;
-                    }
-                }
-                occs.push(ScanOcc {
-                    tokens: tokens.to_vec(),
-                    pattern: m.pattern,
-                    sentence: si as u32,
-                    start: m.start as u32,
-                    len: m.len as u32,
-                });
-            }
-        }
-        occs
-    });
-    if scan.is_interrupted() {
-        return None;
-    }
-    // Phase 2 (serial, in document order): merge into per-candidate
-    // stats. Replaying matches in reading order keeps first-seen pattern
-    // assignment and occurrence order identical to the serial scan.
-    let mut raw: HashMap<Vec<TokenId>, Raw> = HashMap::new();
-    for (doc, occs) in corpus.docs().iter().zip(scan.into_results()) {
-        for o in occs {
-            let entry = raw.entry(o.tokens).or_insert_with(|| Raw {
-                pattern: o.pattern,
-                freq: 0,
-                docs: Vec::new(),
-                occs: Vec::new(),
-            });
-            entry.freq += 1;
-            entry.docs.push(doc.id);
-            entry.occs.push((doc.id.0, o.sentence, o.start, o.len));
-        }
-    }
-    // Keep candidates above the frequency threshold, in a stable order.
-    let mut kept: Vec<(Vec<TokenId>, Raw)> = raw
-        .into_iter()
-        .filter(|(_, r)| r.freq >= opts.min_freq)
-        .collect();
-    kept.sort_by(|a, b| a.0.cmp(&b.0));
-    if should_stop() {
-        return None;
-    }
-    // Sentence-local interval index: every kept occurrence span, keyed by
-    // its exact coordinates. A span identifies its candidate uniquely
-    // (identical tokens hash to the same candidate), so the map needs no
-    // per-key lists. A container of occurrence (d,s,st,ln) is a kept
-    // occurrence (d,s,ost,oln) with oln > ln, ost ≤ st and
-    // ost+oln ≥ st+ln — at most max_len² candidate spans, probed
-    // directly instead of scanning every occurrence in the sentence.
-    let mut span_index: HashMap<(u32, u32, u32, u32), usize> =
-        HashMap::with_capacity(kept.iter().map(|(_, r)| r.occs.len()).sum());
-    for (idx, (_, r)) in kept.iter().enumerate() {
-        for &occ in &r.occs {
-            span_index.insert(occ, idx);
-        }
-    }
-    let max_ln = kept.iter().map(|(t, _)| t.len() as u32).max().unwrap_or(0);
-    // Phase 3 (parallel): per-candidate nesting counts and assembly.
-    // Workers only read `kept` and the span index.
-    let kept_ref = &kept;
-    let span_ref = &span_index;
-    let built = boe_par::try_par_map_indexed(kept.len(), should_stop, |idx| {
-        let (tokens, r) = &kept_ref[idx];
-        let mut nested_freq = 0u32;
-        let mut containers: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for &(d, s, st, ln) in &r.occs {
-            let mut is_nested = false;
-            for oln in (ln + 1)..=max_ln {
-                for ost in (st + ln).saturating_sub(oln)..=st {
-                    if let Some(&oidx) = span_ref.get(&(d, s, ost, oln)) {
-                        is_nested = true;
-                        containers.insert(oidx);
-                    }
-                }
-            }
-            if is_nested {
-                nested_freq += 1;
-            }
-        }
-        let mut docs = r.docs.clone();
-        docs.sort_unstable();
-        docs.dedup();
-        let surface = tokens
-            .iter()
-            .map(|&t| corpus.text(t))
-            .collect::<Vec<_>>()
-            .join(" ");
-        CandidateTerm {
-            tokens: tokens.clone(),
-            surface,
-            pattern: r.pattern,
-            freq: r.freq,
-            doc_freq: docs.len() as u32,
-            nested_freq,
-            containers: containers.len() as u32,
-        }
-    });
-    if built.is_interrupted() {
-        return None;
-    }
-    let terms = built.into_results();
-    let by_tokens = kept
-        .iter()
-        .enumerate()
-        .map(|(i, (tokens, _))| (tokens.clone(), i))
-        .collect();
-    Some(CandidateSet { terms, by_tokens })
-}
-
-/// The original single-threaded extraction with the quadratic
-/// all-pairs nesting scan, kept callable as the reference
-/// implementation for the serial-vs-parallel equality suite.
-pub fn extract_candidates_serial(corpus: &Corpus, opts: CandidateOptions) -> CandidateSet {
-    boe_chaos::inject(boe_chaos::sites::TERMEX_CANDIDATES);
-    let patterns = PatternSet::for_language(corpus.language());
-    // First pass: collect occurrences keyed by token sequence.
     let mut raw: HashMap<Vec<TokenId>, Raw> = HashMap::new();
     for doc in corpus.docs() {
+        if should_stop() {
+            return None;
+        }
         for (si, s) in doc.sentences.iter().enumerate() {
             for m in patterns.matches(&s.tags) {
                 if m.len > opts.max_len {
                     continue;
                 }
                 let tokens = &s.tokens[m.start..m.start + m.len];
-                if opts.stopword_boundary_filter {
-                    let first = tokens[0];
-                    let last = tokens[m.len - 1];
-                    if corpus.is_stopword(first) || corpus.is_stopword(last) {
-                        continue;
-                    }
+                if opts.stopword_boundary_filter
+                    && (corpus.is_stopword(tokens[0]) || corpus.is_stopword(tokens[m.len - 1]))
+                {
+                    continue;
                 }
-                let entry = raw.entry(tokens.to_vec()).or_insert_with(|| Raw {
-                    pattern: m.pattern,
-                    freq: 0,
-                    docs: Vec::new(),
-                    occs: Vec::new(),
-                });
-                entry.freq += 1;
-                entry.docs.push(doc.id);
-                entry
+                raw.entry(tokens.to_vec())
+                    .or_insert_with(|| Raw {
+                        pattern: m.pattern,
+                        occs: Vec::new(),
+                    })
                     .occs
                     .push((doc.id.0, si as u32, m.start as u32, m.len as u32));
             }
@@ -299,58 +152,60 @@ pub fn extract_candidates_serial(corpus: &Corpus, opts: CandidateOptions) -> Can
     // Keep candidates above the frequency threshold, in a stable order.
     let mut kept: Vec<(Vec<TokenId>, Raw)> = raw
         .into_iter()
-        .filter(|(_, r)| r.freq >= opts.min_freq)
+        .filter(|(_, r)| r.occs.len() >= opts.min_freq as usize)
         .collect();
     kept.sort_by(|a, b| a.0.cmp(&b.0));
     // Nesting: occurrence (d,s,start,len) of t is nested if some kept
     // longer candidate has an occurrence (d,s,start',len') covering it.
-    type SentenceOccs = Vec<(u32, u32, usize)>; // (start, len, candidate idx)
-    let mut occ_index: HashMap<(u32, u32), SentenceOccs> = HashMap::new();
+    let mut by_sentence: HashMap<(u32, u32), SentenceOccs> = HashMap::new();
     for (idx, (_, r)) in kept.iter().enumerate() {
         for &(d, s, st, ln) in &r.occs {
-            occ_index.entry((d, s)).or_default().push((st, ln, idx));
+            by_sentence.entry((d, s)).or_default().push((st, ln, idx));
         }
     }
     let mut terms = Vec::with_capacity(kept.len());
     let mut by_tokens = HashMap::with_capacity(kept.len());
-    for (idx, (tokens, r)) in kept.iter().enumerate() {
+    let mut containers: Vec<usize> = Vec::new();
+    for (tokens, Raw { pattern, occs }) in kept {
+        if should_stop() {
+            return None;
+        }
         let mut nested_freq = 0u32;
-        let mut containers: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for &(d, s, st, ln) in &r.occs {
-            let mut is_nested = false;
-            if let Some(list) = occ_index.get(&(d, s)) {
-                for &(ost, oln, oidx) in list {
-                    if oidx != idx && oln > ln && ost <= st && ost + oln >= st + ln {
-                        is_nested = true;
-                        containers.insert(oidx);
-                    }
-                }
-            }
-            if is_nested {
+        containers.clear();
+        for &(d, s, st, ln) in &occs {
+            let before = containers.len();
+            containers.extend(
+                by_sentence[&(d, s)]
+                    .iter()
+                    .filter(|&&(ost, oln, _)| oln > ln && ost <= st && ost + oln >= st + ln)
+                    .map(|&(_, _, oidx)| oidx),
+            );
+            if containers.len() > before {
                 nested_freq += 1;
             }
         }
-        let mut docs = r.docs.clone();
-        docs.sort_unstable();
-        docs.dedup();
+        containers.sort_unstable();
+        containers.dedup();
+        // Occurrences arrive in document order, so distinct documents
+        // are the runs of equal document ids.
+        let doc_freq = 1 + occs.windows(2).filter(|w| w[0].0 != w[1].0).count() as u32;
         let surface = tokens
             .iter()
             .map(|&t| corpus.text(t))
             .collect::<Vec<_>>()
             .join(" ");
-        let term = CandidateTerm {
-            tokens: tokens.clone(),
+        by_tokens.insert(tokens.clone(), terms.len());
+        terms.push(CandidateTerm {
+            tokens,
             surface,
-            pattern: r.pattern,
-            freq: r.freq,
-            doc_freq: docs.len() as u32,
+            pattern,
+            freq: occs.len() as u32,
+            doc_freq,
             nested_freq,
             containers: containers.len() as u32,
-        };
-        by_tokens.insert(tokens.clone(), terms.len());
-        terms.push(term);
+        });
     }
-    CandidateSet { terms, by_tokens }
+    Some(CandidateSet { terms, by_tokens })
 }
 
 #[cfg(test)]
@@ -436,25 +291,6 @@ mod tests {
         let sa: Vec<&str> = a.terms.iter().map(|t| t.surface.as_str()).collect();
         let sb: Vec<&str> = b.terms.iter().map(|t| t.surface.as_str()).collect();
         assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn parallel_matches_serial_reference() {
-        let c = corpus(&[
-            "acute corneal injuries require treatment. corneal injuries persist.",
-            "acute corneal injuries heal slowly. the cornea heals.",
-            "corneal injuries persist. cornea scars badly.",
-        ]);
-        let serial = extract_candidates_serial(&c, CandidateOptions::default());
-        for threads in [1usize, 8] {
-            boe_par::set_threads(Some(threads));
-            let par = extract_candidates(&c, CandidateOptions::default());
-            boe_par::set_threads(None);
-            assert_eq!(par.terms, serial.terms, "at {threads} thread(s)");
-            for t in &serial.terms {
-                assert_eq!(par.get(&t.tokens).expect("lookup"), t);
-            }
-        }
     }
 
     #[test]

@@ -11,12 +11,6 @@ pub mod measures;
 pub mod ranker;
 pub mod tergraph;
 
-pub use candidates::{
-    extract_candidates, extract_candidates_serial, try_extract_candidates, CandidateSet,
-    CandidateTerm,
-};
+pub use candidates::{extract_candidates, try_extract_candidates, CandidateSet, CandidateTerm};
 pub use ranker::{RankedTerm, TermExtractor, TermMeasure};
-pub use tergraph::{
-    tergraph_scores, tergraph_scores_serial, term_cooccurrence_graph,
-    term_cooccurrence_graph_serial,
-};
+pub use tergraph::{tergraph_scores, term_cooccurrence_graph};

@@ -108,7 +108,7 @@ impl TermExtractor {
     /// count for a monotonic predicate.
     pub fn try_new<S>(corpus: &Corpus, opts: CandidateOptions, should_stop: &S) -> Option<Self>
     where
-        S: Fn() -> bool + Sync,
+        S: Fn() -> bool,
     {
         let candidates = try_extract_candidates(corpus, opts, should_stop)?;
         Some(TermExtractor {
@@ -123,9 +123,11 @@ impl TermExtractor {
         &self.candidates
     }
 
-    /// The inverted index (shared with later steps).
-    pub fn index(&self) -> &InvertedIndex {
-        &self.index
+    /// Give up the extractor, keeping its inverted index: the pipeline
+    /// hands it to the run's occurrence index instead of building a
+    /// second one over the same corpus.
+    pub fn into_index(self) -> InvertedIndex {
+        self.index
     }
 
     /// Rank all candidates by `measure`, descending (surface breaks ties

@@ -56,8 +56,9 @@ fn doc_pair_counts(
 ///
 /// Per-document edge multisets are built in parallel (`boe_par`) and
 /// reduced serially in document order; edge weights are integer counts,
-/// so the result is bit-identical to
-/// [`term_cooccurrence_graph_serial`] at any thread count.
+/// so the result is bit-identical to the serial loop at any thread
+/// count (equality-tested against a reference build in
+/// `tests/step1_parallel_equality.rs`).
 pub fn term_cooccurrence_graph(corpus: &Corpus, set: &CandidateSet) -> Graph {
     let mut g = Graph::with_nodes(set.len());
     // Map from first token to candidate indices, for fast sentence scans.
@@ -67,33 +68,11 @@ pub fn term_cooccurrence_graph(corpus: &Corpus, set: &CandidateSet) -> Graph {
     }
     let per_doc: Vec<Vec<((usize, usize), u32)>> =
         boe_par::par_map(corpus.docs(), |doc| doc_pair_counts(doc, set, &by_first));
-    // Serial in-order reduction; the final sort canonicalizes edge order
-    // exactly as the serial single-map accumulation does.
+    // Serial in-order reduction; sorting the pairs fixes the edge
+    // insertion order independently of hash-map iteration order.
     let mut pair_counts: HashMap<(usize, usize), u32> = HashMap::new();
     for doc_pairs in per_doc {
         for (pair, w) in doc_pairs {
-            *pair_counts.entry(pair).or_insert(0) += w;
-        }
-    }
-    let mut pairs: Vec<((usize, usize), u32)> = pair_counts.into_iter().collect();
-    pairs.sort_unstable();
-    for ((a, b), w) in pairs {
-        g.add_edge(NodeId(a as u32), NodeId(b as u32), f64::from(w));
-    }
-    g
-}
-
-/// The original single-threaded co-occurrence graph build, kept callable
-/// as the reference implementation for the equality suite.
-pub fn term_cooccurrence_graph_serial(corpus: &Corpus, set: &CandidateSet) -> Graph {
-    let mut g = Graph::with_nodes(set.len());
-    let mut by_first: HashMap<boe_textkit::TokenId, Vec<usize>> = HashMap::new();
-    for (i, t) in set.terms.iter().enumerate() {
-        by_first.entry(t.tokens[0]).or_default().push(i);
-    }
-    let mut pair_counts: HashMap<(usize, usize), u32> = HashMap::new();
-    for doc in corpus.docs() {
-        for (pair, w) in doc_pair_counts(doc, set, &by_first) {
             *pair_counts.entry(pair).or_insert(0) += w;
         }
     }
@@ -109,16 +88,11 @@ pub fn term_cooccurrence_graph_serial(corpus: &Corpus, set: &CandidateSet) -> Gr
 /// Isolated candidates score `log2(1.5)` (empty neighbourhood sum).
 ///
 /// Each node's score is independent and its neighbourhood sum follows
-/// adjacency order, so the parallel map is bit-identical to
-/// [`tergraph_scores_serial`] at any thread count.
+/// adjacency order, so the parallel map is bit-identical to the serial
+/// loop at any thread count.
 pub fn tergraph_scores(graph: &Graph) -> Vec<f64> {
     let nodes: Vec<NodeId> = graph.nodes().collect();
     boe_par::par_map_min(&nodes, 64, |&v| node_score(graph, v))
-}
-
-/// Single-threaded reference for [`tergraph_scores`].
-pub fn tergraph_scores_serial(graph: &Graph) -> Vec<f64> {
-    graph.nodes().map(|v| node_score(graph, v)).collect()
 }
 
 /// The TeRGraph formula for one node.
@@ -224,8 +198,10 @@ mod tests {
             "acute corneal injuries worsen. epithelium thins.",
             "acute corneal injuries persist. cornea heals again.",
         ]);
-        let gs = term_cooccurrence_graph_serial(&c, &set);
-        let ss = tergraph_scores_serial(&gs);
+        // At one thread `boe_par` runs the plain serial loop.
+        boe_par::set_threads(Some(1));
+        let gs = term_cooccurrence_graph(&c, &set);
+        let ss = tergraph_scores(&gs);
         for threads in [1usize, 8] {
             boe_par::set_threads(Some(threads));
             let gp = term_cooccurrence_graph(&c, &set);

@@ -2,9 +2,10 @@
 //!
 //! Steps III (sense induction) and IV (semantic linkage) both operate on
 //! *contexts*: the non-stopword lexical tokens found in a window around
-//! each occurrence of a target term. This module finds occurrences of
-//! multi-word phrases and turns their surroundings into sparse vectors,
-//! optionally in a stem-conflated dimension space.
+//! each occurrence of a target term. This module turns the surroundings
+//! of a phrase occurrence into a sparse vector, optionally in a
+//! stem-conflated dimension space; occurrences themselves are resolved
+//! by [`crate::occurrence::OccurrenceIndex`].
 
 use crate::corpus::Corpus;
 use crate::doc::DocId;
@@ -59,38 +60,6 @@ impl StemMap {
     }
 }
 
-/// Find all occurrences of `phrase` (exact adjacent token-id sequence)
-/// by scanning every sentence of the corpus.
-///
-/// This is the O(corpus tokens) reference implementation; hot paths
-/// resolve occurrences through
-/// [`crate::occurrence::OccurrenceIndex::find_occurrences`], which walks
-/// only the postings of the phrase's rarest token and is verified
-/// bit-identical to this scan (same occurrences, same order).
-pub fn find_occurrences_naive(corpus: &Corpus, phrase: &[TokenId]) -> Vec<Occurrence> {
-    let mut out = Vec::new();
-    if phrase.is_empty() {
-        return out;
-    }
-    for doc in corpus.docs() {
-        for (si, s) in doc.sentences.iter().enumerate() {
-            if s.tokens.len() < phrase.len() {
-                continue;
-            }
-            for start in 0..=(s.tokens.len() - phrase.len()) {
-                if s.tokens[start..start + phrase.len()] == *phrase {
-                    out.push(Occurrence {
-                        doc: doc.id,
-                        sentence: si,
-                        start,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 /// How far a context reaches around an occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContextScope {
@@ -135,8 +104,8 @@ pub fn context_vector(
     stems: Option<&StemMap>,
 ) -> SparseVector {
     let doc = corpus.doc(occ.doc);
-    // Occurrences come from `find_occurrences_naive` on the same corpus, so
-    // the sentence index is in range by construction.
+    // Occurrences come from resolution over the same corpus, so the
+    // sentence index is in range by construction.
     debug_assert!(occ.sentence < doc.sentences.len());
     let mut pairs = Vec::new();
     let mut collect = |sentence_idx: usize, lo: usize, hi: usize| {
@@ -307,36 +276,11 @@ impl DocContextCache {
     }
 }
 
-/// All per-occurrence context vectors of `phrase`, resolved through the
-/// naive full-corpus scan (reference path; see
-/// [`crate::occurrence::OccurrenceIndex::contexts`] for the indexed one).
-pub fn contexts(
-    corpus: &Corpus,
-    phrase: &[TokenId],
-    opts: ContextOptions,
-    stems: Option<&StemMap>,
-) -> Vec<SparseVector> {
-    find_occurrences_naive(corpus, phrase)
-        .into_iter()
-        .map(|occ| context_vector(corpus, occ, phrase.len(), opts, stems))
-        .collect()
-}
-
-/// The aggregate (summed) context vector of `phrase` over the corpus —
-/// what Step IV compares with cosine.
-pub fn aggregate_context(
-    corpus: &Corpus,
-    phrase: &[TokenId],
-    opts: ContextOptions,
-    stems: Option<&StemMap>,
-) -> SparseVector {
-    SparseVector::sum_of(&contexts(corpus, phrase, opts, stems))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::CorpusBuilder;
+    use crate::occurrence::OccurrenceIndex;
     use boe_textkit::Language;
 
     fn corpus() -> Corpus {
@@ -351,7 +295,7 @@ mod tests {
     fn finds_all_occurrences() {
         let c = corpus();
         let phrase = c.phrase_ids("corneal injuries").expect("known");
-        let occs = find_occurrences_naive(&c, &phrase);
+        let occs = OccurrenceIndex::build(&c).find_occurrences(&c, &phrase);
         assert_eq!(occs.len(), 2);
         assert_eq!(occs[0].doc, DocId(0));
         assert_eq!(occs[1].doc, DocId(1));
@@ -362,7 +306,7 @@ mod tests {
     fn context_excludes_phrase_and_stopwords() {
         let c = corpus();
         let phrase = c.phrase_ids("corneal injuries").expect("known");
-        let occs = find_occurrences_naive(&c, &phrase);
+        let occs = OccurrenceIndex::build(&c).find_occurrences(&c, &phrase);
         let opts = ContextOptions {
             window: None,
             stemmed: false,
@@ -381,7 +325,7 @@ mod tests {
     fn window_limits_context() {
         let c = corpus();
         let phrase = c.phrase_ids("corneal injuries").expect("known");
-        let occs = find_occurrences_naive(&c, &phrase);
+        let occs = OccurrenceIndex::build(&c).find_occurrences(&c, &phrase);
         let narrow = ContextOptions {
             window: Some(1),
             stemmed: false,
@@ -415,8 +359,9 @@ mod tests {
             stemmed: false,
             scope: ContextScope::Sentence,
         };
-        let per = contexts(&c, &phrase, opts, None);
-        let agg = aggregate_context(&c, &phrase, opts, None);
+        let ox = OccurrenceIndex::build(&c);
+        let per = ox.contexts(&c, &phrase, opts, None);
+        let agg = ox.aggregate_context(&c, &phrase, opts, None);
         let manual = SparseVector::sum_of(&per);
         assert_eq!(agg, manual);
         assert!(agg.sum() >= per[0].sum());
@@ -425,7 +370,9 @@ mod tests {
     #[test]
     fn empty_phrase_has_no_occurrences() {
         let c = corpus();
-        assert!(find_occurrences_naive(&c, &[]).is_empty());
+        assert!(OccurrenceIndex::build(&c)
+            .find_occurrences(&c, &[])
+            .is_empty());
     }
 
     #[test]
@@ -434,6 +381,8 @@ mod tests {
         // Construct an id sequence that never occurs adjacently.
         let a = c.vocab().get("cornea").expect("id");
         let b2 = c.vocab().get("grafts").expect("id");
-        assert!(contexts(&c, &[a, b2], ContextOptions::default(), None).is_empty());
+        assert!(OccurrenceIndex::build(&c)
+            .contexts(&c, &[a, b2], ContextOptions::default(), None)
+            .is_empty());
     }
 }

@@ -8,7 +8,7 @@
 //! * [`index`] — inverted index with positional postings;
 //! * [`occurrence`] — index-backed phrase-occurrence resolution shared
 //!   by Steps I–IV (rarest-token postings walk, batch context
-//!   harvesting), bit-identical to the naive scans it replaces;
+//!   harvesting), bit-identical to a full corpus scan;
 //! * [`stats`] — frequency and windowed co-occurrence statistics;
 //! * [`vector`] — sparse vectors and the cosine kernel every downstream
 //!   step (clustering, linkage) runs on;
@@ -32,5 +32,5 @@ pub mod weighting;
 
 pub use corpus::{Corpus, CorpusBuilder, CorpusHygiene};
 pub use doc::{DocId, Document, Sentence};
-pub use occurrence::{OccurrenceIndex, OccurrenceResolution};
+pub use occurrence::OccurrenceIndex;
 pub use vector::SparseVector;

@@ -3,11 +3,10 @@
 //! The enrichment workflow keeps asking one question — *where does this
 //! phrase occur, and what surrounds it?* — for ontology terms (Step IV's
 //! inventory), candidate terms (Steps II–III), and term pairs (the
-//! relation graph). Answering it with [`find_occurrences_naive`] costs a
-//! full corpus scan per phrase: O(ontology terms × corpus tokens) for the
-//! inventory build alone.
+//! relation graph). A full corpus scan per phrase would cost
+//! O(ontology terms × corpus tokens) for the inventory build alone.
 //!
-//! [`OccurrenceIndex`] answers the same question through the positional
+//! [`OccurrenceIndex`] answers the question through the positional
 //! [`InvertedIndex`]: pick the phrase token with the smallest corpus
 //! frequency (the *rarest* token), walk only its postings, and verify the
 //! phrase's remaining tokens by binary search on each candidate
@@ -17,136 +16,76 @@
 //!
 //! ## Determinism contract
 //!
-//! Every query is **bit-identical** to the naive scan, including order:
-//! posting lists are sorted by document and positions by `(sentence,
-//! position)`, so anchoring on a fixed phrase offset enumerates matches
-//! in exactly the `(doc, sentence, start)` order the scan produces.
-//! Context vectors are then built per occurrence with the very same
-//! [`context_vector`] code and summed in the same order. The
-//! [`OccurrenceResolution::NaiveScan`] backend keeps the reference path
-//! runnable end-to-end so tests can enforce the contract at the
-//! `EnrichmentReport` level.
+//! Every query is **bit-identical** to a full scan of every sentence,
+//! including order: posting lists are sorted by document and positions
+//! by `(sentence, position)`, so anchoring on a fixed phrase offset
+//! enumerates matches in exactly the `(doc, sentence, start)` reading
+//! order. Context vectors are then built per occurrence with the very
+//! same [`context_vector`] code and summed in the same order.
+//! `crates/corpus/tests/occurrence_index_equality.rs` checks both
+//! against a plain scan on randomized corpora.
 
 use crate::context::{
-    context_vector, find_occurrences_naive, ContextOptions, ContextScope, DocContextCache,
-    Occurrence, StemMap,
+    context_vector, ContextOptions, ContextScope, DocContextCache, Occurrence, StemMap,
 };
 use crate::corpus::Corpus;
 use crate::index::{InvertedIndex, Posting};
 use crate::vector::SparseVector;
 use boe_textkit::TokenId;
 
-/// How a pipeline run resolves phrase occurrences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OccurrenceResolution {
-    /// Through a positional [`OccurrenceIndex`] built once per run.
-    #[default]
-    Indexed,
-    /// Through full-corpus scans ([`find_occurrences_naive`]); the
-    /// reference path kept for equality testing and debugging.
-    NaiveScan,
-}
-
-impl OccurrenceResolution {
-    /// Build the matching [`OccurrenceIndex`] for `corpus`.
-    pub fn build(self, corpus: &Corpus) -> OccurrenceIndex {
-        match self {
-            OccurrenceResolution::Indexed => OccurrenceIndex::build(corpus),
-            OccurrenceResolution::NaiveScan => OccurrenceIndex::naive(),
-        }
-    }
-}
-
-/// The resolution backend: positional postings, or the reference scan.
-#[derive(Debug)]
-enum Backend {
-    Indexed(InvertedIndex),
-    Naive,
-}
-
 /// Phrase-occurrence resolution shared across the whole pipeline run.
 ///
-/// Build once per `(corpus, run)` with [`OccurrenceIndex::build`] and
-/// share by reference (or `Arc`) — queries never mutate. All query
-/// methods take the corpus the index was built over; handing them a
-/// different corpus is a logic error (caught by `debug_assert`).
+/// Build once per `(corpus, run)` — with [`OccurrenceIndex::build`], or
+/// from an [`InvertedIndex`] already built over the corpus — and share
+/// by reference (or `Arc`): queries never mutate. All query methods
+/// take the corpus the index was built over; handing them a different
+/// corpus is a logic error (caught by `debug_assert`).
 #[derive(Debug)]
 pub struct OccurrenceIndex {
-    backend: Backend,
+    index: InvertedIndex,
+}
+
+impl From<InvertedIndex> for OccurrenceIndex {
+    fn from(index: InvertedIndex) -> Self {
+        OccurrenceIndex { index }
+    }
 }
 
 impl OccurrenceIndex {
     /// Build the positional index over `corpus` (one corpus pass).
     pub fn build(corpus: &Corpus) -> Self {
-        OccurrenceIndex {
-            backend: Backend::Indexed(InvertedIndex::build(corpus)),
-        }
+        InvertedIndex::build(corpus).into()
     }
 
-    /// The reference backend: every query is answered by the naive
-    /// full-corpus scan. No index is built.
-    pub fn naive() -> Self {
-        OccurrenceIndex {
-            backend: Backend::Naive,
-        }
-    }
-
-    /// Whether queries go through positional postings (`false` = naive
-    /// reference scans).
-    pub fn is_indexed(&self) -> bool {
-        matches!(self.backend, Backend::Indexed(_))
-    }
-
-    /// All occurrences of `phrase`, bit-identical (content and order) to
-    /// [`find_occurrences_naive`].
+    /// All occurrences of `phrase`, in `(doc, sentence, start)` order.
     pub fn find_occurrences(&self, corpus: &Corpus, phrase: &[TokenId]) -> Vec<Occurrence> {
-        match &self.backend {
-            Backend::Naive => find_occurrences_naive(corpus, phrase),
-            Backend::Indexed(ix) => {
-                debug_assert_eq!(ix.doc_count(), corpus.len(), "index/corpus mismatch");
-                let mut out = Vec::new();
-                self.walk_postings(ix, phrase, |occ| {
-                    out.push(occ);
-                    true
-                });
-                out
-            }
-        }
+        debug_assert_eq!(
+            self.index.doc_count(),
+            corpus.len(),
+            "index/corpus mismatch"
+        );
+        let mut out = Vec::new();
+        self.walk_postings(phrase, |occ| {
+            out.push(occ);
+            true
+        });
+        out
     }
 
     /// Whether `phrase` occurs at least once — equivalent to
     /// `!find_occurrences(..).is_empty()` but stops at the first match.
     pub fn contains(&self, corpus: &Corpus, phrase: &[TokenId]) -> bool {
-        match &self.backend {
-            Backend::Naive => {
-                // Early-exit variant of the naive scan: same traversal
-                // order, stops at the first hit.
-                if phrase.is_empty() {
-                    return false;
-                }
-                for doc in corpus.docs() {
-                    for s in &doc.sentences {
-                        if s.tokens.len() < phrase.len() {
-                            continue;
-                        }
-                        for start in 0..=(s.tokens.len() - phrase.len()) {
-                            if s.tokens[start..start + phrase.len()] == *phrase {
-                                return true;
-                            }
-                        }
-                    }
-                }
-                false
-            }
-            Backend::Indexed(ix) => {
-                let mut found = false;
-                self.walk_postings(ix, phrase, |_| {
-                    found = true;
-                    false
-                });
-                found
-            }
-        }
+        debug_assert_eq!(
+            self.index.doc_count(),
+            corpus.len(),
+            "index/corpus mismatch"
+        );
+        let mut found = false;
+        self.walk_postings(phrase, |_| {
+            found = true;
+            false
+        });
+        found
     }
 
     /// Per-occurrence context vectors of `phrase` — one positional
@@ -164,8 +103,8 @@ impl OccurrenceIndex {
             .collect()
     }
 
-    /// The aggregate (summed) context vector of `phrase`; bit-identical
-    /// to [`crate::context::aggregate_context`].
+    /// The aggregate (summed) context vector of `phrase` — what Step IV
+    /// compares with cosine.
     pub fn aggregate_context(
         &self,
         corpus: &Corpus,
@@ -195,20 +134,18 @@ impl OccurrenceIndex {
     }
 
     /// The [`DocContextCache`] a harvest under `opts` goes through:
-    /// built only for the indexed backend at [`ContextScope::Document`].
-    /// Document scope otherwise rebuilds a whole document's vector per
-    /// occurrence; one per-document base shared by every phrase turns
-    /// that into an exact count subtraction (bit-identical — see
-    /// [`DocContextCache`]). Sentence scope needs no cache, and the naive
-    /// backend stays the plain reference construction end-to-end.
+    /// built only at [`ContextScope::Document`]. Document scope otherwise
+    /// rebuilds a whole document's vector per occurrence; one
+    /// per-document base shared by every phrase turns that into an exact
+    /// count subtraction (bit-identical — see [`DocContextCache`]).
+    /// Sentence scope needs no cache.
     pub fn context_cache(
         &self,
         corpus: &Corpus,
         opts: ContextOptions,
         stems: Option<&StemMap>,
     ) -> Option<DocContextCache> {
-        (self.is_indexed() && opts.scope == ContextScope::Document)
-            .then(|| DocContextCache::build(corpus, opts, stems))
+        (opts.scope == ContextScope::Document).then(|| DocContextCache::build(corpus, opts, stems))
     }
 
     /// [`Self::occurrences_and_context`], taking the aggregate from
@@ -251,17 +188,13 @@ impl OccurrenceIndex {
         })
     }
 
-    /// Core of the indexed resolution: anchor on the offset of the
+    /// Core of the resolution: anchor on the offset of the
     /// phrase token with the smallest corpus frequency, walk only that
     /// token's postings, and verify every other token by binary search.
     /// Calls `emit` per occurrence in `(doc, sentence, start)` order;
     /// `emit` returning `false` stops the walk.
-    fn walk_postings(
-        &self,
-        ix: &InvertedIndex,
-        phrase: &[TokenId],
-        mut emit: impl FnMut(Occurrence) -> bool,
-    ) {
+    fn walk_postings(&self, phrase: &[TokenId], mut emit: impl FnMut(Occurrence) -> bool) {
+        let ix = &self.index;
         if phrase.is_empty() {
             return;
         }
@@ -317,8 +250,9 @@ impl OccurrenceIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{aggregate_context, contexts, ContextScope};
+    use crate::context::ContextScope;
     use crate::corpus::CorpusBuilder;
+    use crate::doc::DocId;
     use boe_textkit::Language;
 
     fn corpus() -> Corpus {
@@ -329,24 +263,33 @@ mod tests {
         b.build()
     }
 
-    fn assert_same_occurrences(c: &Corpus, ox: &OccurrenceIndex, phrase: &[TokenId]) {
-        assert_eq!(
-            ox.find_occurrences(c, phrase),
-            find_occurrences_naive(c, phrase)
-        );
-        assert_eq!(
-            ox.contains(c, phrase),
-            !find_occurrences_naive(c, phrase).is_empty()
-        );
+    fn occ(doc: u32, sentence: usize, start: usize) -> Occurrence {
+        Occurrence {
+            doc: DocId(doc),
+            sentence,
+            start,
+        }
     }
 
     #[test]
-    fn matches_naive_scan_on_known_phrases() {
+    fn resolves_known_phrases_in_reading_order() {
         let c = corpus();
         let ox = OccurrenceIndex::build(&c);
-        for phrase in ["corneal injuries", "injuries", "cornea", "eye injuries are"] {
+        let cases = [
+            (
+                "corneal injuries",
+                vec![occ(0, 0, 0), occ(0, 1, 3), occ(1, 1, 0)],
+            ),
+            (
+                "injuries",
+                vec![occ(0, 0, 1), occ(0, 1, 4), occ(1, 0, 1), occ(1, 1, 1)],
+            ),
+            ("cornea", vec![occ(2, 0, 1)]),
+            ("eye injuries are", vec![occ(1, 0, 0)]),
+        ];
+        for (phrase, want) in cases {
             let ids = c.phrase_ids(phrase).expect("known");
-            assert_same_occurrences(&c, &ox, &ids);
+            assert_eq!(ox.find_occurrences(&c, &ids), want, "{phrase}");
             assert!(ox.contains(&c, &ids), "{phrase}");
         }
     }
@@ -360,7 +303,6 @@ mod tests {
         let phrase = c.phrase_ids("corneal injuries").expect("known");
         assert!(ox.find_occurrences(&c, &phrase).is_empty());
         assert!(!ox.contains(&c, &phrase));
-        assert_same_occurrences(&c, &ox, &phrase);
     }
 
     #[test]
@@ -379,9 +321,26 @@ mod tests {
         let ox = OccurrenceIndex::build(&c);
         let one = c.phrase_ids("buffalo").expect("known");
         let two = c.phrase_ids("buffalo buffalo").expect("known");
-        assert_same_occurrences(&c, &ox, &one);
-        assert_same_occurrences(&c, &ox, &two);
-        assert_eq!(ox.find_occurrences(&c, &two).len(), 2);
+        assert_eq!(
+            ox.find_occurrences(&c, &one),
+            [occ(0, 0, 0), occ(0, 0, 1), occ(0, 0, 2)]
+        );
+        assert_eq!(ox.find_occurrences(&c, &two), [occ(0, 0, 0), occ(0, 0, 1)]);
+    }
+
+    #[test]
+    fn from_inverted_index_answers_like_build() {
+        let c = corpus();
+        let built = OccurrenceIndex::build(&c);
+        let handed = OccurrenceIndex::from(InvertedIndex::build(&c));
+        for phrase in ["corneal injuries", "injuries", "cornea"] {
+            let ids = c.phrase_ids(phrase).expect("known");
+            assert_eq!(
+                handed.find_occurrences(&c, &ids),
+                built.find_occurrences(&c, &ids),
+                "{phrase}"
+            );
+        }
     }
 
     #[test]
@@ -397,13 +356,15 @@ mod tests {
                     stemmed: true,
                     scope,
                 };
-                assert_eq!(
-                    ox.contexts(&c, &phrase, opts, Some(&stems)),
-                    contexts(&c, &phrase, opts, Some(&stems))
-                );
+                let want: Vec<SparseVector> = ox
+                    .find_occurrences(&c, &phrase)
+                    .into_iter()
+                    .map(|o| context_vector(&c, o, phrase.len(), opts, Some(&stems)))
+                    .collect();
+                assert_eq!(ox.contexts(&c, &phrase, opts, Some(&stems)), want);
                 assert_eq!(
                     ox.aggregate_context(&c, &phrase, opts, Some(&stems)),
-                    aggregate_context(&c, &phrase, opts, Some(&stems))
+                    SparseVector::sum_of(&want)
                 );
             }
         }
@@ -413,38 +374,20 @@ mod tests {
     fn batch_harvest_preserves_order_and_content() {
         let c = corpus();
         let ox = OccurrenceIndex::build(&c);
-        let opts = ContextOptions::default();
         let phrases: Vec<Vec<TokenId>> = ["corneal injuries", "injuries", "cornea"]
             .iter()
             .map(|p| c.phrase_ids(p).expect("known"))
             .collect();
-        let batch = ox.aggregate_contexts_for(&c, &phrases, opts, None);
-        assert_eq!(batch.len(), phrases.len());
-        for (phrase, (occs, agg)) in phrases.iter().zip(&batch) {
-            assert_eq!(*occs, find_occurrences_naive(&c, phrase));
-            assert_eq!(*agg, aggregate_context(&c, phrase, opts, None));
+        for scope in [ContextScope::Sentence, ContextScope::Document] {
+            let opts = ContextOptions {
+                scope,
+                ..Default::default()
+            };
+            let batch = ox.aggregate_contexts_for(&c, &phrases, opts, None);
+            assert_eq!(batch.len(), phrases.len());
+            for (phrase, got) in phrases.iter().zip(&batch) {
+                assert_eq!(*got, ox.occurrences_and_context(&c, phrase, opts, None));
+            }
         }
-    }
-
-    #[test]
-    fn naive_backend_answers_identically() {
-        let c = corpus();
-        let naive = OccurrenceIndex::naive();
-        assert!(!naive.is_indexed());
-        let phrase = c.phrase_ids("corneal injuries").expect("known");
-        assert_same_occurrences(&c, &naive, &phrase);
-        assert!(naive.contains(&c, &phrase));
-        assert!(!naive.contains(&c, &[]));
-    }
-
-    #[test]
-    fn resolution_enum_builds_matching_backends() {
-        let c = corpus();
-        assert!(OccurrenceResolution::Indexed.build(&c).is_indexed());
-        assert!(!OccurrenceResolution::NaiveScan.build(&c).is_indexed());
-        assert_eq!(
-            OccurrenceResolution::default(),
-            OccurrenceResolution::Indexed
-        );
     }
 }

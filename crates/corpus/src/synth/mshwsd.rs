@@ -161,7 +161,8 @@ impl MshWsdDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{contexts, ContextOptions, ContextScope};
+    use crate::context::{ContextOptions, ContextScope};
+    use crate::OccurrenceIndex;
 
     fn small() -> MshWsdDataset {
         MshWsdDataset::generate(
@@ -227,13 +228,13 @@ mod tests {
             stemmed: false,
             scope: ContextScope::Sentence,
         };
-        let ctxs = contexts(&d.corpus, &[id], opts, None);
+        let ctxs = OccurrenceIndex::build(&d.corpus).contexts(&d.corpus, &[id], opts, None);
         assert!(!ctxs.is_empty());
         // Aggregate per gold sense and check cross-sense cosine is far
         // below within-sense self-similarity.
         use crate::vector::SparseVector;
         let mut per_sense: Vec<Vec<&SparseVector>> = vec![Vec::new(); e.k];
-        // contexts() iterates docs in order; snippets are grouped by sense
+        // Occurrences come in document order; snippets are grouped by sense
         // in generation order, so map occurrences back via snippet list.
         // (One occurrence per snippet: the embedded mention.)
         assert_eq!(ctxs.len(), e.snippets.len());

@@ -171,7 +171,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join(" ");
         let ids = corpus.phrase_ids(&surface).expect("mention words interned");
-        let occs = crate::context::find_occurrences_naive(&corpus, &ids);
+        let occs = crate::OccurrenceIndex::build(&corpus).find_occurrences(&corpus, &ids);
         assert!(!occs.is_empty(), "no occurrence of {surface:?}");
     }
 

@@ -1,23 +1,62 @@
 //! Randomized equivalence: the positional [`OccurrenceIndex`] must
-//! reproduce the naive full-corpus scan bit for bit — same occurrences
-//! in the same order, same aggregate context vectors — on seeded random
-//! corpora, including accented French/Spanish surfaces and phrases that
-//! only ever span a sentence boundary (which must match nowhere).
+//! reproduce a naive full-corpus scan (kept in this file as the oracle)
+//! bit for bit — same occurrences in the same order, same aggregate
+//! context vectors — on seeded random corpora, including accented
+//! French/Spanish surfaces and phrases that only ever span a sentence
+//! boundary (which must match nowhere).
 //!
 //! Driven by the workspace's own deterministic PRNG (no external
 //! dependencies).
 
 use boe_corpus::context::{
-    aggregate_context, context_vector, find_occurrences_naive, ContextOptions, ContextScope,
-    DocContextCache, StemMap,
+    context_vector, ContextOptions, ContextScope, DocContextCache, Occurrence, StemMap,
 };
 use boe_corpus::corpus::CorpusBuilder;
-use boe_corpus::occurrence::{OccurrenceIndex, OccurrenceResolution};
+use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
 use boe_rng::StdRng;
 use boe_textkit::{Language, TokenId};
 
 const CASES: usize = 40;
+
+/// The oracle: every occurrence of `phrase` (exact adjacent token-id
+/// sequence), found by scanning every sentence of the corpus in reading
+/// order.
+fn find_occurrences_naive(corpus: &Corpus, phrase: &[TokenId]) -> Vec<Occurrence> {
+    let mut out = Vec::new();
+    if phrase.is_empty() {
+        return out;
+    }
+    for doc in corpus.docs() {
+        for (si, s) in doc.sentences.iter().enumerate() {
+            for (start, window) in s.tokens.windows(phrase.len()).enumerate() {
+                if window == phrase {
+                    out.push(Occurrence {
+                        doc: doc.id,
+                        sentence: si,
+                        start,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The oracle's aggregate context: the naive scan's occurrences, one
+/// [`context_vector`] each, summed in order.
+fn aggregate_context(
+    corpus: &Corpus,
+    phrase: &[TokenId],
+    opts: ContextOptions,
+    stems: Option<&StemMap>,
+) -> SparseVector {
+    let vectors: Vec<SparseVector> = find_occurrences_naive(corpus, phrase)
+        .into_iter()
+        .map(|occ| context_vector(corpus, occ, phrase.len(), opts, stems))
+        .collect();
+    SparseVector::sum_of(&vectors)
+}
 
 /// Word pool mixing plain ASCII with accented French/Spanish surfaces —
 /// the index must treat multi-byte lowercase words like any other token.
@@ -118,9 +157,7 @@ fn indexed_resolution_is_bit_identical_to_naive_scan() {
         let language = languages[case % languages.len()];
         let c = rand_corpus(&mut rng, language);
         let stems = StemMap::build(&c);
-        let indexed = OccurrenceResolution::Indexed.build(&c);
-        let naive = OccurrenceResolution::NaiveScan.build(&c);
-        assert!(indexed.is_indexed() && !naive.is_indexed());
+        let indexed = OccurrenceIndex::build(&c);
 
         let phrases = probe_phrases(&mut rng, &c);
         let opts_grid = [
@@ -147,11 +184,6 @@ fn indexed_resolution_is_bit_identical_to_naive_scan() {
                 indexed.find_occurrences(&c, phrase),
                 reference,
                 "case {case}: occurrences diverge"
-            );
-            assert_eq!(
-                naive.find_occurrences(&c, phrase),
-                reference,
-                "case {case}: naive backend diverges"
             );
             assert_eq!(
                 indexed.contains(&c, phrase),

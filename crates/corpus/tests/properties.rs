@@ -3,12 +3,12 @@
 //! Driven by the workspace's own deterministic PRNG (no external
 //! dependencies); each test sweeps seeded random corpora.
 
-use boe_corpus::context::{contexts, find_occurrences_naive, ContextOptions, ContextScope};
+use boe_corpus::context::{ContextOptions, ContextScope};
 use boe_corpus::corpus::CorpusBuilder;
 use boe_corpus::index::InvertedIndex;
 use boe_corpus::stats::CoocCounts;
 use boe_corpus::weighting::{bm25, idf, Bm25Params};
-use boe_corpus::Corpus;
+use boe_corpus::{Corpus, OccurrenceIndex};
 use boe_rng::StdRng;
 use boe_textkit::Language;
 
@@ -73,10 +73,11 @@ fn single_token_phrase_matches_agree_with_occurrences() {
     for _ in 0..CASES {
         let c = rand_corpus(&mut rng);
         let ix = InvertedIndex::build(&c);
+        let ox = OccurrenceIndex::build(&c);
         for t in ix.tokens().into_iter().take(10) {
             let phrase = [t];
             let total_phrase: u32 = ix.phrase_matches(&phrase).iter().map(|&(_, n)| n).sum();
-            let occs = find_occurrences_naive(&c, &phrase);
+            let occs = ox.find_occurrences(&c, &phrase);
             assert_eq!(total_phrase as usize, occs.len());
         }
     }
@@ -125,6 +126,7 @@ fn context_vectors_are_nonnegative_counts() {
     for _ in 0..CASES {
         let c = rand_corpus(&mut rng);
         let ix = InvertedIndex::build(&c);
+        let ox = OccurrenceIndex::build(&c);
         for scope in [ContextScope::Sentence, ContextScope::Document] {
             let opts = ContextOptions {
                 window: None,
@@ -132,7 +134,7 @@ fn context_vectors_are_nonnegative_counts() {
                 scope,
             };
             for t in ix.tokens().into_iter().take(5) {
-                for v in contexts(&c, &[t], opts, None) {
+                for v in ox.contexts(&c, &[t], opts, None) {
                     for (_, x) in v.iter() {
                         assert!(x >= 1.0);
                         assert_eq!(x.fract(), 0.0, "counts are integral");
@@ -153,6 +155,7 @@ fn document_contexts_dominate_sentence_contexts() {
     for _ in 0..CASES {
         let c = rand_corpus(&mut rng);
         let ix = InvertedIndex::build(&c);
+        let ox = OccurrenceIndex::build(&c);
         for t in ix.tokens().into_iter().take(5) {
             let s_opts = ContextOptions {
                 window: None,
@@ -164,8 +167,8 @@ fn document_contexts_dominate_sentence_contexts() {
                 stemmed: false,
                 scope: ContextScope::Document,
             };
-            let s_ctx = contexts(&c, &[t], s_opts, None);
-            let d_ctx = contexts(&c, &[t], d_opts, None);
+            let s_ctx = ox.contexts(&c, &[t], s_opts, None);
+            let d_ctx = ox.contexts(&c, &[t], d_opts, None);
             assert_eq!(s_ctx.len(), d_ctx.len());
             for (s, d) in s_ctx.iter().zip(&d_ctx) {
                 assert!(d.sum() >= s.sum(), "document scope must not shrink context");

@@ -369,6 +369,7 @@ fn remove_concepts(onto: &Ontology, remove: &[ConceptId]) -> Ontology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boe_corpus::OccurrenceIndex;
 
     fn small() -> World {
         World::generate(&WorldConfig {
@@ -406,25 +407,26 @@ mod tests {
     #[test]
     fn holdout_terms_occur_in_corpus() {
         let w = small();
+        let occ = OccurrenceIndex::build(&w.corpus);
         for h in &w.holdout {
             let ids = w
                 .corpus
                 .phrase_ids(&h.surface)
                 .unwrap_or_else(|| panic!("{} not interned", h.surface));
-            let occs = boe_corpus::context::find_occurrences_naive(&w.corpus, &ids);
-            assert!(!occs.is_empty(), "{} never occurs", h.surface);
+            assert!(occ.contains(&w.corpus, &ids), "{} never occurs", h.surface);
         }
     }
 
     #[test]
     fn father_terms_occur_in_corpus() {
         let w = small();
+        let occ = OccurrenceIndex::build(&w.corpus);
         let mut found = 0;
         for h in &w.holdout {
             let fathers = query::fathers(&w.full_ontology, h.concept);
             let father = &w.full_ontology.concept(fathers[0]).preferred;
             if let Some(ids) = w.corpus.phrase_ids(father) {
-                if !boe_corpus::context::find_occurrences_naive(&w.corpus, &ids).is_empty() {
+                if occ.contains(&w.corpus, &ids) {
                     found += 1;
                 }
             }
@@ -489,6 +491,7 @@ mod tests {
     #[test]
     fn ambiguous_new_terms_occur_in_both_concepts_contexts() {
         let w = poly_world();
+        let occ = OccurrenceIndex::build(&w.corpus);
         assert_eq!(w.ambiguous_new.len(), 4);
         for t in &w.ambiguous_new {
             assert!(
@@ -497,7 +500,7 @@ mod tests {
                 t.surface
             );
             let ids = w.corpus.phrase_ids(&t.surface).expect("interned");
-            let occs = boe_corpus::context::find_occurrences_naive(&w.corpus, &ids);
+            let occs = occ.find_occurrences(&w.corpus, &ids);
             // 2 concepts × abstracts × 2 mention sentences.
             assert!(occs.len() >= 8, "{}: {} occurrences", t.surface, occs.len());
         }
@@ -505,7 +508,7 @@ mod tests {
 
     #[test]
     fn ambiguous_contexts_are_separable() {
-        use boe_corpus::context::{contexts, ContextOptions, ContextScope};
+        use boe_corpus::context::{ContextOptions, ContextScope};
         let w = poly_world();
         let t = &w.ambiguous_new[0];
         let ids = w.corpus.phrase_ids(&t.surface).expect("interned");
@@ -515,7 +518,7 @@ mod tests {
             scope: ContextScope::Sentence,
         };
         let stems = boe_corpus::context::StemMap::build(&w.corpus);
-        let ctxs = contexts(&w.corpus, &ids, opts, Some(&stems));
+        let ctxs = OccurrenceIndex::build(&w.corpus).contexts(&w.corpus, &ids, opts, Some(&stems));
         // Cluster into 2: external quality against concept-of-origin
         // cannot be computed without doc→concept labels, but the two
         // concept profiles are topically distinct, so a 2-way clustering

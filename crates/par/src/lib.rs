@@ -13,10 +13,9 @@
 //!   its chunk independently, and results are reassembled **in input
 //!   order** — the output `Vec` is identical to the serial
 //!   `items.iter().map(f).collect()` for any pure `f`;
-//! * reductions ([`par_map_reduce`]) fold the mapped values serially in
-//!   index order, so floating-point accumulation associates exactly as
-//!   the serial loop would — results are bit-identical, not merely
-//!   "close";
+//! * callers that reduce fold the returned `Vec` serially in index
+//!   order, so floating-point accumulation associates exactly as the
+//!   serial loop would — results are bit-identical, not merely "close";
 //! * a worker panic is re-raised on the calling thread (first panicking
 //!   chunk in index order), matching the serial behaviour under
 //!   `catch_unwind`.
@@ -30,9 +29,8 @@
 //!
 //! ## Cooperative early exit
 //!
-//! The `try_*` combinators ([`try_par_map`], [`try_par_map_indexed`],
-//! [`try_par_map_reduce`]) additionally poll a caller-supplied stop
-//! predicate **before every item**. When it first returns `true` the
+//! [`try_par_map`] additionally polls a caller-supplied stop predicate
+//! **before every item**. When it first returns `true` the
 //! workers stop and the call returns [`ParOutcome::Interrupted`] holding
 //! the **deterministic completed prefix**: the longest contiguous run of
 //! leading items that finished. Because chunks are contiguous and
@@ -146,20 +144,6 @@ where
     }
 }
 
-/// [`par_map_indexed`] with cooperative cancellation: `should_stop` is
-/// polled before every item; once it returns `true` the workers wind
-/// down and the deterministic completed prefix is returned. The
-/// predicate must be monotonic (once `true`, stay `true`) for the
-/// prefix guarantee to be meaningful.
-pub fn try_par_map_indexed<U, F, S>(n: usize, should_stop: &S, f: F) -> ParOutcome<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-    S: Fn() -> bool + Sync,
-{
-    chunked_run(n, MIN_PARALLEL_ITEMS, Some(should_stop), f)
-}
-
 /// The shared chunked executor behind both the plain and the
 /// cancellable maps. `stop` is polled before each item; `None` compiles
 /// down to the unconditional loop.
@@ -260,23 +244,11 @@ where
     par_map_indexed_min(items.len(), min_items, |i| f(&items[i]))
 }
 
-/// Map in parallel, then fold the mapped values **serially in index
-/// order** — the reduction associates exactly like the serial
-/// `items.iter().map(map).fold(init, fold)`, so floating-point sums are
-/// bit-identical to the serial loop at any thread count.
-pub fn par_map_reduce<T, U, A, M, R>(items: &[T], map: M, init: A, fold: R) -> A
-where
-    T: Sync,
-    U: Send,
-    M: Fn(&T) -> U + Sync,
-    R: FnMut(A, U) -> A,
-{
-    par_map(items, map).into_iter().fold(init, fold)
-}
-
-/// [`par_map`] with cooperative cancellation (see
-/// [`try_par_map_indexed`]): returns the deterministic completed prefix
-/// when `should_stop` fires mid-run.
+/// [`par_map`] with cooperative cancellation: `should_stop` is polled
+/// before every item; once it returns `true` the workers wind down and
+/// the deterministic completed prefix is returned. The predicate must be
+/// monotonic (once `true`, stay `true`) for the prefix guarantee to be
+/// meaningful.
 pub fn try_par_map<T, U, F, S>(items: &[T], should_stop: &S, f: F) -> ParOutcome<U>
 where
     T: Sync,
@@ -284,50 +256,9 @@ where
     F: Fn(&T) -> U + Sync,
     S: Fn() -> bool + Sync,
 {
-    try_par_map_indexed(items.len(), should_stop, |i| f(&items[i]))
-}
-
-/// Result of a cancellable map-reduce: the fold over however many items
-/// completed before the stop predicate fired.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReduceOutcome<A> {
-    /// The folded accumulator over items `0..consumed`.
-    pub value: A,
-    /// How many leading items were mapped and folded.
-    pub consumed: usize,
-    /// Whether the stop predicate cut the run short
-    /// (`consumed < items.len()`).
-    pub interrupted: bool,
-}
-
-/// [`par_map_reduce`] with cooperative cancellation: maps with early
-/// exit, then folds the deterministic completed prefix serially in index
-/// order. The partial fold is bit-identical to the serial loop stopped
-/// after [`ReduceOutcome::consumed`] items.
-pub fn try_par_map_reduce<T, U, A, M, R, S>(
-    items: &[T],
-    should_stop: &S,
-    map: M,
-    init: A,
-    fold: R,
-) -> ReduceOutcome<A>
-where
-    T: Sync,
-    U: Send,
-    M: Fn(&T) -> U + Sync,
-    R: FnMut(A, U) -> A,
-    S: Fn() -> bool + Sync,
-{
-    let (mapped, interrupted) = match try_par_map(items, should_stop, map) {
-        ParOutcome::Complete(v) => (v, false),
-        ParOutcome::Interrupted { prefix } => (prefix, true),
-    };
-    let consumed = mapped.len();
-    ReduceOutcome {
-        value: mapped.into_iter().fold(init, fold),
-        consumed,
-        interrupted,
-    }
+    chunked_run(items.len(), MIN_PARALLEL_ITEMS, Some(should_stop), |i| {
+        f(&items[i])
+    })
 }
 
 #[cfg(test)]
@@ -380,7 +311,9 @@ mod tests {
         let serial = items.iter().map(|&x| x * 1.5).fold(0.0f64, |a, x| a + x);
         for nt in [1, 2, 5, 16] {
             let par = with_threads(nt, || {
-                par_map_reduce(&items, |&x| x * 1.5, 0.0f64, |a, x| a + x)
+                par_map(&items, |&x| x * 1.5)
+                    .into_iter()
+                    .fold(0.0f64, |a, x| a + x)
             });
             assert_eq!(serial.to_bits(), par.to_bits(), "threads = {nt}");
         }
@@ -391,7 +324,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(with_threads(8, || par_map(&empty, |&x| x)).is_empty());
         assert_eq!(with_threads(8, || par_map(&[41u32], |&x| x + 1)), vec![42]);
-        assert_eq!(par_map_reduce(&empty, |&x: &u32| x, 7u32, |a, x| a + x), 7);
     }
 
     #[test]
@@ -492,24 +424,6 @@ mod tests {
             assert!(prefix.len() < items.len(), "threads = {nt}");
             assert_eq!(prefix, serial[..prefix.len()], "threads = {nt}");
         }
-    }
-
-    #[test]
-    fn try_reduce_partial_fold_matches_serial_prefix() {
-        use std::sync::atomic::AtomicUsize;
-        let items: Vec<f64> = (0..80).map(|i| 1.0 + i as f64 * 1e-3).collect();
-        let polls = AtomicUsize::new(0);
-        let stop = || polls.fetch_add(1, Ordering::SeqCst) >= 12;
-        let out = with_threads(4, || {
-            try_par_map_reduce(&items, &stop, |&x| x * 2.0, 0.0f64, |a, x| a + x)
-        });
-        assert!(out.interrupted);
-        assert!(out.consumed < items.len());
-        let serial = items[..out.consumed]
-            .iter()
-            .map(|&x| x * 2.0)
-            .fold(0.0f64, |a, x| a + x);
-        assert_eq!(out.value.to_bits(), serial.to_bits());
     }
 
     #[test]

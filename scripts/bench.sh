@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build the release workspace and write the machine-readable perf report
-# (BENCH_5.json) for the Step I–IV hot paths: the parallel Step I
-# kernels (corpus_ingest_*, term_extraction_*, tergraph_*), the indexed
-# vs naive occurrence-resolution and inventory-build stages, and the
+# (BENCH_5.json) for the Step I–IV hot paths: the Step I kernels
+# (corpus_ingest_*, term_extraction, tergraph_parallel), the indexed
+# occurrence-resolution, index-build and inventory-build stages, and the
 # Step III/IV scoring kernels.
 #
 # Usage:

@@ -21,17 +21,18 @@ run cargo build --release --offline
 # `default-members` to the root package plus every crate, so this
 # covers, among the rest:
 # * parallel-runtime gates: bit-identical output across thread counts
-#   (`parallel_determinism`), the randomized Step I serial-vs-parallel
-#   sweep (`step1_parallel_equality`), Step II graph features against
-#   their reference (`graph_features_oracle`), Step IV proposals against
-#   theirs (`linkage_oracle`);
+#   (`parallel_determinism`), the randomized Step I sweep
+#   (`step1_parallel_equality`: batch ingestion and the TeRGraph kernels
+#   against their in-file references, extraction at 1 vs 8 threads),
+#   Step II graph features against their reference
+#   (`graph_features_oracle`), Step IV proposals against theirs
+#   (`linkage_oracle`);
 # * resource-governance gates: budgets trip into truncated reports
 #   (`governor`), `boe-par` early exit keeps a deterministic prefix
 #   (`early_exit`), every chaos site × mode × {1,8} threads stays
 #   bit-identical (`chaos_matrix`);
-# * occurrence-index gates: the positional index reproduces the naive
-#   scan at the resolver level (`occurrence_index_equality`) and the
-#   report level (`occurrence_equality`).
+# * occurrence-index gate: the positional index reproduces an in-file
+#   naive scan, occurrences and contexts (`occurrence_index_equality`).
 run timeout "$TEST_TIMEOUT" cargo test -q --offline
 # `perfbench/` is its own workspace (the end-to-end benchmark runner),
 # so the pass above never builds it. Its tests catch a library API break
@@ -40,6 +41,9 @@ run timeout "$TEST_TIMEOUT" cargo test -q --offline
 run timeout "$TEST_TIMEOUT" cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --check
+# Broken intra-doc links fail the build, so docs cannot keep pointing at
+# deleted items.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # A small perf-report smoke run with the runtime forced to 2 threads.
 # Benches always run with chaos explicitly disarmed — an inherited

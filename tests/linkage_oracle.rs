@@ -5,9 +5,8 @@
 //!
 //! Covered: every Step I candidate plus the held-out terms of EN/FR/ES
 //! worlds, at document and sentence scope, with hierarchy expansion on
-//! and off, with and without extra proposable corpus terms, under the
-//! indexed and the naive-scan occurrence backends, with the linker built
-//! and queried at 1 and 8 threads.
+//! and off, with and without extra proposable corpus terms, with the
+//! linker built and queried at 1 and 8 threads.
 //!
 //! The thread-count override is process-global, so only one test here
 //! changes it; the results do not depend on it anyway.
@@ -119,19 +118,14 @@ fn every_candidate_matches_the_oracle() {
                     );
                     let mut expected = None;
                     let mut proposed = 0;
-                    for (threads, naive) in [(1, false), (8, false), (1, true)] {
+                    for threads in [1, 8] {
                         boe_par::set_threads(Some(threads));
-                        let occ = if naive {
-                            OccurrenceIndex::naive()
-                        } else {
-                            OccurrenceIndex::build(corpus)
-                        };
                         let linker = SemanticLinker::with_candidates_indexed(
                             corpus,
                             onto,
                             config,
                             extra,
-                            Arc::new(occ),
+                            Arc::new(OccurrenceIndex::build(corpus)),
                         );
                         let got = boe_par::par_map(&candidates, |c| linker.propose(c));
                         let want = expected.get_or_insert_with(|| {
@@ -143,7 +137,7 @@ fn every_candidate_matches_the_oracle() {
                                 .collect::<Vec<_>>()
                         });
                         for ((c, g), w) in candidates.iter().zip(&got).zip(want.iter()) {
-                            let at = format!("{what} threads={threads} naive={naive}: {c}");
+                            let at = format!("{what} threads={threads}: {c}");
                             assert_same_propositions(g, w, &at);
                         }
                         proposed = got.iter().filter(|p| !p.is_empty()).count();

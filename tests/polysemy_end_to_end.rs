@@ -4,6 +4,7 @@
 
 use bio_onto_enrich::cluster::{Algorithm, InternalIndex};
 use bio_onto_enrich::corpus::context::ContextScope;
+use bio_onto_enrich::corpus::OccurrenceIndex;
 use bio_onto_enrich::eval::world::{World, WorldConfig};
 use bio_onto_enrich::workflow::polysemy::detector::{
     FeatureContext, PolysemyDetector, PolysemyModel,
@@ -29,13 +30,14 @@ fn poly_world() -> World {
 fn detector_trained_on_ontology_flags_ambiguous_new_terms() {
     let w = poly_world();
     let features = FeatureContext::build(&w.corpus);
+    let occ = OccurrenceIndex::build(&w.corpus);
     let mut rows = Vec::new();
     let mut labels = Vec::new();
     for (surface, concepts) in w.reduced_ontology.terms() {
         let Some(ids) = w.corpus.phrase_ids(surface) else {
             continue;
         };
-        if bio_onto_enrich::corpus::context::find_occurrences_naive(&w.corpus, &ids).is_empty() {
+        if !occ.contains(&w.corpus, &ids) {
             continue;
         }
         rows.push(features.features(&ids, surface));
