@@ -55,19 +55,14 @@ pub fn direct_features(
 
     // Neighbour diversity & entropy from the head word's co-occurrences
     // (for multi-word terms the head noun carries the sense signal; we
-    // pool over all component words).
-    let mut neighbour_counts: Vec<u32> = Vec::new();
-    for &t in phrase {
-        for (_, c) in cooc.neighbours(t) {
-            neighbour_counts.push(c);
-        }
-    }
-    let diversity = neighbour_counts.len() as f64;
-    let total: f64 = neighbour_counts.iter().map(|&c| f64::from(c)).sum();
+    // pool over all component words, in phrase then list order — the
+    // order fixes the entropy's float bits).
+    let pooled = || phrase.iter().flat_map(|&t| cooc.neighbours(t));
+    let diversity = pooled().count() as f64;
+    let total: f64 = pooled().map(|&(_, c)| f64::from(c)).sum();
     let entropy = if total > 0.0 {
-        neighbour_counts
-            .iter()
-            .map(|&c| {
+        pooled()
+            .map(|&(_, c)| {
                 let p = f64::from(c) / total;
                 -p * p.ln()
             })
@@ -117,20 +112,37 @@ pub fn direct_features(
     ]
 }
 
-/// Mean and variance of cosine(context_i, centroid of the others).
+/// Mean and variance of cosine(context_i, sum of the other contexts).
+///
+/// Precondition: every context holds integer counts, as the unstemmed
+/// [`context_vector`] builds them. Every sum below is then an exact
+/// integer in `f64`, whatever its order, so the leave-one-out cosine
+/// comes from `c` and the total `T` alone, without building `T − c`:
+/// `c·(T−c) = Σ c_i(T_i − c_i)` and `‖T−c‖² = ΣT² − Σ(2T_i c_i − c_i²)`,
+/// both over `c`'s entries. The result is bit-identical to
+/// `c.cosine(&(T − c))`.
 fn context_self_similarity(ctxs: &[SparseVector]) -> (f64, f64) {
     if ctxs.len() < 2 {
         return (1.0, 0.0);
     }
     let total = SparseVector::sum_of(ctxs);
+    let total_sq: f64 = total.iter().map(|(_, t)| t * t).sum();
     let sims: Vec<f64> = ctxs
         .iter()
         .map(|c| {
-            let mut rest = total.clone();
-            let mut neg = c.clone();
-            neg.scale(-1.0);
-            rest.add_assign(&neg);
-            c.cosine(&rest)
+            let (mut dot, mut removed_sq) = (0.0, 0.0);
+            for (d, ci) in c.iter() {
+                let ti = total.get(d);
+                dot += ci * (ti - ci);
+                removed_sq += 2.0 * ti * ci - ci * ci;
+            }
+            // As `SparseVector::cosine`: 0 when either side is zero.
+            let denom = c.norm() * (total_sq - removed_sq).sqrt();
+            if denom == 0.0 {
+                0.0
+            } else {
+                (dot / denom).clamp(-1.0, 1.0)
+            }
         })
         .collect();
     let n = sims.len() as f64;
@@ -221,6 +233,86 @@ mod tests {
         assert_eq!(f[2], 0.0);
         assert_eq!(f[3], 0.0);
         assert_eq!(f[9], 0.0, "no occurrences, no sentence length");
+    }
+
+    /// The leave-one-out as first written: `T − c` built per context.
+    fn clone_based(ctxs: &[SparseVector]) -> (f64, f64) {
+        if ctxs.len() < 2 {
+            return (1.0, 0.0);
+        }
+        let total = SparseVector::sum_of(ctxs);
+        let sims: Vec<f64> = ctxs
+            .iter()
+            .map(|c| {
+                let mut rest = total.clone();
+                let mut neg = c.clone();
+                neg.scale(-1.0);
+                rest.add_assign(&neg);
+                c.cosine(&rest)
+            })
+            .collect();
+        let n = sims.len() as f64;
+        let mean = sims.iter().sum::<f64>() / n;
+        let var = sims.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
+        (mean, var)
+    }
+
+    fn counts(pairs: &[(u32, u32)]) -> SparseVector {
+        SparseVector::from_counts(pairs.iter().copied())
+    }
+
+    /// `context_self_similarity` and the clone-based formula, as bits.
+    fn both(ctxs: &[SparseVector]) -> ((u64, u64), (u64, u64)) {
+        let bits = |(m, v): (f64, f64)| (m.to_bits(), v.to_bits());
+        (bits(context_self_similarity(ctxs)), bits(clone_based(ctxs)))
+    }
+
+    #[test]
+    fn single_occurrence_is_fully_self_similar() {
+        let (got, want) = both(&[counts(&[(1, 2), (4, 1)])]);
+        assert_eq!(got, want);
+        assert_eq!(got, (1.0f64.to_bits(), 0.0f64.to_bits()));
+        assert_eq!(both(&[]).0, got);
+    }
+
+    #[test]
+    fn empty_context_has_zero_cosine() {
+        // An all-stopword window yields an empty context vector.
+        let ctxs = [
+            SparseVector::new(),
+            counts(&[(3, 1)]),
+            counts(&[(3, 1), (7, 2)]),
+        ];
+        let (got, want) = both(&ctxs);
+        assert_eq!(got, want);
+        let alone = [SparseVector::new(), SparseVector::new()];
+        let (got, want) = both(&alone);
+        assert_eq!(got, want);
+        assert_eq!(got, (0.0f64.to_bits(), 0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn context_with_empty_remainder_has_zero_cosine() {
+        // The first context is the whole total, so `T − c` is empty.
+        let ctxs = [counts(&[(2, 1), (5, 3)]), SparseVector::new()];
+        let (got, want) = both(&ctxs);
+        assert_eq!(got, want);
+        assert_eq!(got, (0.0f64.to_bits(), 0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn duplicated_contexts_match_the_clone_based_formula() {
+        let same = counts(&[(1, 1), (2, 3), (9, 1)]);
+        let (got, want) = both(&[same.clone(), same.clone(), same.clone()]);
+        assert_eq!(got, want);
+        let mixed = [
+            same.clone(),
+            counts(&[(2, 1), (4, 2)]),
+            same,
+            counts(&[(4, 1), (9, 5), (11, 1)]),
+        ];
+        let (got, want) = both(&mixed);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -117,38 +117,72 @@ impl InvertedIndex {
     }
 
     /// Documents containing every token of `phrase` *adjacently in order*
-    /// (exact phrase match), with the match count per document.
+    /// (exact phrase match), with the match count per document, in
+    /// document order.
     pub fn phrase_matches(&self, phrase: &[TokenId]) -> Vec<(DocId, u32)> {
-        let Some((first, rest)) = phrase.split_first() else {
-            return Vec::new();
+        let mut out: Vec<(DocId, u32)> = Vec::new();
+        self.walk_phrase(phrase, |doc, _, _| {
+            match out.last_mut() {
+                Some((d, n)) if *d == doc => *n += 1,
+                _ => out.push((doc, 1)),
+            }
+            true
+        });
+        out
+    }
+
+    /// Every exact match of `phrase` as `(doc, sentence, start)`, in
+    /// reading order, handed to `emit` until it returns `false`.
+    ///
+    /// The walk anchors on the *rarest* phrase token, the one with the
+    /// smallest corpus frequency (the first such offset on ties, so a
+    /// phrase with repeated tokens counts each start once). Only the
+    /// anchor's postings are visited; in each of their documents the
+    /// other tokens' postings are resolved once, and each anchor position
+    /// `p` proposes the start `p − anchor offset`, confirmed by binary
+    /// search of the other tokens at their offsets. Postings are sorted
+    /// by document and positions by `(sentence, position)`, so matches
+    /// come out in the order a scan of every sentence finds them.
+    pub(crate) fn walk_phrase(
+        &self,
+        phrase: &[TokenId],
+        mut emit: impl FnMut(DocId, u32, u32) -> bool,
+    ) {
+        let Some((anchor, _)) = phrase
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &t)| self.term_freq(t))
+        else {
+            return;
         };
-        let mut out = Vec::new();
-        'doc: for p in self.postings(*first) {
-            // Resolve each remaining token's posting in this document
-            // once, up front; a token absent from the document rules out
-            // every position.
-            let mut rests = Vec::with_capacity(rest.len());
-            for t in rest {
-                match self.posting_for(*t, p.doc) {
-                    Some(q) => rests.push(q),
+        let mut others: Vec<(u32, &Posting)> = Vec::with_capacity(phrase.len() - 1);
+        'doc: for p in self.postings(phrase[anchor]) {
+            // A token absent from the document rules out every position.
+            others.clear();
+            for (offset, &t) in phrase.iter().enumerate() {
+                if offset == anchor {
+                    continue;
+                }
+                match self.posting_for(t, p.doc) {
+                    Some(q) => others.push((offset as u32, q)),
                     None => continue 'doc,
                 }
             }
-            let mut count = 0u32;
             'pos: for &(si, pi) in &p.positions {
-                for (offset, q) in rests.iter().enumerate() {
-                    let want = (si, pi + 1 + offset as u32);
-                    if q.positions.binary_search(&want).is_err() {
+                // A match would start `anchor` tokens to the left.
+                let Some(start) = pi.checked_sub(anchor as u32) else {
+                    continue;
+                };
+                for &(offset, q) in &others {
+                    if q.positions.binary_search(&(si, start + offset)).is_err() {
                         continue 'pos;
                     }
                 }
-                count += 1;
-            }
-            if count > 0 {
-                out.push((p.doc, count));
+                if !emit(p.doc, si, start) {
+                    return;
+                }
             }
         }
-        out
     }
 
     /// Iterate all indexed tokens in id order.

@@ -29,7 +29,7 @@ use crate::context::{
     context_vector, ContextOptions, ContextScope, DocContextCache, Occurrence, StemMap,
 };
 use crate::corpus::Corpus;
-use crate::index::{InvertedIndex, Posting};
+use crate::index::InvertedIndex;
 use crate::vector::SparseVector;
 use boe_textkit::TokenId;
 
@@ -188,62 +188,17 @@ impl OccurrenceIndex {
         })
     }
 
-    /// Core of the resolution: anchor on the offset of the
-    /// phrase token with the smallest corpus frequency, walk only that
-    /// token's postings, and verify every other token by binary search.
-    /// Calls `emit` per occurrence in `(doc, sentence, start)` order;
-    /// `emit` returning `false` stops the walk.
+    /// Calls `emit` per occurrence in `(doc, sentence, start)` order
+    /// (the index's rarest-token walk); `emit` returning `false` stops
+    /// the walk.
     fn walk_postings(&self, phrase: &[TokenId], mut emit: impl FnMut(Occurrence) -> bool) {
-        let ix = &self.index;
-        if phrase.is_empty() {
-            return;
-        }
-        // First offset with the minimum frequency — deterministic anchor,
-        // so a phrase with repeated tokens counts each start once.
-        let anchor = (0..phrase.len())
-            .min_by_key(|&i| ix.term_freq(phrase[i]))
-            .expect("non-empty phrase");
-        for p in ix.postings(phrase[anchor]) {
-            // Resolve the other tokens' postings in this document once.
-            let mut others: Vec<(usize, &Posting)> = Vec::with_capacity(phrase.len() - 1);
-            let mut complete = true;
-            for (j, &t) in phrase.iter().enumerate() {
-                if j == anchor {
-                    continue;
-                }
-                match ix.posting_for(t, p.doc) {
-                    Some(q) => others.push((j, q)),
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            if !complete {
-                continue;
-            }
-            'pos: for &(si, pi) in &p.positions {
-                // The anchor sits at phrase offset `anchor`, so the
-                // phrase would start `anchor` tokens to the left.
-                let Some(start) = pi.checked_sub(anchor as u32) else {
-                    continue;
-                };
-                for &(j, q) in &others {
-                    let want = (si, start + j as u32);
-                    if q.positions.binary_search(&want).is_err() {
-                        continue 'pos;
-                    }
-                }
-                let occ = Occurrence {
-                    doc: p.doc,
-                    sentence: si as usize,
-                    start: start as usize,
-                };
-                if !emit(occ) {
-                    return;
-                }
-            }
-        }
+        self.index.walk_phrase(phrase, |doc, sentence, start| {
+            emit(Occurrence {
+                doc,
+                sentence: sentence as usize,
+                start: start as usize,
+            })
+        });
     }
 }
 

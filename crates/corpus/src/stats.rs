@@ -6,16 +6,23 @@
 
 use crate::corpus::Corpus;
 use boe_textkit::TokenId;
-use std::collections::HashMap;
 
 /// Symmetric windowed co-occurrence counts between lexical, non-stopword
 /// tokens.
+///
+/// The counts are held as one neighbour list per token (a compressed
+/// adjacency over the dense token ids), each ordered by decreasing count
+/// then increasing id, so [`CoocCounts::neighbours`] is a slice lookup
+/// and every pair is stored once per endpoint.
 #[derive(Debug, Clone, Default)]
 pub struct CoocCounts {
-    /// Pair counts keyed by `(min(a,b), max(a,b))`.
-    pairs: HashMap<(TokenId, TokenId), u32>,
-    /// Marginal occurrence counts (over counted tokens only).
-    occurrences: HashMap<TokenId, u32>,
+    /// `adjacency[offsets[t]..offsets[t + 1]]` is token `t`'s neighbour
+    /// list.
+    offsets: Vec<usize>,
+    /// Every token's `(neighbour, count)` list, concatenated in id order.
+    adjacency: Vec<(TokenId, u32)>,
+    /// Marginal occurrence counts (over counted tokens only), by token id.
+    occurrences: Vec<u32>,
     window: usize,
 }
 
@@ -26,31 +33,73 @@ impl CoocCounts {
     /// punctuation are skipped but still occupy positions.
     pub fn from_corpus(corpus: &Corpus, window: usize) -> Self {
         assert!(window >= 1, "window must be at least 1");
-        let mut pairs: HashMap<(TokenId, TokenId), u32> = HashMap::new();
-        let mut occurrences: HashMap<TokenId, u32> = HashMap::new();
+        let n_tokens = corpus.vocab().len();
+        let mut occurrences = vec![0u32; n_tokens];
+        // Each pair is counted once, in the row of its higher-id token,
+        // kept sorted by id. Ids follow first appearance, so frequent
+        // words mostly hold the low ids and the rows stay short.
+        let mut rows: Vec<Vec<(TokenId, u32)>> = vec![Vec::new(); n_tokens];
+        // The counted tokens of one sentence with their positions.
+        let mut counted: Vec<(usize, TokenId)> = Vec::new();
         for doc in corpus.docs() {
             for s in &doc.sentences {
-                let n = s.tokens.len();
-                for i in 0..n {
-                    let a = s.tokens[i];
-                    if !s.tags[i].is_term_internal() || corpus.is_stopword(a) {
-                        continue;
-                    }
-                    *occurrences.entry(a).or_insert(0) += 1;
-                    let hi = (i + window).min(n.saturating_sub(1));
-                    for j in (i + 1)..=hi {
-                        let b = s.tokens[j];
-                        if !s.tags[j].is_term_internal() || corpus.is_stopword(b) || a == b {
+                counted.clear();
+                counted.extend(
+                    s.tokens
+                        .iter()
+                        .zip(&s.tags)
+                        .enumerate()
+                        .filter(|&(_, (&t, tag))| tag.is_term_internal() && !corpus.is_stopword(t))
+                        .map(|(i, (&t, _))| (i, t)),
+                );
+                for (k, &(i, a)) in counted.iter().enumerate() {
+                    occurrences[a.index()] += 1;
+                    for &(_, b) in counted[k + 1..]
+                        .iter()
+                        .take_while(|&&(j, _)| j <= i + window)
+                    {
+                        if a == b {
                             continue;
                         }
-                        let key = if a <= b { (a, b) } else { (b, a) };
-                        *pairs.entry(key).or_insert(0) += 1;
+                        let (lo, hi) = (a.min(b), a.max(b));
+                        let row = &mut rows[hi.index()];
+                        match row.binary_search_by_key(&lo, |&(t, _)| t) {
+                            Ok(p) => row[p].1 += 1,
+                            Err(p) => row.insert(p, (lo, 1)),
+                        }
                     }
                 }
             }
         }
+        // Lay the rows out as one list per token: a row fills its own
+        // token's list and is mirrored into its lower-id tokens' lists;
+        // each row is freed once placed. Then order every list.
+        let mut offsets = vec![0usize; n_tokens + 1];
+        for (b, row) in rows.iter().enumerate() {
+            offsets[b + 1] += row.len();
+            for &(a, _) in row {
+                offsets[a.index() + 1] += 1;
+            }
+        }
+        for t in 0..n_tokens {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut adjacency = vec![(TokenId(0), 0u32); offsets[n_tokens]];
+        let mut next = offsets.clone();
+        for (b, row) in rows.into_iter().enumerate() {
+            for (a, c) in row {
+                adjacency[next[b]] = (a, c);
+                next[b] += 1;
+                adjacency[next[a.index()]] = (TokenId(b as u32), c);
+                next[a.index()] += 1;
+            }
+        }
+        for w in offsets.windows(2) {
+            adjacency[w[0]..w[1]].sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+        }
         CoocCounts {
-            pairs,
+            offsets,
+            adjacency,
             occurrences,
             window,
         }
@@ -61,46 +110,55 @@ impl CoocCounts {
         self.window
     }
 
-    /// Co-occurrence count of an unordered pair.
+    /// Co-occurrence count of an unordered pair: a scan of the shorter
+    /// of the two neighbour lists.
     pub fn pair(&self, a: TokenId, b: TokenId) -> u32 {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.pairs.get(&key).copied().unwrap_or(0)
+        let (na, nb) = (self.neighbours(a), self.neighbours(b));
+        let (list, other) = if na.len() <= nb.len() {
+            (na, b)
+        } else {
+            (nb, a)
+        };
+        list.iter()
+            .find(|&&(u, _)| u == other)
+            .map_or(0, |&(_, c)| c)
     }
 
     /// Occurrence count of one token (among counted tokens).
     pub fn occurrences(&self, t: TokenId) -> u32 {
-        self.occurrences.get(&t).copied().unwrap_or(0)
+        self.occurrences.get(t.index()).copied().unwrap_or(0)
     }
 
     /// All pairs with their counts, in stable (sorted) order.
     pub fn iter_pairs(&self) -> Vec<((TokenId, TokenId), u32)> {
-        let mut v: Vec<_> = self.pairs.iter().map(|(&k, &c)| (k, c)).collect();
+        let mut v: Vec<_> = self
+            .offsets
+            .windows(2)
+            .enumerate()
+            .flat_map(|(a, w)| {
+                let a = TokenId(a as u32);
+                self.adjacency[w[0]..w[1]]
+                    .iter()
+                    .filter(move |&&(b, _)| a < b)
+                    .map(move |&(b, c)| ((a, b), c))
+            })
+            .collect();
         v.sort_unstable_by_key(|(k, _)| *k);
         v
     }
 
     /// Number of distinct co-occurring pairs.
     pub fn pair_count(&self) -> usize {
-        self.pairs.len()
+        self.adjacency.len() / 2
     }
 
-    /// Neighbours of `t` with counts, sorted by decreasing count then id.
-    pub fn neighbours(&self, t: TokenId) -> Vec<(TokenId, u32)> {
-        let mut v: Vec<(TokenId, u32)> = self
-            .pairs
-            .iter()
-            .filter_map(|(&(a, b), &c)| {
-                if a == t {
-                    Some((b, c))
-                } else if b == t {
-                    Some((a, c))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        v.sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-        v
+    /// Neighbours of `t` with counts, sorted by decreasing count then id
+    /// (empty for a token with no pairs).
+    pub fn neighbours(&self, t: TokenId) -> &[(TokenId, u32)] {
+        match self.offsets.get(t.index()..t.index() + 2) {
+            Some(&[lo, hi]) => &self.adjacency[lo..hi],
+            _ => &[],
+        }
     }
 
     /// Pointwise mutual information of a pair given total token mass.
@@ -114,8 +172,14 @@ impl CoocCounts {
         if cab == 0 || ca == 0 || cb == 0 {
             return None;
         }
-        let total: u64 = self.occurrences.values().map(|&c| u64::from(c)).sum();
-        let total_pairs: u64 = self.pairs.values().map(|&c| u64::from(c)).sum();
+        let total: u64 = self.occurrences.iter().map(|&c| u64::from(c)).sum();
+        // Every pair is listed once per endpoint.
+        let total_pairs: u64 = self
+            .adjacency
+            .iter()
+            .map(|&(_, c)| u64::from(c))
+            .sum::<u64>()
+            / 2;
         if total == 0 || total_pairs == 0 {
             return None;
         }
@@ -225,5 +289,42 @@ mod tests {
         let pairs = cc.iter_pairs();
         assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(pairs.len(), cc.pair_count());
+    }
+
+    #[test]
+    fn token_without_pairs_has_no_neighbours() {
+        // "alone" is the only counted token of its sentence; "the" is a
+        // stopword and never counted.
+        let c = corpus(&["cornea injury.", "alone.", "the cornea."]);
+        let cc = CoocCounts::from_corpus(&c, 3);
+        let alone = c.vocab().get("alone").expect("id");
+        let the = c.vocab().get("the").expect("id");
+        assert!(cc.neighbours(alone).is_empty());
+        assert!(cc.neighbours(the).is_empty());
+        assert!(cc.neighbours(TokenId(c.vocab().len() as u32)).is_empty());
+        assert!(CoocCounts::default().neighbours(alone).is_empty());
+    }
+
+    #[test]
+    fn neighbour_lists_agree_with_pair_counts() {
+        let c = corpus(&[
+            "cornea injury repair healing process.",
+            "cornea injury scarring.",
+            "stroma injury repair.",
+        ]);
+        let cc = CoocCounts::from_corpus(&c, 3);
+        let mut listed = 0;
+        for (t, _) in c.vocab().iter() {
+            let nb = cc.neighbours(t);
+            assert!(nb.windows(2).all(|w| (w[1].1, w[0].0) < (w[0].1, w[1].0)));
+            for &(u, n) in nb {
+                assert!(n >= 1);
+                assert_eq!(cc.pair(t, u), n);
+                assert!(cc.neighbours(u).contains(&(t, n)), "symmetric lists");
+            }
+            listed += nb.len();
+        }
+        assert_eq!(listed, 2 * cc.pair_count());
+        assert_eq!(cc.iter_pairs().len(), cc.pair_count());
     }
 }

@@ -8,9 +8,9 @@ use boe_corpus::corpus::CorpusBuilder;
 use boe_corpus::index::InvertedIndex;
 use boe_corpus::stats::CoocCounts;
 use boe_corpus::weighting::{bm25, idf, Bm25Params};
-use boe_corpus::{Corpus, OccurrenceIndex};
+use boe_corpus::{Corpus, DocId, OccurrenceIndex};
 use boe_rng::StdRng;
-use boe_textkit::Language;
+use boe_textkit::{Language, TokenId};
 
 const CASES: usize = 60;
 
@@ -81,6 +81,115 @@ fn single_token_phrase_matches_agree_with_occurrences() {
             assert_eq!(total_phrase as usize, occs.len());
         }
     }
+}
+
+/// Words of the phrase-matching corpora: four common ones and `rarex`,
+/// which is rare but favours sentence starts.
+const PHRASE_WORDS: [&str; 5] = ["alpha", "beta", "gamma", "delta", "rarex"];
+
+/// 1–6 documents of 1–4 sentences, each 1–8 words of [`PHRASE_WORDS`].
+fn rand_phrase_corpus(rng: &mut StdRng) -> Corpus {
+    let mut b = CorpusBuilder::new(Language::English);
+    for _ in 0..rng.gen_range(1usize..=6) {
+        let mut text = String::new();
+        for _ in 0..rng.gen_range(1usize..=4) {
+            for w in 0..rng.gen_range(1usize..=8) {
+                let rare = rng.gen_bool(if w == 0 { 0.4 } else { 0.08 });
+                let word = if rare {
+                    PHRASE_WORDS[4]
+                } else {
+                    PHRASE_WORDS[rng.gen_range(0usize..4)]
+                };
+                if w > 0 {
+                    text.push(' ');
+                }
+                text.push_str(word);
+            }
+            text.push_str(". ");
+        }
+        b.add_text(&text);
+    }
+    b.build()
+}
+
+/// Exact phrase matches by brute force: per document, in document
+/// order, the number of sentence windows equal to `phrase`.
+fn scan_phrase_matches(c: &Corpus, phrase: &[TokenId]) -> Vec<(DocId, u32)> {
+    c.docs()
+        .iter()
+        .filter_map(|d| {
+            let n: usize = d
+                .sentences
+                .iter()
+                .map(|s| {
+                    s.tokens
+                        .windows(phrase.len())
+                        .filter(|w| *w == phrase)
+                        .count()
+                })
+                .sum();
+            (n > 0).then_some((d.id, n as u32))
+        })
+        .collect()
+}
+
+#[test]
+fn phrase_matches_agree_with_a_sentence_scan() {
+    let mut rng = StdRng::seed_from_u64(16);
+    let mut matched = [0usize; 3];
+    for _ in 0..CASES * 4 {
+        let c = rand_phrase_corpus(&mut rng);
+        let ix = InvertedIndex::build(&c);
+        let ids: Vec<TokenId> = PHRASE_WORDS
+            .iter()
+            .filter_map(|w| c.vocab().get(w))
+            .collect();
+        let mut phrases: Vec<Vec<TokenId>> = (0..20)
+            .map(|_| {
+                let len = rng.gen_range(1usize..=4);
+                (0..len).map(|_| ids[rng.gen_range(0..ids.len())]).collect()
+            })
+            .collect();
+        if let Some(rare) = c.vocab().get(PHRASE_WORDS[4]) {
+            let common: Vec<TokenId> = ids.iter().copied().filter(|&t| t != rare).collect();
+            // The rarest token repeated inside the phrase.
+            phrases.push(vec![rare, rare]);
+            for &t in &common {
+                phrases.push(vec![rare, t, rare]);
+                phrases.push(vec![t, rare, t, rare]);
+            }
+            // The rarest token at offset > 0: its sentence-initial
+            // positions cannot start a match.
+            for &t in &common {
+                phrases.push(vec![t, rare]);
+                for &u in &common {
+                    phrases.push(vec![t, u, rare]);
+                }
+            }
+        }
+        // Phrases spelled across a sentence boundary never match.
+        for d in c.docs() {
+            for pair in d.sentences.windows(2) {
+                let (a, b) = (&pair[0].tokens, &pair[1].tokens);
+                for k in 1..=a.len().min(2) {
+                    for m in 1..=b.len().min(2) {
+                        let mut p = a[a.len() - k..].to_vec();
+                        p.extend_from_slice(&b[..m]);
+                        phrases.push(p);
+                    }
+                }
+            }
+        }
+        for p in &phrases {
+            let want = scan_phrase_matches(&c, p);
+            assert_eq!(ix.phrase_matches(p), want, "phrase {p:?}");
+            matched[p.len().min(3) - 1] += usize::from(!want.is_empty());
+        }
+    }
+    assert!(
+        matched.iter().all(|&n| n > 50),
+        "too few matching phrases: {matched:?}"
+    );
 }
 
 #[test]

@@ -25,7 +25,8 @@ run cargo build --release --offline
 #   (`step1_parallel_equality`: batch ingestion and the TeRGraph kernels
 #   against their in-file references, extraction at 1 vs 8 threads),
 #   Step II graph features against their reference
-#   (`graph_features_oracle`), Step IV proposals against theirs
+#   (`graph_features_oracle`), Step II direct features against theirs
+#   (`direct_features_oracle`), Step IV proposals against theirs
 #   (`linkage_oracle`);
 # * resource-governance gates: budgets trip into truncated reports
 #   (`governor`), `boe-par` early exit keeps a deterministic prefix
