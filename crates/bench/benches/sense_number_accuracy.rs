@@ -8,7 +8,7 @@ use boe_bench::harness::Criterion;
 use boe_bench::{criterion_group, criterion_main};
 use boe_cluster::{Algorithm, InternalIndex};
 use boe_core::senses::{build_representation, Representation};
-use boe_corpus::context::{ContextScope, StemMap};
+use boe_corpus::context::ContextScope;
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::synth::mshwsd::MshWsdDataset;
 use boe_eval::exp_sense_number;
@@ -21,7 +21,6 @@ fn bench(c: &mut Criterion) {
 
     // Kernel: one entity's full k-sweep with the default method.
     let data = MshWsdDataset::generate(Language::English, &cfg.dataset);
-    let stems = StemMap::build(&data.corpus);
     let occ = OccurrenceIndex::build(&data.corpus);
     let entity = &data.entities[0];
     let sid = data
@@ -34,7 +33,6 @@ fn bench(c: &mut Criterion) {
         &occ,
         &[sid],
         Representation::BagOfWords,
-        &stems,
         ContextScope::Document,
     );
     ctxs.truncate(cfg.max_contexts);
@@ -58,7 +56,6 @@ fn bench(c: &mut Criterion) {
                 &occ,
                 &[sid],
                 Representation::BagOfWords,
-                &stems,
                 ContextScope::Document,
             )
         })

@@ -1,7 +1,7 @@
 //! The ontology-term inventory of a corpus: which ontology terms occur in
 //! the text, where, and with what aggregate context.
 
-use boe_corpus::context::{ContextOptions, ContextScope, DocContextCache, StemMap};
+use boe_corpus::context::{ContextOptions, ContextScope};
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
 use boe_ontology::{ConceptId, Ontology};
@@ -49,47 +49,21 @@ pub struct OntologyTermInventory {
 }
 
 impl OntologyTermInventory {
-    /// Scan `corpus` for every term of `onto` (preferred + synonyms) and
-    /// precompute contexts. Terms with zero occurrences are skipped.
-    /// Convenience wrapper that builds its own [`OccurrenceIndex`];
-    /// pipeline callers share one per run via
-    /// [`Self::build_with_extras`].
-    pub fn build(corpus: &Corpus, onto: &Ontology, stems: &StemMap) -> Self {
-        let occ = OccurrenceIndex::build(corpus);
-        Self::build_with_extras(corpus, onto, stems, &[], ContextScope::Sentence, &occ)
-    }
-
-    /// Like [`Self::build`], additionally indexing `extras` — corpus terms
-    /// (typically Step-I candidates) that are *not* in the ontology but
-    /// may still be proposed as positions, as in the paper's Table 3
-    /// ("re-epithelialization", "wound"). Extras carry no concepts.
-    /// Occurrences and contexts are resolved through `occ`, batched over
-    /// all surfaces in one fan-out instead of re-scanning the corpus per
-    /// term.
-    pub fn build_with_extras(
+    /// Scan `corpus` for every term of `onto` (preferred + synonyms)
+    /// and for `extras`, and harvest their aggregate contexts at
+    /// `scope`. Terms with zero occurrences are skipped. `extras` are
+    /// corpus terms (typically Step-I candidates) that are *not* in the
+    /// ontology but may still be proposed as positions, as in the
+    /// paper's Table 3 ("re-epithelialization", "wound"); they carry no
+    /// concepts. Occurrences and contexts are resolved through `occ`
+    /// (at document scope, through its context cache), batched over all
+    /// surfaces in one fan-out.
+    pub fn build(
         corpus: &Corpus,
         onto: &Ontology,
-        stems: &StemMap,
         extras: &[String],
         scope: ContextScope,
         occ: &OccurrenceIndex,
-    ) -> Self {
-        let cache = occ.context_cache(corpus, context_options(scope), Some(stems));
-        Self::build_cached(corpus, onto, stems, extras, scope, occ, cache.as_ref())
-    }
-
-    /// [`Self::build_with_extras`] harvesting contexts through `cache`,
-    /// which must be what [`OccurrenceIndex::context_cache`] returns for
-    /// [`context_options`]`(scope)` and `stems` — the linker keeps that
-    /// cache for its candidates.
-    pub(crate) fn build_cached(
-        corpus: &Corpus,
-        onto: &Ontology,
-        stems: &StemMap,
-        extras: &[String],
-        scope: ContextScope,
-        occ: &OccurrenceIndex,
-        cache: Option<&DocContextCache>,
     ) -> Self {
         let opts = context_options(scope);
         let mut terms = Vec::new();
@@ -127,7 +101,7 @@ impl OntologyTermInventory {
             .map(|(surface, _)| corpus.phrase_ids(surface).unwrap_or_default())
             .collect();
         let harvested = boe_par::par_map(&tokens_of, |phrase| {
-            occ.occurrences_and_context_cached(corpus, phrase, opts, Some(stems), cache)
+            occ.occurrences_and_context(corpus, phrase, opts)
         });
         for (((surface, key), tokens), (occs, context)) in
             surfaces.into_iter().zip(tokens_of).zip(harvested)
@@ -291,6 +265,17 @@ mod tests {
     use boe_ontology::OntologyBuilder;
     use boe_textkit::Language;
 
+    /// The sentence-scope inventory of every ontology term, no extras.
+    fn inventory(c: &Corpus, o: &Ontology) -> OntologyTermInventory {
+        OntologyTermInventory::build(
+            c,
+            o,
+            &[],
+            ContextScope::Sentence,
+            &OccurrenceIndex::build(c),
+        )
+    }
+
     fn world() -> (Corpus, Ontology) {
         let mut ob = OntologyBuilder::new("t", Language::English);
         let eye = ob.add_concept("eye diseases", vec![]);
@@ -307,8 +292,7 @@ mod tests {
     #[test]
     fn finds_occurring_terms_only() {
         let (c, o) = world();
-        let stems = StemMap::build(&c);
-        let inv = OntologyTermInventory::build(&c, &o, &stems);
+        let inv = inventory(&c, &o);
         assert!(inv.get("corneal diseases").is_some());
         assert!(inv.get("keratopathy").is_some());
         assert!(inv.get("eye diseases").is_some());
@@ -320,8 +304,7 @@ mod tests {
     #[test]
     fn linked_terms_carry_concepts_and_contexts() {
         let (c, o) = world();
-        let stems = StemMap::build(&c);
-        let inv = OntologyTermInventory::build(&c, &o, &stems);
+        let inv = inventory(&c, &o);
         let t = inv.get("keratopathy").expect("linked");
         assert_eq!(t.concepts, o.concepts_of_term("keratopathy").to_vec());
         assert_eq!(t.freq, 1);
@@ -331,8 +314,7 @@ mod tests {
     #[test]
     fn cooccurrence_neighbourhood() {
         let (c, o) = world();
-        let stems = StemMap::build(&c);
-        let inv = OntologyTermInventory::build(&c, &o, &stems);
+        let inv = inventory(&c, &o);
         // Sentence (0, 0) contains "corneal diseases" only; (0, 1)
         // contains "eye diseases".
         let nb = inv.cooccurring(&[(0, 0)]);
@@ -347,8 +329,7 @@ mod tests {
     #[test]
     fn inverted_index_cosines_are_bit_identical() {
         let (c, o) = world();
-        let stems = StemMap::build(&c);
-        let inv = OntologyTermInventory::build(&c, &o, &stems);
+        let inv = inventory(&c, &o);
         // Query with a context that overlaps some terms but not others.
         let query = inv.get("corneal diseases").expect("linked").context.clone();
         let all: Vec<usize> = (0..inv.len()).collect();
@@ -397,8 +378,7 @@ mod tests {
         cb.add_text("the cornea scars. vision fades.");
         cb.add_text("eye diseases worsen. keratopathy persists.");
         let c = cb.build();
-        let stems = StemMap::build(&c);
-        let inv = OntologyTermInventory::build(&c, &o, &stems);
+        let inv = inventory(&c, &o);
         assert_eq!(inv.len(), 4);
         // (0, 0) holds three terms.
         assert_eq!(inv.cooccurring(&[(0, 0)]).len(), 3);
@@ -455,8 +435,7 @@ mod tests {
             let mut cb = CorpusBuilder::new(lang);
             cb.add_text(text);
             let c = cb.build();
-            let stems = StemMap::build(&c);
-            let inv = OntologyTermInventory::build(&c, &o, &stems);
+            let inv = inventory(&c, &o);
             let mut linked = 0;
             for concept in o.concepts() {
                 let want: Vec<usize> = concept.terms().filter_map(|t| inv.index_of(t)).collect();
@@ -480,8 +459,7 @@ mod tests {
         let mut cb = CorpusBuilder::new(Language::English);
         cb.add_text("cornea meets cornea in one sentence.");
         let c = cb.build();
-        let stems = StemMap::build(&c);
-        let inv = OntologyTermInventory::build(&c, &o, &stems);
+        let inv = inventory(&c, &o);
         let t = inv.get("cornea").expect("linked");
         assert_eq!(t.freq, 2);
         assert_eq!(inv.sentence_terms, vec![(0, 0, 0)], "one sentence");

@@ -1,7 +1,7 @@
 //! The semantic linker.
 
 use crate::linkage::inventory::{context_options, OntologyTermInventory};
-use boe_corpus::context::{ContextScope, DocContextCache, StemMap};
+use boe_corpus::context::ContextScope;
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::Corpus;
 use boe_ontology::{query, ConceptId, Ontology};
@@ -74,12 +74,7 @@ impl Default for LinkerConfig {
 pub struct SemanticLinker<'c> {
     corpus: &'c Corpus,
     ontology: &'c Ontology,
-    stems: StemMap,
     occ: Arc<OccurrenceIndex>,
-    /// Document-scope context bases, shared by the inventory harvest and
-    /// every candidate (`None` at sentence scope and under the naive
-    /// backend, which build each context directly).
-    cache: Option<DocContextCache>,
     inventory: OntologyTermInventory,
     config: LinkerConfig,
 }
@@ -113,23 +108,12 @@ impl<'c> SemanticLinker<'c> {
         candidates: &[String],
         occ: Arc<OccurrenceIndex>,
     ) -> Self {
-        let stems = StemMap::build(corpus);
-        let cache = occ.context_cache(corpus, context_options(config.scope), Some(&stems));
-        let inventory = OntologyTermInventory::build_cached(
-            corpus,
-            ontology,
-            &stems,
-            candidates,
-            config.scope,
-            &occ,
-            cache.as_ref(),
-        );
+        let inventory =
+            OntologyTermInventory::build(corpus, ontology, candidates, config.scope, &occ);
         SemanticLinker {
             corpus,
             ontology,
-            stems,
             occ,
-            cache,
             inventory,
             config,
         }
@@ -145,7 +129,8 @@ impl<'c> SemanticLinker<'c> {
     /// corpus.
     ///
     /// The cost follows what the candidate touches: its occurrences (a
-    /// document-scope context comes from the retained cache), the
+    /// document-scope context comes from the occurrence index's cache,
+    /// shared with the inventory harvest), the
     /// sentences they sit in, and the positions they reach. Position
     /// contexts are scored through the inventory's inverted index
     /// ([`OntologyTermInventory::cosines_against`]), and only the
@@ -156,12 +141,10 @@ impl<'c> SemanticLinker<'c> {
         };
         // One positional resolution serves both the occurrence list and
         // the aggregate context.
-        let (occs, context) = self.occ.occurrences_and_context_cached(
+        let (occs, context) = self.occ.occurrences_and_context(
             self.corpus,
             &tokens,
             context_options(self.config.scope),
-            Some(&self.stems),
-            self.cache.as_ref(),
         );
         if occs.is_empty() {
             return Vec::new();

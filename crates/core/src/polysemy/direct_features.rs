@@ -81,7 +81,7 @@ pub fn direct_features(
     };
     let ctxs: Vec<SparseVector> = occs
         .iter()
-        .map(|&o| context_vector(corpus, o, phrase.len(), opts, None))
+        .map(|&o| context_vector(corpus, o, phrase.len(), opts))
         .collect();
     let (mean_sim, var_sim) = context_self_similarity(&ctxs);
 

@@ -4,7 +4,7 @@ use crate::senses::representation::{build_representation, Representation};
 use boe_cluster::features::{induce_concepts, InducedConcept};
 use boe_cluster::kpredict::{predict_k, KPredictConfig};
 use boe_cluster::{Algorithm, ClusterSolution, InternalIndex};
-use boe_corpus::context::{ContextScope, StemMap};
+use boe_corpus::context::ContextScope;
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
 use boe_textkit::TokenId;
@@ -78,7 +78,6 @@ pub struct InducedSenses {
 #[derive(Debug)]
 pub struct SenseInducer<'c> {
     corpus: &'c Corpus,
-    stems: StemMap,
     occ: Arc<OccurrenceIndex>,
     config: SenseInducerConfig,
 }
@@ -98,7 +97,6 @@ impl<'c> SenseInducer<'c> {
     ) -> Self {
         SenseInducer {
             corpus,
-            stems: StemMap::build(corpus),
             occ,
             config,
         }
@@ -125,7 +123,6 @@ impl<'c> SenseInducer<'c> {
             &self.occ,
             phrase,
             self.config.representation,
-            &self.stems,
             self.config.scope,
         );
         // Chaos corruption is keyed by (phrase, context position), never
@@ -149,22 +146,6 @@ impl<'c> SenseInducer<'c> {
             }
         }
         (ctxs, repaired)
-    }
-
-    /// Predict only the number of senses of a (polysemic) term.
-    /// `None` when the term has fewer than 2 contexts.
-    pub fn predict_sense_count(&self, phrase: &[TokenId]) -> Option<usize> {
-        let ctxs = self.contexts(phrase);
-        predict_k(
-            &ctxs,
-            KPredictConfig {
-                k_range: self.config.k_range,
-                algorithm: self.config.algorithm,
-                index: self.config.index,
-                seed: self.config.seed,
-            },
-        )
-        .map(|p| p.k)
     }
 
     /// Induce the senses of a term. `is_polysemic` comes from Step II;
@@ -223,7 +204,7 @@ impl<'c> SenseInducer<'c> {
     /// resolved).
     pub fn feature_label(&self, dim: u32) -> Option<&str> {
         match self.config.representation {
-            Representation::BagOfWords => self.stems.stems().try_text(boe_textkit::TokenId(dim)),
+            Representation::BagOfWords => self.corpus.stem_text(dim),
             Representation::Graph => None,
         }
     }
@@ -292,7 +273,7 @@ mod tests {
         let c = corpus();
         let inducer = SenseInducer::new(&c, SenseInducerConfig::default());
         let ids = c.phrase_ids("poly").expect("known");
-        assert_eq!(inducer.predict_sense_count(&ids), Some(2));
+        assert_eq!(inducer.induce(&ids, true).k, 2);
     }
 
     #[test]

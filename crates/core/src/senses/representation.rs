@@ -11,7 +11,7 @@
 //!   single words are shared between senses but their combinations are
 //!   not.
 
-use boe_corpus::context::{ContextOptions, ContextScope, StemMap};
+use boe_corpus::context::{ContextOptions, ContextScope};
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
 use boe_textkit::TokenId;
@@ -58,48 +58,49 @@ fn pair_dim(a: u32, b: u32) -> u32 {
 /// representation. Context = the occurrence's sentence minus the phrase,
 /// stopwords and non-lexical tokens, stem-conflated. Use
 /// [`ContextScope::Document`] when each document is one citation-style
-/// context (the MSH-WSD setting). Occurrences are resolved through
-/// `occ`, shared with the other pipeline stages.
+/// context (the MSH-WSD setting). Contexts come from `occ`, shared with
+/// the other pipeline stages; at document scope they come from its
+/// per-document cache, which the linker shares.
 pub fn build_representation(
     corpus: &Corpus,
     occ: &OccurrenceIndex,
     phrase: &[TokenId],
     repr: Representation,
-    stems: &StemMap,
     scope: ContextScope,
 ) -> Vec<SparseVector> {
-    let occs = occ.find_occurrences(corpus, phrase);
     let opts = ContextOptions {
         window: None,
         stemmed: true,
         scope,
     };
-    occs.into_iter()
-        .map(|occ| {
-            let bow =
-                boe_corpus::context::context_vector(corpus, occ, phrase.len(), opts, Some(stems));
-            match repr {
-                Representation::BagOfWords => bow,
-                Representation::Graph => {
-                    let dims: Vec<u32> = bow.iter().map(|(d, _)| d).collect();
-                    let mut pairs = Vec::new();
-                    for i in 0..dims.len() {
-                        for j in (i + 1)..dims.len() {
-                            pairs.push((pair_dim(dims[i], dims[j]), 1.0));
-                        }
-                    }
-                    SparseVector::from_pairs(pairs)
-                }
-            }
-        })
-        .collect()
+    let bows = occ.contexts(corpus, phrase, opts);
+    match repr {
+        Representation::BagOfWords => bows,
+        Representation::Graph => bows.iter().map(graph_vector).collect(),
+    }
+}
+
+/// The graph representation of one bag-of-words context: one dimension
+/// per pair of its words.
+fn graph_vector(bow: &SparseVector) -> SparseVector {
+    let dims: Vec<u32> = bow.iter().map(|(d, _)| d).collect();
+    let mut pairs = Vec::new();
+    for i in 0..dims.len() {
+        for j in (i + 1)..dims.len() {
+            pairs.push((pair_dim(dims[i], dims[j]), 1.0));
+        }
+    }
+    SparseVector::from_pairs(pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boe_corpus::context::context_vector;
     use boe_corpus::corpus::CorpusBuilder;
     use boe_textkit::Language;
+
+    const SCOPES: [ContextScope; 2] = [ContextScope::Sentence, ContextScope::Document];
 
     fn corpus(texts: &[&str]) -> Corpus {
         let mut b = CorpusBuilder::new(Language::English);
@@ -109,39 +110,37 @@ mod tests {
         b.build()
     }
 
+    /// `build_representation` through a fresh index, one call per
+    /// representation and scope.
+    fn build(
+        c: &Corpus,
+        phrase: &str,
+        repr: Representation,
+        scope: ContextScope,
+    ) -> Vec<SparseVector> {
+        let ids = c.phrase_ids(phrase).expect("known");
+        build_representation(c, &OccurrenceIndex::build(c), &ids, repr, scope)
+    }
+
     #[test]
     fn bow_vectors_one_per_occurrence() {
         let c = corpus(&["target alpha beta.", "target gamma delta."]);
-        let stems = StemMap::build(&c);
-        let ids = c.phrase_ids("target").expect("known");
-        let vs = build_representation(
-            &c,
-            &OccurrenceIndex::build(&c),
-            &ids,
-            Representation::BagOfWords,
-            &stems,
-            ContextScope::Sentence,
-        );
-        assert_eq!(vs.len(), 2);
-        assert!(vs.iter().all(|v| v.nnz() == 2));
-        assert_eq!(vs[0].cosine(&vs[1]), 0.0, "disjoint contexts");
+        for scope in SCOPES {
+            let vs = build(&c, "target", Representation::BagOfWords, scope);
+            assert_eq!(vs.len(), 2);
+            assert!(vs.iter().all(|v| v.nnz() == 2));
+            assert_eq!(vs[0].cosine(&vs[1]), 0.0, "disjoint contexts");
+        }
     }
 
     #[test]
     fn graph_vectors_encode_pairs() {
         let c = corpus(&["target alpha beta gamma."]);
-        let stems = StemMap::build(&c);
-        let ids = c.phrase_ids("target").expect("known");
-        let vs = build_representation(
-            &c,
-            &OccurrenceIndex::build(&c),
-            &ids,
-            Representation::Graph,
-            &stems,
-            ContextScope::Sentence,
-        );
-        // 3 context words → C(3,2) = 3 pair dimensions.
-        assert_eq!(vs[0].nnz(), 3);
+        for scope in SCOPES {
+            let vs = build(&c, "target", Representation::Graph, scope);
+            // 3 context words → C(3,2) = 3 pair dimensions.
+            assert_eq!(vs[0].nnz(), 3);
+        }
     }
 
     #[test]
@@ -153,31 +152,52 @@ mod tests {
             "target common beta.",
             "target common alpha.",
         ]);
-        let stems = StemMap::build(&c);
-        let ids = c.phrase_ids("target").expect("known");
-        let bow = build_representation(
-            &c,
-            &OccurrenceIndex::build(&c),
-            &ids,
-            Representation::BagOfWords,
-            &stems,
-            ContextScope::Sentence,
-        );
-        let graph = build_representation(
-            &c,
-            &OccurrenceIndex::build(&c),
-            &ids,
-            Representation::Graph,
-            &stems,
-            ContextScope::Sentence,
-        );
-        // occurrences 0 and 1: bow share "common" → cos = 0.5; graph pair
-        // dims (common,alpha) vs (common,beta) are disjoint → cos = 0.
-        assert!(bow[0].cosine(&bow[1]) > 0.4);
-        assert_eq!(graph[0].cosine(&graph[1]), 0.0);
-        // identical contexts stay identical in both.
-        assert!((bow[0].cosine(&bow[2]) - 1.0).abs() < 1e-9);
-        assert!((graph[0].cosine(&graph[2]) - 1.0).abs() < 1e-9);
+        for scope in SCOPES {
+            let bow = build(&c, "target", Representation::BagOfWords, scope);
+            let graph = build(&c, "target", Representation::Graph, scope);
+            // occurrences 0 and 1: bow share "common" → cos = 0.5; graph
+            // pair dims (common,alpha) vs (common,beta) are disjoint →
+            // cos = 0.
+            assert!(bow[0].cosine(&bow[1]) > 0.4);
+            assert_eq!(graph[0].cosine(&graph[1]), 0.0);
+            // identical contexts stay identical in both.
+            assert!((bow[0].cosine(&bow[2]) - 1.0).abs() < 1e-9);
+            assert!((graph[0].cosine(&graph[2]) - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn representations_match_per_occurrence_contexts() {
+        // Several occurrences per document and sentence, so document
+        // scope differs from sentence scope and the cached document
+        // bases lose different tokens per occurrence.
+        let c = corpus(&[
+            "target graft heals. grafted target tissue scars target.",
+            "the target membrane. amniotic membranes cover a target.",
+            "no mention here.",
+        ]);
+        let phrase = c.phrase_ids("target").expect("known");
+        let ox = OccurrenceIndex::build(&c);
+        let occs = ox.find_occurrences(&c, &phrase);
+        for scope in SCOPES {
+            let opts = ContextOptions {
+                window: None,
+                stemmed: true,
+                scope,
+            };
+            let want: Vec<SparseVector> = occs
+                .iter()
+                .map(|&o| context_vector(&c, o, phrase.len(), opts))
+                .collect();
+            for repr in Representation::ALL {
+                let want: Vec<SparseVector> = match repr {
+                    Representation::BagOfWords => want.clone(),
+                    Representation::Graph => want.iter().map(graph_vector).collect(),
+                };
+                let got = build_representation(&c, &ox, &phrase, repr, scope);
+                assert_eq!(got, want, "{repr} at {scope:?}");
+            }
+        }
     }
 
     #[test]
@@ -189,17 +209,10 @@ mod tests {
     #[test]
     fn stemming_conflates_context_variants() {
         let c = corpus(&["target graft tissue.", "target grafts tissue."]);
-        let stems = StemMap::build(&c);
-        let ids = c.phrase_ids("target").expect("known");
-        let vs = build_representation(
-            &c,
-            &OccurrenceIndex::build(&c),
-            &ids,
-            Representation::BagOfWords,
-            &stems,
-            ContextScope::Sentence,
-        );
-        assert!((vs[0].cosine(&vs[1]) - 1.0).abs() < 1e-9);
+        for scope in SCOPES {
+            let vs = build(&c, "target", Representation::BagOfWords, scope);
+            assert!((vs[0].cosine(&vs[1]) - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 
 use crate::termex::candidates::{try_extract_candidates, CandidateOptions, CandidateSet};
 use crate::termex::lidf::lidf_values;
-use crate::termex::measures::{c_values, f_ocapis, f_tfidf_cs, phrase_okapis, phrase_tf_idfs};
+use crate::termex::measures::{
+    c_values, f_ocapis, f_tfidf_cs, phrase_okapis, phrase_tf_idfs, Bm25Params,
+};
 use crate::termex::tergraph::{tergraph_scores, term_cooccurrence_graph};
 use boe_corpus::index::InvertedIndex;
-use boe_corpus::weighting::Bm25Params;
 use boe_corpus::Corpus;
 use boe_textkit::pattern::PatternSet;
 

@@ -3,8 +3,10 @@
 use crate::doc::{DocId, Document, Sentence};
 use boe_textkit::pos::{PosTag, PosTagger};
 use boe_textkit::sentence::split_sentences;
+use boe_textkit::stem;
 use boe_textkit::stopwords::StopwordSet;
 use boe_textkit::{Language, Token, TokenId, Tokenizer, Vocabulary};
+use std::sync::OnceLock;
 
 /// A tokenized, tagged, interned document collection for one language.
 #[derive(Debug, Clone)]
@@ -14,6 +16,19 @@ pub struct Corpus {
     docs: Vec<Document>,
     /// `stop[id] == true` iff the token is a stopword (parallel to vocab).
     stop: Vec<bool>,
+    /// The stem map, built on the first stem query: only Steps III–IV
+    /// and stemmed contexts need it, so Step-I-only callers never pay
+    /// for the stemmer pass.
+    stems: OnceLock<StemMap>,
+}
+
+/// Every token id's stem dimension, and the stem vocabulary that names
+/// the dimensions.
+#[derive(Debug, Clone)]
+struct StemMap {
+    /// Stem dimension per token id (parallel to the vocabulary).
+    dims: Vec<u32>,
+    stems: Vocabulary,
 }
 
 impl Corpus {
@@ -63,6 +78,36 @@ impl Corpus {
     /// Resolve a token id back to its surface form.
     pub fn text(&self, id: TokenId) -> &str {
         self.vocab.text(id)
+    }
+
+    /// The stem dimension of a token: inflectional variants ("graft",
+    /// "grafts") share one dimension. Stems are interned in vocabulary
+    /// order, so dimensions are deterministic for a given corpus.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a token id of this corpus.
+    pub fn stem_dim(&self, id: TokenId) -> u32 {
+        self.stem_map().dims[id.index()]
+    }
+
+    /// The stem a dimension from [`Self::stem_dim`] stands for, or `None`
+    /// for a dimension no token of this corpus maps to.
+    pub fn stem_text(&self, dim: u32) -> Option<&str> {
+        self.stem_map().stems.try_text(TokenId(dim))
+    }
+
+    /// The stem map, built by one stemmer pass over the vocabulary on
+    /// first use.
+    fn stem_map(&self) -> &StemMap {
+        self.stems.get_or_init(|| {
+            let mut stems = Vocabulary::new();
+            let dims = self
+                .vocab
+                .iter()
+                .map(|(_, text)| stems.intern(&stem::stem(self.lang, text)).0)
+                .collect();
+            StemMap { dims, stems }
+        })
     }
 
     /// Intern a phrase ("corneal injuries") into the token-id sequence it
@@ -262,6 +307,7 @@ impl CorpusBuilder {
             vocab: self.vocab,
             docs: self.docs,
             stop: self.stop,
+            stems: OnceLock::new(),
         }
     }
 }

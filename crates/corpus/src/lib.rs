@@ -4,16 +4,16 @@
 //! workflow:
 //!
 //! * [`doc`] / [`corpus`] — tokenized, POS-tagged document collections over
-//!   an interned vocabulary;
+//!   an interned vocabulary and its stem map;
 //! * [`index`] — inverted index with positional postings;
-//! * [`occurrence`] — index-backed phrase-occurrence resolution shared
-//!   by Steps I–IV (rarest-token postings walk, batch context
-//!   harvesting), bit-identical to a full corpus scan;
+//! * [`occurrence`] — index-backed phrase-occurrence resolution and
+//!   context harvesting shared by Steps I–IV (rarest-token postings
+//!   walk, the document-scope context cache), bit-identical to a full
+//!   corpus scan;
 //! * [`stats`] — frequency and windowed co-occurrence statistics;
 //! * [`vector`] — sparse vectors and the cosine kernel every downstream
 //!   step (clustering, linkage) runs on;
-//! * [`weighting`] — TF-IDF and Okapi BM25;
-//! * [`context`] — harvesting context windows around term occurrences;
+//! * [`context`] — the context vector around one term occurrence;
 //! * [`synth`] — the synthetic-data generators that stand in for PubMed
 //!   and MSH-WSD (see DESIGN.md §2 for the substitution argument).
 
@@ -28,7 +28,6 @@ pub mod occurrence;
 pub mod stats;
 pub mod synth;
 pub mod vector;
-pub mod weighting;
 
 pub use corpus::{Corpus, CorpusBuilder, CorpusHygiene};
 pub use doc::{DocId, Document, Sentence};

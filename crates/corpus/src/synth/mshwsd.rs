@@ -228,7 +228,7 @@ mod tests {
             stemmed: false,
             scope: ContextScope::Sentence,
         };
-        let ctxs = OccurrenceIndex::build(&d.corpus).contexts(&d.corpus, &[id], opts, None);
+        let ctxs = OccurrenceIndex::build(&d.corpus).contexts(&d.corpus, &[id], opts);
         assert!(!ctxs.is_empty());
         // Aggregate per gold sense and check cross-sense cosine is far
         // below within-sense self-similarity.

@@ -1,16 +1,16 @@
 //! Randomized equivalence: the positional [`OccurrenceIndex`] must
 //! reproduce a naive full-corpus scan (kept in this file as the oracle)
-//! bit for bit — same occurrences in the same order, same aggregate
-//! context vectors — on seeded random corpora, including accented
-//! French/Spanish surfaces and phrases that only ever span a sentence
-//! boundary (which must match nowhere).
+//! bit for bit — same occurrences in the same order, same per-occurrence
+//! and aggregate context vectors, raw and stemmed, at sentence and at
+//! document scope (where the index answers from its per-document cache)
+//! — on seeded random corpora, including accented French/Spanish
+//! surfaces and phrases that only ever span a sentence boundary (which
+//! must match nowhere).
 //!
 //! Driven by the workspace's own deterministic PRNG (no external
 //! dependencies).
 
-use boe_corpus::context::{
-    context_vector, ContextOptions, ContextScope, DocContextCache, Occurrence, StemMap,
-};
+use boe_corpus::context::{context_vector, ContextOptions, ContextScope, Occurrence};
 use boe_corpus::corpus::CorpusBuilder;
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
@@ -43,19 +43,32 @@ fn find_occurrences_naive(corpus: &Corpus, phrase: &[TokenId]) -> Vec<Occurrence
     out
 }
 
-/// The oracle's aggregate context: the naive scan's occurrences, one
-/// [`context_vector`] each, summed in order.
-fn aggregate_context(
-    corpus: &Corpus,
-    phrase: &[TokenId],
-    opts: ContextOptions,
-    stems: Option<&StemMap>,
-) -> SparseVector {
-    let vectors: Vec<SparseVector> = find_occurrences_naive(corpus, phrase)
+/// The oracle's contexts: the naive scan's occurrences, one
+/// [`context_vector`] each, built from scratch.
+fn contexts_naive(corpus: &Corpus, phrase: &[TokenId], opts: ContextOptions) -> Vec<SparseVector> {
+    find_occurrences_naive(corpus, phrase)
         .into_iter()
-        .map(|occ| context_vector(corpus, occ, phrase.len(), opts, stems))
-        .collect();
-    SparseVector::sum_of(&vectors)
+        .map(|occ| context_vector(corpus, occ, phrase.len(), opts))
+        .collect()
+}
+
+/// Every context option worth checking: raw and stemmed, sentence scope
+/// whole and windowed, and document scope with and without a window
+/// (which document scope ignores).
+fn opts_grid() -> Vec<ContextOptions> {
+    let mut grid = Vec::new();
+    for stemmed in [false, true] {
+        for scope in [ContextScope::Sentence, ContextScope::Document] {
+            for window in [None, Some(3)] {
+                grid.push(ContextOptions {
+                    window,
+                    stemmed,
+                    scope,
+                });
+            }
+        }
+    }
+    grid
 }
 
 /// Word pool mixing plain ASCII with accented French/Spanish surfaces —
@@ -149,6 +162,13 @@ fn assert_vectors_bit_identical(a: &SparseVector, b: &SparseVector, what: &str) 
     }
 }
 
+fn assert_contexts_bit_identical(a: &[SparseVector], b: &[SparseVector], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: count");
+    for (x, y) in a.iter().zip(b) {
+        assert_vectors_bit_identical(x, y, what);
+    }
+}
+
 #[test]
 fn indexed_resolution_is_bit_identical_to_naive_scan() {
     let mut rng = StdRng::seed_from_u64(0x0CC1);
@@ -156,27 +176,8 @@ fn indexed_resolution_is_bit_identical_to_naive_scan() {
     for case in 0..CASES {
         let language = languages[case % languages.len()];
         let c = rand_corpus(&mut rng, language);
-        let stems = StemMap::build(&c);
         let indexed = OccurrenceIndex::build(&c);
-
         let phrases = probe_phrases(&mut rng, &c);
-        let opts_grid = [
-            ContextOptions {
-                window: None,
-                stemmed: false,
-                scope: ContextScope::Sentence,
-            },
-            ContextOptions {
-                window: Some(3),
-                stemmed: true,
-                scope: ContextScope::Sentence,
-            },
-            ContextOptions {
-                window: None,
-                stemmed: true,
-                scope: ContextScope::Document,
-            },
-        ];
 
         for phrase in &phrases {
             let reference = find_occurrences_naive(&c, phrase);
@@ -190,38 +191,29 @@ fn indexed_resolution_is_bit_identical_to_naive_scan() {
                 !reference.is_empty(),
                 "case {case}: contains diverges"
             );
-            for opts in opts_grid {
-                let want = aggregate_context(&c, phrase, opts, Some(&stems));
-                let got = indexed.aggregate_context(&c, phrase, opts, Some(&stems));
-                assert_vectors_bit_identical(&got, &want, "aggregate context");
+            // Per-occurrence vectors and the grouped aggregate, both from
+            // the document-scope cache at document scope.
+            for opts in opts_grid() {
+                let want = contexts_naive(&c, phrase, opts);
+                let what = format!("case {case}, {opts:?}");
+                let got = indexed.contexts(&c, phrase, opts);
+                assert_contexts_bit_identical(&got, &want, &what);
+                let (occs, ctx) = indexed.occurrences_and_context(&c, phrase, opts);
+                assert_eq!(occs, reference, "{what}: occurrences diverge");
+                assert_vectors_bit_identical(&ctx, &SparseVector::sum_of(&want), &what);
             }
         }
 
-        // The document-scope context cache: per-occurrence vectors and
-        // grouped aggregates must both match the direct construction.
-        let doc_opts = opts_grid[2];
-        let cache = DocContextCache::build(&c, doc_opts, Some(&stems));
-        for phrase in &phrases {
-            let occs = find_occurrences_naive(&c, phrase);
-            for &o in &occs {
-                let want = context_vector(&c, o, phrase.len(), doc_opts, Some(&stems));
-                let got = cache.context_vector(o, phrase.len());
-                assert_vectors_bit_identical(&got, &want, "cached context vector");
-            }
-            let want = aggregate_context(&c, phrase, doc_opts, Some(&stems));
-            let got = cache.aggregate(&occs, phrase.len());
-            assert_vectors_bit_identical(&got, &want, "cached aggregate");
-        }
-
-        // Batch harvesting: same results, input order preserved — at
-        // document scope this also exercises the per-document
-        // context-base cache.
-        for opts in opts_grid {
-            let batch = indexed.aggregate_contexts_for(&c, &phrases, opts, Some(&stems));
+        // A parallel harvest through a fresh index, so each cache is
+        // first built inside the fan-out: same results, input order
+        // preserved.
+        let fresh = OccurrenceIndex::build(&c);
+        for opts in opts_grid() {
+            let batch = boe_par::par_map(&phrases, |p| fresh.occurrences_and_context(&c, p, opts));
             assert_eq!(batch.len(), phrases.len());
             for (phrase, (occs, ctx)) in phrases.iter().zip(&batch) {
                 assert_eq!(occs, &find_occurrences_naive(&c, phrase), "case {case}");
-                let want = aggregate_context(&c, phrase, opts, Some(&stems));
+                let want = SparseVector::sum_of(&contexts_naive(&c, phrase, opts));
                 assert_vectors_bit_identical(ctx, &want, "batch context");
             }
         }

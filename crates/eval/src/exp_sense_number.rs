@@ -10,7 +10,7 @@
 use crate::table::{pct, Table};
 use boe_cluster::{Algorithm, ClusterSolution, InternalIndex};
 use boe_core::senses::{build_representation, Representation};
-use boe_corpus::context::{ContextScope, StemMap};
+use boe_corpus::context::ContextScope;
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::synth::mshwsd::{MshWsdConfig, MshWsdDataset};
 use boe_corpus::SparseVector;
@@ -115,7 +115,6 @@ impl SenseNumberResult {
 /// Run the experiment.
 pub fn run(config: &SenseNumberConfig) -> SenseNumberResult {
     let data = MshWsdDataset::generate(Language::English, &config.dataset);
-    let stems = StemMap::build(&data.corpus);
     let occ = OccurrenceIndex::build(&data.corpus);
     let n = data.entities.len();
     let majority = data.entities.iter().filter(|e| e.k == 2).count() as f64 / n as f64;
@@ -135,7 +134,6 @@ pub fn run(config: &SenseNumberConfig) -> SenseNumberResult {
                 &occ,
                 &[surface_id],
                 repr,
-                &stems,
                 ContextScope::Document,
             );
             // Subsample with an even stride: contexts arrive grouped by
@@ -216,7 +214,6 @@ pub fn clustering_quality(
     representation: Representation,
 ) -> (f64, f64, f64) {
     let data = MshWsdDataset::generate(Language::English, &config.dataset);
-    let stems = StemMap::build(&data.corpus);
     let occ = OccurrenceIndex::build(&data.corpus);
     let mut sums = (0.0, 0.0, 0.0);
     let mut n = 0usize;
@@ -231,7 +228,6 @@ pub fn clustering_quality(
             &occ,
             &[surface_id],
             representation,
-            &stems,
             ContextScope::Document,
         );
         // Contexts arrive in snippet order, so gold sense labels align

@@ -517,8 +517,7 @@ mod tests {
             stemmed: true,
             scope: ContextScope::Sentence,
         };
-        let stems = boe_corpus::context::StemMap::build(&w.corpus);
-        let ctxs = OccurrenceIndex::build(&w.corpus).contexts(&w.corpus, &ids, opts, Some(&stems));
+        let ctxs = OccurrenceIndex::build(&w.corpus).contexts(&w.corpus, &ids, opts);
         // Cluster into 2: external quality against concept-of-origin
         // cannot be computed without doc→concept labels, but the two
         // concept profiles are topically distinct, so a 2-way clustering

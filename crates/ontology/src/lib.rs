@@ -19,7 +19,6 @@
 
 pub mod edit;
 pub mod io;
-pub mod metrics;
 pub mod model;
 pub mod polysemy;
 pub mod query;

@@ -33,7 +33,9 @@ run cargo build --release --offline
 #   (`early_exit`), every chaos site × mode × {1,8} threads stays
 #   bit-identical (`chaos_matrix`);
 # * occurrence-index gate: the positional index reproduces an in-file
-#   naive scan, occurrences and contexts (`occurrence_index_equality`).
+#   naive scan, occurrences and contexts, cached document-scope contexts
+#   included (`occurrence_index_equality`); the corpus stem map matches
+#   an in-file reference (`stem_map`).
 run timeout "$TEST_TIMEOUT" cargo test -q --offline
 # `perfbench/` is its own workspace (the end-to-end benchmark runner),
 # so the pass above never builds it. Its tests catch a library API break
@@ -45,6 +47,16 @@ run cargo fmt --check
 # Broken intra-doc links fail the build, so docs cannot keep pointing at
 # deleted items.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+# The paper's numbers: a fresh `run_experiments --full` (about a minute
+# on 2 cores) must reproduce the committed `experiments_full.txt` byte
+# for byte, so a refactor or perf change cannot move them silently. The
+# output is deterministic at any thread count; a change that means to
+# move a number regenerates the file (and EXPERIMENTS.md) with it.
+echo "==> run_experiments --full, diffed against experiments_full.txt"
+BOE_CHAOS=off cargo run --release --offline -q -p boe-eval --bin run_experiments -- --full \
+    > target/experiments_full.txt
+diff -u experiments_full.txt target/experiments_full.txt
 
 # A small perf-report smoke run with the runtime forced to 2 threads.
 # Benches always run with chaos explicitly disarmed — an inherited

@@ -138,7 +138,7 @@ fn oracle_direct_features(
     };
     let ctxs: Vec<SparseVector> = occs
         .iter()
-        .map(|&o| context_vector(corpus, o, phrase.len(), opts, None))
+        .map(|&o| context_vector(corpus, o, phrase.len(), opts))
         .collect();
     let (mean_sim, var_sim) = leave_one_out(&ctxs);
 

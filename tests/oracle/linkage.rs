@@ -1,13 +1,14 @@
 //! Step IV reference: `SemanticLinker::propose` as first written, on
 //! public API only. Every candidate context is built directly per
-//! occurrence (`occurrences_and_context`, no document-context cache),
+//! occurrence (`find_occurrences`, then `context_vector` per occurrence,
+//! summed with `SparseVector::sum_of`; no document-context cache),
 //! the neighbourhood scans every term's sentence presence against a
 //! `HashSet` of the candidate's sentences, positions go through a
 //! `HashMap` keyed by `index_of` lookups, and every target is cloned
 //! into a proposition and merge-join scored before ranking.
 
-use bio_onto_enrich::corpus::context::{ContextOptions, StemMap};
-use bio_onto_enrich::corpus::{Corpus, OccurrenceIndex};
+use bio_onto_enrich::corpus::context::{context_vector, ContextOptions};
+use bio_onto_enrich::corpus::{Corpus, OccurrenceIndex, SparseVector};
 use bio_onto_enrich::ontology::{query, ConceptId, Ontology};
 use bio_onto_enrich::textkit::normalize::match_key;
 use bio_onto_enrich::workflow::linkage::{
@@ -21,7 +22,6 @@ pub struct LinkageOracle<'a> {
     ontology: &'a Ontology,
     inventory: &'a OntologyTermInventory,
     config: LinkerConfig,
-    stems: StemMap,
     occ: OccurrenceIndex,
     /// Per inventory term: sorted, deduplicated `(doc, sentence)` pairs
     /// where it occurs.
@@ -57,7 +57,6 @@ impl<'a> LinkageOracle<'a> {
             ontology,
             inventory,
             config,
-            stems: StemMap::build(corpus),
             occ,
             presence,
         }
@@ -73,9 +72,12 @@ impl<'a> LinkageOracle<'a> {
             stemmed: true,
             scope: self.config.scope,
         };
-        let (occs, candidate_ctx) =
-            self.occ
-                .occurrences_and_context(self.corpus, &tokens, opts, Some(&self.stems));
+        let occs = self.occ.find_occurrences(self.corpus, &tokens);
+        let contexts: Vec<SparseVector> = occs
+            .iter()
+            .map(|&o| context_vector(self.corpus, o, tokens.len(), opts))
+            .collect();
+        let candidate_ctx = SparseVector::sum_of(&contexts);
         if occs.is_empty() {
             return Vec::new();
         }
