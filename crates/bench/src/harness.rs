@@ -1,173 +1,5 @@
-//! Minimal, dependency-free bench harness with a Criterion-compatible
-//! surface (`Criterion::bench_function`, `Bencher::iter`,
-//! `criterion_group!`, `criterion_main!`).
-//!
-//! The external `criterion` crate cannot be resolved in the offline
-//! build environment, so the benches link against this shim instead.
-//! It measures wall-clock time with `std::time::Instant`: a short
-//! warm-up, then timed batches until a fixed measurement budget is
-//! spent, reporting the per-iteration mean and min over batches. That
-//! is enough to compare kernels and catch order-of-magnitude
-//! regressions; swap the import back to `criterion` for
-//! statistically rigorous runs when network access is available.
-
-use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-const WARMUP: Duration = Duration::from_millis(200);
-const MEASURE: Duration = Duration::from_millis(800);
-const BATCHES: u32 = 16;
-
-/// Drop-in stand-in for `criterion::Criterion`.
-#[derive(Debug, Default)]
-pub struct Criterion {
-    _private: (),
-}
-
-impl Criterion {
-    /// Run `f` under the timing loop and print a one-line report.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher::default();
-        f(&mut b);
-        match b.timing {
-            Some(t) => {
-                println!(
-                    "bench {name:<44} {:>12}/iter (min {:>12}, {} iters)",
-                    format_ns(t.mean_ns),
-                    format_ns(t.min_ns),
-                    t.iters
-                );
-            }
-            None => println!("bench {name:<44} (no measurement — Bencher::iter never called)"),
-        }
-        self
-    }
-
-    /// Accepted for `criterion` CLI compatibility; configuration is fixed.
-    pub fn configure_from_args(self) -> Self {
-        self
-    }
-
-    /// A named bench group; names are prefixed onto member benches.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            prefix: name.to_owned(),
-        }
-    }
-
-    /// Criterion's group-finalization hook; nothing to flush here.
-    pub fn final_summary(&self) {}
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Timing {
-    mean_ns: f64,
-    min_ns: f64,
-    iters: u64,
-}
-
-/// Drop-in stand-in for `criterion::Bencher`.
-#[derive(Debug, Default)]
-pub struct Bencher {
-    timing: Option<Timing>,
-}
-
-/// Drop-in stand-in for `criterion::BenchmarkGroup`.
-#[derive(Debug)]
-pub struct BenchmarkGroup<'c> {
-    criterion: &'c mut Criterion,
-    prefix: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Accepted for compatibility; the shim's fixed time budget applies.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Accepted for compatibility; the shim's fixed time budget applies.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
-    /// Run `f` under the group's name prefix.
-    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{name}", self.prefix);
-        self.criterion.bench_function(&full, f);
-        self
-    }
-
-    /// Finish the group (nothing buffered in the shim).
-    pub fn finish(self) {}
-}
-
-/// Criterion-compatible batch-size hint; the shim's timing loop sizes
-/// batches from the warm-up regardless, so the variants are equivalent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration setup output.
-    SmallInput,
-    /// Large per-iteration setup output.
-    LargeInput,
-    /// One setup per iteration.
-    PerIteration,
-}
-
-impl Bencher {
-    /// Time `routine` applied to fresh `setup` output each iteration
-    /// (setup time is included here, unlike Criterion — acceptable for
-    /// the cheap borrow-producing setups the benches use).
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        self.iter(|| routine(setup()));
-    }
-
-    /// Time `f`, discarding its output through a `black_box`.
-    pub fn iter<O, F>(&mut self, mut f: F)
-    where
-        F: FnMut() -> O,
-    {
-        // Warm-up: also discovers how many iterations fit in a batch.
-        let start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while start.elapsed() < WARMUP {
-            black_box(f());
-            warm_iters += 1;
-        }
-        let per_batch =
-            (warm_iters * MEASURE.as_nanos() as u64 / WARMUP.as_nanos() as u64 / BATCHES as u64)
-                .max(1);
-
-        let mut total_ns: u128 = 0;
-        let mut min_ns = f64::INFINITY;
-        let mut iters: u64 = 0;
-        for _ in 0..BATCHES {
-            let t0 = Instant::now();
-            for _ in 0..per_batch {
-                black_box(f());
-            }
-            let dt = t0.elapsed().as_nanos();
-            total_ns += dt;
-            min_ns = min_ns.min(dt as f64 / per_batch as f64);
-            iters += per_batch;
-        }
-        self.timing = Some(Timing {
-            mean_ns: total_ns as f64 / iters as f64,
-            min_ns,
-            iters,
-        });
-    }
-}
+//! [`PerfReport`]: meta entries plus timed stage records, written as
+//! JSON.
 
 /// One timed stage of a perf report: wall-clock milliseconds for a
 /// stage run at a given thread count.
@@ -196,7 +28,6 @@ pub struct PerfReport {
 enum MetaValue {
     Num(f64),
     Str(String),
-    Bool(bool),
 }
 
 impl PerfReport {
@@ -217,11 +48,6 @@ impl PerfReport {
         self.set(key, MetaValue::Str(value.to_owned()));
     }
 
-    /// Set (or overwrite) a boolean meta entry.
-    pub fn set_bool(&mut self, key: &str, value: bool) {
-        self.set(key, MetaValue::Bool(value));
-    }
-
     fn set(&mut self, key: &str, value: MetaValue) {
         match self.meta.iter_mut().find(|(k, _)| k == key) {
             Some((_, v)) => *v = value,
@@ -239,26 +65,6 @@ impl PerfReport {
         });
     }
 
-    /// Wall time of `stage` at `threads`, if recorded.
-    pub fn wall_ms(&self, stage: &str, threads: usize) -> Option<f64> {
-        self.stages
-            .iter()
-            .find(|s| s.stage == stage && s.threads == threads)
-            .map(|s| s.wall_ms)
-    }
-
-    /// `stage`'s speedup going from `base_threads` to `threads`
-    /// (>1 means faster), if both are recorded.
-    pub fn speedup(&self, stage: &str, base_threads: usize, threads: usize) -> Option<f64> {
-        match (
-            self.wall_ms(stage, base_threads),
-            self.wall_ms(stage, threads),
-        ) {
-            (Some(base), Some(fast)) if fast > 0.0 => Some(base / fast),
-            _ => None,
-        }
-    }
-
     /// Serialize to pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -267,7 +73,6 @@ impl PerfReport {
             match v {
                 MetaValue::Num(n) => out.push_str(&json_number(*n)),
                 MetaValue::Str(s) => out.push_str(&json_string(s)),
-                MetaValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             }
             out.push_str(",\n");
         }
@@ -319,70 +124,19 @@ fn json_number(n: f64) -> String {
     }
 }
 
-fn format_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
-    }
-}
-
-/// Criterion-compatible group declaration: defines a function running
-/// every listed bench against one [`Criterion`].
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        pub fn $group() {
-            let mut c = $crate::harness::Criterion::default();
-            $( $target(&mut c); )+
-            c.final_summary();
-        }
-    };
-}
-
-/// Criterion-compatible entry point: a `main` that runs each group.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn bencher_records_a_timing() {
-        let mut b = Bencher::default();
-        // Keep the closure trivial; the harness budget dominates runtime.
-        b.iter(|| 1 + 1);
-        let t = b.timing.expect("timing recorded");
-        assert!(t.mean_ns > 0.0);
-        assert!(t.min_ns <= t.mean_ns * 1.5);
-        assert!(t.iters >= BATCHES as u64);
-    }
-
-    #[test]
     fn perf_report_round_trips_to_json() {
         let mut r = PerfReport::new("BENCH_T");
-        r.set_bool("smoke", true);
         r.set_num("corpus_tokens", 1234.0);
         r.set_num("corpus_tokens", 5678.0); // overwrite, not duplicate
         r.record("steps_iii_iv", 1, 100.0, 3);
         r.record("steps_iii_iv", 4, 25.0, 3);
-        assert_eq!(r.wall_ms("steps_iii_iv", 4), Some(25.0));
-        assert_eq!(r.speedup("steps_iii_iv", 1, 4), Some(4.0));
-        assert_eq!(r.speedup("steps_iii_iv", 1, 2), None);
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"BENCH_T\""), "{json}");
-        assert!(json.contains("\"smoke\": true"), "{json}");
         assert!(json.contains("\"corpus_tokens\": 5678.000"), "{json}");
         assert!(!json.contains("1234"), "{json}");
         assert!(json.contains("\"threads\": 4"), "{json}");
@@ -397,13 +151,5 @@ mod tests {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_number(f64::NAN), "null");
         assert_eq!(json_number(1.5), "1.500");
-    }
-
-    #[test]
-    fn format_ns_picks_sensible_units() {
-        assert!(format_ns(12.0).ends_with("ns"));
-        assert!(format_ns(12_000.0).ends_with("µs"));
-        assert!(format_ns(12_000_000.0).ends_with("ms"));
-        assert!(format_ns(12_000_000_000.0).ends_with(" s"));
     }
 }

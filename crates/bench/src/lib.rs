@@ -1,50 +1,9 @@
 //! # boe-bench
 //!
-//! Criterion benches (under `benches/`) regenerating every table of the
-//! EDBT-2016 paper plus the design-choice ablations of DESIGN.md §4:
-//!
-//! | bench | paper artifact |
-//! |-------|----------------|
-//! | `table1_polysemy_stats` | Table 1 |
-//! | `table2_internal_indexes` | Table 2 (index kernels) |
-//! | `sense_number_accuracy` | §3(i) accuracy matrix (93.1%) + ablations A1/A2 |
-//! | `polysemy_detection` | §2(II) F-measure (98%) |
-//! | `table3_linkage_case` | Table 3 |
-//! | `table4_linkage_precision` | Table 4 + ablation A4 |
-//! | `term_extraction` | ablation A3 (measure comparison) |
-//!
-//! Each bench prints the regenerated table once (so `cargo bench` output
-//! contains every paper number) and then times the hot kernel behind it.
+//! The [`harness::PerfReport`] JSON writer behind perfbench's per-layer
+//! reports. The paper's tables and ablations are printed by
+//! `boe-eval`'s `run_experiments`; perfbench times the pipeline.
 
 #![forbid(unsafe_code)]
 
 pub mod harness;
-
-use boe_corpus::synth::mshwsd::MshWsdConfig;
-use boe_eval::exp_sense_number::SenseNumberConfig;
-use boe_eval::world::WorldConfig;
-
-/// The bench-scale E3 configuration: full 203 entities at a context cap
-/// that keeps the 5-algorithm sweep within bench budgets.
-pub fn bench_sense_number_config() -> SenseNumberConfig {
-    SenseNumberConfig {
-        dataset: MshWsdConfig {
-            n_entities: 203,
-            snippets_per_sense: 30,
-            ..Default::default()
-        },
-        max_contexts: 90,
-        ..Default::default()
-    }
-}
-
-/// The bench-scale world for the linkage experiments (paper scale: 60
-/// held-out terms).
-pub fn bench_world_config() -> WorldConfig {
-    WorldConfig {
-        n_concepts: 300,
-        n_holdout: 60,
-        abstracts_per_concept: 6,
-        ..Default::default()
-    }
-}

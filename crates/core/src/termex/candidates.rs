@@ -16,8 +16,6 @@ pub struct CandidateTerm {
     pub pattern: usize,
     /// Total occurrence count.
     pub freq: u32,
-    /// Number of distinct documents containing the candidate.
-    pub doc_freq: u32,
     /// Number of occurrences nested inside a *longer* candidate.
     pub nested_freq: u32,
     /// Number of distinct longer candidates containing this one.
@@ -66,24 +64,18 @@ impl CandidateSet {
     }
 }
 
-/// Extraction options.
+/// Extraction options. Whatever they are, a candidate is a match of one
+/// of the language's term patterns (so at most five words long) and
+/// never starts or ends with a stopword.
 #[derive(Debug, Clone, Copy)]
 pub struct CandidateOptions {
     /// Minimum total frequency to keep a candidate.
     pub min_freq: u32,
-    /// Maximum candidate length in words (patterns are shorter anyway).
-    pub max_len: usize,
-    /// Drop candidates whose first or last word is a stopword.
-    pub stopword_boundary_filter: bool,
 }
 
 impl Default for CandidateOptions {
     fn default() -> Self {
-        CandidateOptions {
-            min_freq: 2,
-            max_len: 5,
-            stopword_boundary_filter: true,
-        }
+        CandidateOptions { min_freq: 2 }
     }
 }
 
@@ -130,13 +122,8 @@ where
         }
         for (si, s) in doc.sentences.iter().enumerate() {
             for m in patterns.matches(&s.tags) {
-                if m.len > opts.max_len {
-                    continue;
-                }
                 let tokens = &s.tokens[m.start..m.start + m.len];
-                if opts.stopword_boundary_filter
-                    && (corpus.is_stopword(tokens[0]) || corpus.is_stopword(tokens[m.len - 1]))
-                {
+                if corpus.is_stopword(tokens[0]) || corpus.is_stopword(tokens[m.len - 1]) {
                     continue;
                 }
                 raw.entry(tokens.to_vec())
@@ -186,9 +173,6 @@ where
         }
         containers.sort_unstable();
         containers.dedup();
-        // Occurrences arrive in document order, so distinct documents
-        // are the runs of equal document ids.
-        let doc_freq = 1 + occs.windows(2).filter(|w| w[0].0 != w[1].0).count() as u32;
         let surface = tokens
             .iter()
             .map(|&t| corpus.text(t))
@@ -200,7 +184,6 @@ where
             surface,
             pattern,
             freq: occs.len() as u32,
-            doc_freq,
             nested_freq,
             containers: containers.len() as u32,
         });
@@ -231,7 +214,6 @@ mod tests {
         let set = extract_candidates(&c, CandidateOptions::default());
         let t = set.get_surface("corneal injuries").expect("extracted");
         assert_eq!(t.freq, 2);
-        assert_eq!(t.doc_freq, 2);
         assert!(set.get_surface("acute corneal injuries").is_some());
     }
 
@@ -256,13 +238,7 @@ mod tests {
         let c = corpus(&["rare singleton phrase.", "different text entirely."]);
         let set = extract_candidates(&c, CandidateOptions::default());
         assert!(set.get_surface("singleton phrase").is_none());
-        let relaxed = extract_candidates(
-            &c,
-            CandidateOptions {
-                min_freq: 1,
-                ..Default::default()
-            },
-        );
+        let relaxed = extract_candidates(&c, CandidateOptions { min_freq: 1 });
         assert!(relaxed.len() > set.len());
     }
 

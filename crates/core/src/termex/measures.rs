@@ -33,24 +33,14 @@ pub fn phrase_tf_idf(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Okapi BM25 parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bm25Params {
-    /// Term-frequency saturation (`k1`), usually 1.2–2.0.
-    pub k1: f64,
-    /// Length normalization (`b`), usually 0.75.
-    pub b: f64,
-}
-
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
-}
+/// Okapi BM25 term-frequency saturation (`k1`).
+const BM25_K1: f64 = 1.2;
+/// Okapi BM25 length normalization (`b`).
+const BM25_B: f64 = 0.75;
 
 /// Phrase-level Okapi BM25: max over documents of the BM25 score with
 /// exact phrase counts.
-pub fn phrase_okapi(index: &InvertedIndex, term: &CandidateTerm, params: Bm25Params) -> f64 {
+pub fn phrase_okapi(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
     let matches = index.phrase_matches(&term.tokens);
     let n = index.doc_count() as f64;
     let df = matches.len() as f64;
@@ -61,8 +51,8 @@ pub fn phrase_okapi(index: &InvertedIndex, term: &CandidateTerm, params: Bm25Par
             let tf = f64::from(tf);
             let dl = f64::from(index.doc_len(doc));
             let avg = index.avg_doc_len().max(1e-9);
-            let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avg);
-            idf * tf * (params.k1 + 1.0) / denom
+            let denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg);
+            idf * tf * (BM25_K1 + 1.0) / denom
         })
         .fold(0.0, f64::max)
 }
@@ -84,10 +74,7 @@ pub fn f_tfidf_c(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
 
 /// F-OCapi: harmonic mean of phrase Okapi and C-value.
 pub fn f_ocapi(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
-    harmonic(
-        phrase_okapi(index, term, Bm25Params::default()),
-        c_value(term),
-    )
+    harmonic(phrase_okapi(index, term), c_value(term))
 }
 
 /// Convenience: C-values for a whole candidate set (index-aligned).
@@ -105,8 +92,8 @@ pub fn phrase_tf_idfs(index: &InvertedIndex, set: &CandidateSet) -> Vec<f64> {
 
 /// Phrase Okapi BM25 for a whole candidate set (index-aligned), on
 /// `boe_par`.
-pub fn phrase_okapis(index: &InvertedIndex, set: &CandidateSet, params: Bm25Params) -> Vec<f64> {
-    boe_par::par_map_min(&set.terms, 64, |t| phrase_okapi(index, t, params))
+pub fn phrase_okapis(index: &InvertedIndex, set: &CandidateSet) -> Vec<f64> {
+    boe_par::par_map_min(&set.terms, 64, |t| phrase_okapi(index, t))
 }
 
 /// F-TFIDF-C for a whole candidate set (index-aligned), on `boe_par`.
@@ -203,9 +190,8 @@ mod tests {
              hepatic lesions grow. hepatic lesions shrink.",
             "renal damage spreads.",
         ]);
-        let p = Bm25Params::default();
-        let s3 = phrase_okapi(&ix, set.get_surface("corneal injuries").expect("kept"), p);
-        let s2 = phrase_okapi(&ix, set.get_surface("hepatic lesions").expect("kept"), p);
+        let s3 = phrase_okapi(&ix, set.get_surface("corneal injuries").expect("kept"));
+        let s2 = phrase_okapi(&ix, set.get_surface("hepatic lesions").expect("kept"));
         assert!(s3 > 0.0 && s2 > 0.0);
         assert!(s3 > s2);
         assert!(s3 < 1.5 * s2, "not saturating: {s3} vs {s2}");

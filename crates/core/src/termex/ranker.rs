@@ -2,9 +2,7 @@
 
 use crate::termex::candidates::{try_extract_candidates, CandidateOptions, CandidateSet};
 use crate::termex::lidf::lidf_values;
-use crate::termex::measures::{
-    c_values, f_ocapis, f_tfidf_cs, phrase_okapis, phrase_tf_idfs, Bm25Params,
-};
+use crate::termex::measures::{c_values, f_ocapis, f_tfidf_cs, phrase_okapis, phrase_tf_idfs};
 use crate::termex::tergraph::{tergraph_scores, term_cooccurrence_graph};
 use boe_corpus::index::InvertedIndex;
 use boe_corpus::Corpus;
@@ -141,9 +139,7 @@ impl TermExtractor {
         let scores: Vec<f64> = match measure {
             TermMeasure::CValue => c_values(&self.candidates),
             TermMeasure::TfIdf => phrase_tf_idfs(&self.index, &self.candidates),
-            TermMeasure::Okapi => {
-                phrase_okapis(&self.index, &self.candidates, Bm25Params::default())
-            }
+            TermMeasure::Okapi => phrase_okapis(&self.index, &self.candidates),
             TermMeasure::FTfIdfC => f_tfidf_cs(&self.index, &self.candidates),
             TermMeasure::FOCapi => f_ocapis(&self.index, &self.candidates),
             TermMeasure::LidfValue => lidf_values(&self.index, &self.patterns, &self.candidates),

@@ -1,14 +1,16 @@
-//! Regenerate every table of the paper (scaled configurations; the
-//! Criterion benches in `boe-bench` run the full-scale versions).
+//! Regenerate every table of the paper and the design-choice ablations
+//! (A3 Step I measures, A4 linkage hierarchy and candidate pool, E4
+//! feature subsets). The default run is scaled down; `--full` runs the
+//! configurations EXPERIMENTS.md reports and `experiments_full.txt` pins.
 //!
 //! ```text
-//! cargo run --release -p boe-eval --bin run_experiments
+//! cargo run --release -p boe-eval --bin run_experiments -- --full
 //! ```
 
 use boe_eval::world::{World, WorldConfig};
 use boe_eval::{
     exp_linkage_case, exp_linkage_precision, exp_polysemy, exp_relation, exp_sense_number,
-    exp_table1, exp_table2,
+    exp_table1, exp_table2, exp_term_measures,
 };
 
 fn main() {
@@ -48,6 +50,21 @@ fn main() {
     };
     let pd = exp_polysemy::run(&pd_cfg);
     println!("{}", exp_polysemy::render(&pd));
+    let forest_cfg = exp_polysemy::PolysemyExpConfig {
+        models: vec![boe_core::polysemy::detector::PolysemyModel::Forest],
+        ..pd_cfg
+    };
+    let subsets: Vec<_> = [
+        exp_polysemy::FeatureSubset::DirectOnly,
+        exp_polysemy::FeatureSubset::GraphOnly,
+    ]
+    .into_iter()
+    .flat_map(|subset| exp_polysemy::run_subset(&forest_cfg, subset))
+    .collect();
+    println!(
+        "ablation — feature subsets (forest):\n{}",
+        exp_polysemy::render_rows(&subsets)
+    );
 
     println!("=== E5/E6: semantic linkage ===================================\n");
     let world_cfg = if full {
@@ -70,6 +87,20 @@ fn main() {
         "ablation — without hierarchy expansion: top-10 precision {:.3} (with: {:.3})\n",
         no_hier.at[3], precision.at[3]
     );
+    for pool in [50, 150, 200] {
+        let r = if pool == 200 {
+            precision.clone()
+        } else {
+            exp_linkage_precision::run(&world, pool, true)
+        };
+        println!(
+            "ablation — candidate pool {pool:>3}: P@1 {:.3}  P@2 {:.3}  P@5 {:.3}  P@10 {:.3}",
+            r.at[0], r.at[1], r.at[2], r.at[3]
+        );
+    }
+    println!();
+    let measures = exp_term_measures::run(&world, 100);
+    println!("{}", exp_term_measures::render(100, &measures));
 
     println!("=== E7: relation typing (future work, §4) =====================\n");
     let rel = exp_relation::run(&exp_relation::RelationExpConfig::default());

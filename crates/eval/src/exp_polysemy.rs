@@ -175,37 +175,10 @@ pub fn run_subset(config: &PolysemyExpConfig, subset: FeatureSubset) -> Vec<Mode
     config
         .models
         .iter()
-        .map(|&model| {
-            let confusion = match model {
-                PolysemyModel::LogReg => cross_validate(
-                    &scaled,
-                    config.folds,
-                    boe_ml::logreg::LogisticRegression::new,
-                ),
-                PolysemyModel::NaiveBayes => {
-                    cross_validate(&scaled, config.folds, boe_ml::naive_bayes::GaussianNb::new)
-                }
-                PolysemyModel::Tree => {
-                    cross_validate(&scaled, config.folds, boe_ml::tree::DecisionTree::new)
-                }
-                PolysemyModel::Forest => {
-                    cross_validate(&scaled, config.folds, boe_ml::forest::RandomForest::new)
-                }
-                PolysemyModel::Knn => {
-                    cross_validate(&scaled, config.folds, || boe_ml::knn::KNearest::new(5))
-                }
-                PolysemyModel::Svm => {
-                    cross_validate(&scaled, config.folds, boe_ml::svm::LinearSvm::new)
-                }
-                PolysemyModel::Boost => {
-                    cross_validate(&scaled, config.folds, boe_ml::boost::AdaBoost::new)
-                }
-            };
-            ModelResult {
-                model,
-                subset,
-                confusion,
-            }
+        .map(|&model| ModelResult {
+            model,
+            subset,
+            confusion: cross_validate(&scaled, config.folds, || model.build()),
         })
         .collect()
 }
@@ -222,6 +195,15 @@ pub fn best_f1(results: &[ModelResult]) -> f64 {
 
 /// Render per-model P/R/F1.
 pub fn render(results: &[ModelResult]) -> String {
+    format!(
+        "Polysemy detection, stratified CV (paper: F-measure 98%)\n{}\nbest F-measure: {}\n",
+        render_rows(results),
+        f3(best_f1(results))
+    )
+}
+
+/// The P/R/F1 table alone, one row per result (model and feature set).
+pub fn render_rows(results: &[ModelResult]) -> String {
     let mut t = Table::new(&["model", "features", "precision", "recall", "F-measure"]);
     for r in results {
         t.row(vec![
@@ -232,11 +214,7 @@ pub fn render(results: &[ModelResult]) -> String {
             f3(r.confusion.f1()),
         ]);
     }
-    format!(
-        "Polysemy detection, stratified CV (paper: F-measure 98%)\n{}\nbest F-measure: {}\n",
-        t.render(),
-        f3(best_f1(results))
-    )
+    t.render()
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 //! * [`exp_linkage_case`] — **Table 3**: top-10 propositions for one
 //!   held-out term (the paper's "corneal injuries" case study);
 //! * [`exp_linkage_precision`] — **Table 4**: linkage precision at top
-//!   1/2/5/10 over held-out terms (paper: 0.333/0.400/0.500/0.583).
+//!   1/2/5/10 over held-out terms (paper: 0.333/0.400/0.500/0.583);
+//! * [`exp_term_measures`] — ablation A3: precision@N of gold-term
+//!   recovery for each of the seven Step I measures.
 //!
 //! [`world`] builds the aligned synthetic world (ontology + corpus) the
 //! linkage experiments run on; [`table`] renders paper-style tables.
@@ -30,5 +32,6 @@ pub mod exp_relation;
 pub mod exp_sense_number;
 pub mod exp_table1;
 pub mod exp_table2;
+pub mod exp_term_measures;
 pub mod table;
 pub mod world;

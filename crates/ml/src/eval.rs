@@ -100,11 +100,12 @@ pub fn stratified_folds(labels: &[bool], k: usize) -> Vec<usize> {
 }
 
 /// Run stratified k-fold cross-validation with a fresh model per fold
-/// (supplied by `make_model`); returns the pooled confusion matrix.
+/// (supplied by `make_model`, boxed so a `dyn Classifier` factory fits);
+/// returns the pooled confusion matrix.
 pub fn cross_validate<C, F>(data: &Dataset, k: usize, mut make_model: F) -> Confusion
 where
-    C: Classifier,
-    F: FnMut() -> C,
+    C: Classifier + ?Sized,
+    F: FnMut() -> Box<C>,
 {
     let folds = stratified_folds(data.labels(), k);
     let mut pooled = Confusion::default();
@@ -118,7 +119,7 @@ where
         let test = data.subset(&test_idx);
         let mut model = make_model();
         model.fit(&train);
-        let preds = predict_all(&model, &test);
+        let preds = predict_all(&*model, &test);
         pooled = pooled.merge(&Confusion::from_predictions(test.labels(), &preds));
     }
     pooled
@@ -175,7 +176,7 @@ mod tests {
             labels.push(a > b);
         }
         let d = Dataset::new(rows, labels);
-        let c = cross_validate(&d, 10, LogisticRegression::new);
+        let c = cross_validate(&d, 10, || Box::new(LogisticRegression::new()));
         assert!(c.f1() > 0.9, "f1 {}", c.f1());
         assert_eq!(c.tp + c.fp + c.tn + c.fn_, 200, "every row tested once");
     }

@@ -58,9 +58,4 @@ BOE_CHAOS=off cargo run --release --offline -q -p boe-eval --bin run_experiments
     > target/experiments_full.txt
 diff -u experiments_full.txt target/experiments_full.txt
 
-# A small perf-report smoke run with the runtime forced to 2 threads.
-# Benches always run with chaos explicitly disarmed — an inherited
-# BOE_CHAOS plan would poison the timings (perf_report refuses anyway).
-run env BOE_THREADS=2 BOE_CHAOS=off cargo run --release --offline -p boe-bench --bin perf_report -- --smoke --out target/BENCH_smoke.json
-
 echo "ci: all checks passed"

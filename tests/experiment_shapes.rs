@@ -3,7 +3,10 @@
 
 use bio_onto_enrich::cluster::InternalIndex;
 use bio_onto_enrich::eval::world::{World, WorldConfig};
-use bio_onto_enrich::eval::{exp_linkage_precision, exp_polysemy, exp_sense_number, exp_table1};
+use bio_onto_enrich::eval::{
+    exp_linkage_precision, exp_polysemy, exp_sense_number, exp_table1, exp_term_measures,
+};
+use bio_onto_enrich::workflow::termex::TermMeasure;
 
 #[test]
 fn table1_counts_match_calibration_exactly() {
@@ -62,4 +65,28 @@ fn linkage_precision_shape_holds() {
     assert!(r.at[0] <= r.at[1] && r.at[1] <= r.at[2] && r.at[2] <= r.at[3]);
     assert!(r.at[3] >= 0.5, "top-10 precision {}", r.at[3]);
     assert!(r.at[0] > 0.0, "top-1 precision should be nonzero");
+}
+
+#[test]
+fn term_measure_precision_has_one_row_per_measure() {
+    let w = World::generate(&WorldConfig {
+        n_concepts: 60,
+        n_holdout: 6,
+        abstracts_per_concept: 4,
+        seed: 4,
+        ..Default::default()
+    });
+    let rows = exp_term_measures::run(&w, 50);
+    let measures: Vec<TermMeasure> = rows.iter().map(|r| r.measure).collect();
+    assert_eq!(measures, TermMeasure::ALL);
+    for r in &rows {
+        assert!(
+            (0.0..=1.0).contains(&r.precision),
+            "{}: P@50 {}",
+            r.measure.name(),
+            r.precision
+        );
+    }
+    // Some measure recovers gold terms at all, so the scoring is live.
+    assert!(rows.iter().any(|r| r.precision > 0.0));
 }
