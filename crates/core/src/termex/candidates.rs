@@ -79,15 +79,15 @@ impl Default for CandidateOptions {
     }
 }
 
-/// The pattern matches of one token sequence: the pattern of its first
-/// match and every (doc, sentence, start, len), in reading order.
-struct Raw {
+/// One distinct token sequence the scan matched.
+struct Raw<'c> {
+    /// The sequence, borrowed from the corpus.
+    tokens: &'c [TokenId],
+    /// The pattern of its first match.
     pattern: usize,
-    occs: Vec<(u32, u32, u32, u32)>,
+    /// Number of matches.
+    freq: u32,
 }
-
-/// (start, len, candidate index) of every kept occurrence in a sentence.
-type SentenceOccs = Vec<(u32, u32, usize)>;
 
 /// Extract the candidate set of `corpus` using its language's pattern
 /// inventory. Nested occurrences are tracked (C-value needs them).
@@ -97,14 +97,16 @@ pub fn extract_candidates(corpus: &Corpus, opts: CandidateOptions) -> CandidateS
 
 /// [`extract_candidates`] with cooperative cancellation: `should_stop`
 /// is polled before every document of the scan and every candidate of
-/// the nesting pass. Once it returns `true` the extraction winds down
+/// the assembly pass. Once it returns `true` the extraction winds down
 /// and `None` is returned — partial candidate statistics would be
 /// corpus-prefix-dependent, so an interrupted extraction yields no set
 /// at all rather than a misleading one.
 ///
-/// One pass in document order collects every pattern match per token
-/// sequence (the first match fixes the candidate's pattern); nesting is
-/// then counted against the kept occurrences of the same sentence.
+/// One pass in document order appends every pattern match to a single
+/// reading-order list and counts it against its distinct token sequence,
+/// keyed by the corpus slice itself (the first match fixes the
+/// candidate's pattern). Nesting is then counted within each sentence's
+/// contiguous run of that list, against the kept candidates only.
 pub fn try_extract_candidates<S>(
     corpus: &Corpus,
     opts: CandidateOptions,
@@ -115,77 +117,103 @@ where
 {
     boe_chaos::inject(boe_chaos::sites::TERMEX_CANDIDATES);
     let patterns = PatternSet::for_language(corpus.language());
-    let mut raw: HashMap<Vec<TokenId>, Raw> = HashMap::new();
+    let mut seq_ids: HashMap<&[TokenId], u32> = HashMap::new();
+    let mut raws: Vec<Raw> = Vec::new();
+    // (start, len, sequence) of every match, in reading order; sentence
+    // `i`'s matches end at `sentence_ends[i]`.
+    let mut occs: Vec<(u32, u32, u32)> = Vec::new();
+    let mut sentence_ends: Vec<usize> = Vec::new();
+    let mut found = Vec::new();
     for doc in corpus.docs() {
         if should_stop() {
             return None;
         }
-        for (si, s) in doc.sentences.iter().enumerate() {
-            for m in patterns.matches(&s.tags) {
+        for s in &doc.sentences {
+            patterns.matches(&s.tags, &mut found);
+            for m in &found {
                 let tokens = &s.tokens[m.start..m.start + m.len];
                 if corpus.is_stopword(tokens[0]) || corpus.is_stopword(tokens[m.len - 1]) {
                     continue;
                 }
-                raw.entry(tokens.to_vec())
-                    .or_insert_with(|| Raw {
+                let seq = *seq_ids.entry(tokens).or_insert_with(|| {
+                    raws.push(Raw {
+                        tokens,
                         pattern: m.pattern,
-                        occs: Vec::new(),
-                    })
-                    .occs
-                    .push((doc.id.0, si as u32, m.start as u32, m.len as u32));
+                        freq: 0,
+                    });
+                    (raws.len() - 1) as u32
+                });
+                raws[seq as usize].freq += 1;
+                occs.push((m.start as u32, m.len as u32, seq));
+            }
+            sentence_ends.push(occs.len());
+        }
+    }
+    // Keep candidates above the frequency threshold, ordered by tokens.
+    let mut kept: Vec<u32> = (0..raws.len() as u32)
+        .filter(|&i| raws[i as usize].freq >= opts.min_freq)
+        .collect();
+    kept.sort_unstable_by_key(|&i| raws[i as usize].tokens);
+    const DROPPED: u32 = u32::MAX;
+    let mut rank = vec![DROPPED; raws.len()];
+    for (r, &i) in kept.iter().enumerate() {
+        rank[i as usize] = r as u32;
+    }
+    // Nesting: a kept occurrence (start, len) is nested if a kept longer
+    // occurrence (start', len') of the same sentence covers it.
+    let mut nested_freq = vec![0u32; kept.len()];
+    let mut contained_in: Vec<(u32, u32)> = Vec::new();
+    let mut lo = 0;
+    for &hi in &sentence_ends {
+        let sentence = &occs[lo..hi];
+        lo = hi;
+        for &(st, ln, seq) in sentence {
+            let inner = rank[seq as usize];
+            if inner == DROPPED {
+                continue;
+            }
+            let before = contained_in.len();
+            for &(ost, oln, oseq) in sentence {
+                let outer = rank[oseq as usize];
+                if outer != DROPPED && oln > ln && ost <= st && ost + oln >= st + ln {
+                    contained_in.push((inner, outer));
+                }
+            }
+            if contained_in.len() > before {
+                nested_freq[inner as usize] += 1;
             }
         }
     }
-    // Keep candidates above the frequency threshold, in a stable order.
-    let mut kept: Vec<(Vec<TokenId>, Raw)> = raw
-        .into_iter()
-        .filter(|(_, r)| r.occs.len() >= opts.min_freq as usize)
-        .collect();
-    kept.sort_by(|a, b| a.0.cmp(&b.0));
-    // Nesting: occurrence (d,s,start,len) of t is nested if some kept
-    // longer candidate has an occurrence (d,s,start',len') covering it.
-    let mut by_sentence: HashMap<(u32, u32), SentenceOccs> = HashMap::new();
-    for (idx, (_, r)) in kept.iter().enumerate() {
-        for &(d, s, st, ln) in &r.occs {
-            by_sentence.entry((d, s)).or_default().push((st, ln, idx));
-        }
+    contained_in.sort_unstable();
+    contained_in.dedup();
+    let mut containers = vec![0u32; kept.len()];
+    for &(inner, _) in &contained_in {
+        containers[inner as usize] += 1;
     }
     let mut terms = Vec::with_capacity(kept.len());
     let mut by_tokens = HashMap::with_capacity(kept.len());
-    let mut containers: Vec<usize> = Vec::new();
-    for (tokens, Raw { pattern, occs }) in kept {
+    for (r, &i) in kept.iter().enumerate() {
         if should_stop() {
             return None;
         }
-        let mut nested_freq = 0u32;
-        containers.clear();
-        for &(d, s, st, ln) in &occs {
-            let before = containers.len();
-            containers.extend(
-                by_sentence[&(d, s)]
-                    .iter()
-                    .filter(|&&(ost, oln, _)| oln > ln && ost <= st && ost + oln >= st + ln)
-                    .map(|&(_, _, oidx)| oidx),
-            );
-            if containers.len() > before {
-                nested_freq += 1;
-            }
-        }
-        containers.sort_unstable();
-        containers.dedup();
+        let Raw {
+            tokens,
+            pattern,
+            freq,
+        } = raws[i as usize];
         let surface = tokens
             .iter()
             .map(|&t| corpus.text(t))
             .collect::<Vec<_>>()
             .join(" ");
-        by_tokens.insert(tokens.clone(), terms.len());
+        by_tokens.insert(tokens.to_vec(), r);
         terms.push(CandidateTerm {
-            tokens,
+            tokens: tokens.to_vec(),
             surface,
             pattern,
-            freq: occs.len() as u32,
-            nested_freq,
-            containers: containers.len() as u32,
+            freq,
+            nested_freq: nested_freq[r],
+            containers: containers[r],
         });
     }
     Some(CandidateSet { terms, by_tokens })

@@ -5,11 +5,14 @@
 //!
 //! * [`doc`] / [`corpus`] — tokenized, POS-tagged document collections over
 //!   an interned vocabulary and its stem map;
-//! * [`index`] — inverted index with positional postings;
+//! * [`index`] — flat positional inverted index: the corpus as one
+//!   sentinel-separated token stream, each token's stream positions in
+//!   one CSR array, and exact phrase matching by a rarest-token walk
+//!   that compares stream windows;
 //! * [`occurrence`] — index-backed phrase-occurrence resolution and
-//!   context harvesting shared by Steps I–IV (rarest-token postings
-//!   walk, the document-scope context cache), bit-identical to a full
-//!   corpus scan;
+//!   context harvesting shared by Steps I–IV (the rarest-token walk,
+//!   the document-scope context cache), bit-identical to a full corpus
+//!   scan;
 //! * [`stats`] — frequency and windowed co-occurrence statistics;
 //! * [`vector`] — sparse vectors and the cosine kernel every downstream
 //!   step (clustering, linkage) runs on;

@@ -8,11 +8,13 @@
 //!
 //! [`OccurrenceIndex`] answers the question through the positional
 //! [`InvertedIndex`]: pick the phrase token with the smallest corpus
-//! frequency (the *rarest* token), walk only its postings, and verify the
-//! phrase's remaining tokens by binary search on each candidate
-//! document's sorted `(sentence, position)` pairs. Cost becomes
-//! proportional to the rarest token's postings — for typical ontology
-//! terms, orders of magnitude below a corpus scan.
+//! frequency (the *rarest* token), walk only its positions in the
+//! index's flat token stream, and confirm each proposed start by
+//! comparing the stream window there with the phrase. A sentinel ends
+//! every sentence in the stream, so no confirmed window crosses a
+//! sentence or document. Cost becomes proportional to the rarest token's
+//! occurrences — for typical ontology terms, orders of magnitude below a
+//! corpus scan.
 //!
 //! It is also the one place that decides how a phrase's contexts are
 //! built. At [`ContextScope::Sentence`] every occurrence's vector comes
@@ -24,8 +26,8 @@
 //! ## Determinism contract
 //!
 //! Every query is **bit-identical** to a full scan of every sentence,
-//! including order: posting lists are sorted by document and positions
-//! by `(sentence, position)`, so anchoring on a fixed phrase offset
+//! including order: the stream is the corpus in reading order and each
+//! token's positions ascend, so anchoring on a fixed phrase offset
 //! enumerates matches in exactly the `(doc, sentence, start)` reading
 //! order. Contexts are bit-identical to [`context_vector`] per
 //! occurrence, summed in order: context values are exact integer counts,
@@ -68,7 +70,7 @@ impl From<InvertedIndex> for OccurrenceIndex {
 }
 
 impl OccurrenceIndex {
-    /// Build the positional index over `corpus` (one corpus pass).
+    /// Build the positional index over `corpus` (two linear passes).
     pub fn build(corpus: &Corpus) -> Self {
         InvertedIndex::build(corpus).into()
     }
@@ -81,7 +83,7 @@ impl OccurrenceIndex {
             "index/corpus mismatch"
         );
         let mut out = Vec::new();
-        self.walk_postings(phrase, |occ| {
+        self.walk_phrase(phrase, |occ| {
             out.push(occ);
             true
         });
@@ -97,7 +99,7 @@ impl OccurrenceIndex {
             "index/corpus mismatch"
         );
         let mut found = false;
-        self.walk_postings(phrase, |_| {
+        self.walk_phrase(phrase, |_| {
             found = true;
             false
         });
@@ -159,7 +161,7 @@ impl OccurrenceIndex {
     /// Calls `emit` per occurrence in `(doc, sentence, start)` order
     /// (the index's rarest-token walk); `emit` returning `false` stops
     /// the walk.
-    fn walk_postings(&self, phrase: &[TokenId], mut emit: impl FnMut(Occurrence) -> bool) {
+    fn walk_phrase(&self, phrase: &[TokenId], mut emit: impl FnMut(Occurrence) -> bool) {
         self.index.walk_phrase(phrase, |doc, sentence, start| {
             emit(Occurrence {
                 doc,

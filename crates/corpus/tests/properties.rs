@@ -55,11 +55,9 @@ fn index_frequencies_are_consistent() {
             assert!(df >= 1);
             assert!(df <= c.len());
             assert!(ix.term_freq(t) >= df as u64);
-            // Postings tf sums to term_freq.
-            let tf_sum: u64 = ix
-                .postings(t)
-                .iter()
-                .map(|p| p.positions.len() as u64)
+            // Per-document tf sums to term_freq.
+            let tf_sum: u64 = (0..c.len() as u32)
+                .map(|d| u64::from(ix.tf_in_doc(t, DocId(d))))
                 .sum();
             assert_eq!(tf_sum, ix.term_freq(t));
         }

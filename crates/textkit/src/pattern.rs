@@ -153,13 +153,15 @@ impl PatternSet {
         self.patterns.iter().position(|p| p.tags == tags)
     }
 
-    /// Enumerate every occurrence of every pattern over a tagged sentence.
+    /// Enumerate every occurrence of every pattern over a tagged sentence
+    /// into `out` (cleared first, so one buffer serves every sentence),
+    /// by start, then pattern index.
     ///
     /// All matches are reported, including nested ones ("corneal injury"
     /// inside "acute corneal injury") — BIOTEX needs nested counts for
     /// C-value.
-    pub fn matches(&self, tags: &[PosTag]) -> Vec<PatternMatch> {
-        let mut out = Vec::new();
+    pub fn matches(&self, tags: &[PosTag], out: &mut Vec<PatternMatch>) {
+        out.clear();
         for start in 0..tags.len() {
             for (pi, pat) in self.patterns.iter().enumerate() {
                 let plen = pat.tags.len();
@@ -172,7 +174,6 @@ impl PatternSet {
                 }
             }
         }
-        out
     }
 }
 
@@ -194,7 +195,8 @@ mod tests {
         let set = PatternSet::for_language(Language::English);
         // "the acute corneal injury" → D A A N
         let tags = [Determiner, Adjective, Adjective, Noun];
-        let ms = set.matches(&tags);
+        let mut ms = Vec::new();
+        set.matches(&tags, &mut ms);
         // A A N at 1, A N at 2, N at 3.
         assert!(ms.iter().any(|m| m.start == 1
             && m.len == 3
@@ -210,7 +212,8 @@ mod tests {
         let set = PatternSet::for_language(Language::English);
         // N N N contains two N N and three N.
         let tags = [Noun, Noun, Noun];
-        let ms = set.matches(&tags);
+        let mut ms = Vec::new();
+        set.matches(&tags, &mut ms);
         let count_len = |l: usize| ms.iter().filter(|m| m.len == l).count();
         assert_eq!(count_len(3), 1);
         assert_eq!(count_len(2), 2);

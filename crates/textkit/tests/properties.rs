@@ -81,6 +81,7 @@ fn tagger_output_is_total_and_aligned() {
 #[test]
 fn pattern_matches_stay_in_bounds() {
     let mut rng = StdRng::seed_from_u64(4);
+    let mut ms = Vec::new();
     for _ in 0..CASES {
         let n = rng.gen_range(0usize..20);
         let tags: Vec<PosTag> = (0..n)
@@ -88,7 +89,8 @@ fn pattern_matches_stay_in_bounds() {
             .collect();
         for lang in Language::ALL {
             let set = PatternSet::for_language(lang);
-            for m in set.matches(&tags) {
+            set.matches(&tags, &mut ms);
+            for &m in &ms {
                 assert!(m.start + m.len <= tags.len());
                 assert!(m.pattern < set.patterns().len());
                 assert_eq!(

@@ -22,8 +22,10 @@ run cargo build --release --offline
 # covers, among the rest:
 # * parallel-runtime gates: bit-identical output across thread counts
 #   (`parallel_determinism`), the randomized Step I sweep
-#   (`step1_parallel_equality`: batch ingestion and the TeRGraph kernels
-#   against their in-file references, extraction at 1 vs 8 threads),
+#   (`step1_parallel_equality`: batch ingestion, candidate extraction
+#   and the TeRGraph kernels against their in-file references, the
+#   candidate oracle checking order and every count at three
+#   `min_freq` values, and extraction at 1 vs 8 threads),
 #   Step II graph features against their reference
 #   (`graph_features_oracle`), Step II direct features against theirs
 #   (`direct_features_oracle`), Step IV proposals against theirs

@@ -5,7 +5,9 @@
 //! this file **byte for byte** — same interned vocabulary (ids and
 //! order), same documents, same co-occurrence graph, same TeRGraph score
 //! bits — at 1 and 8 threads; candidate extraction must give the same
-//! set at 1 and 8 threads.
+//! set at 1 and 8 threads, equal term for term (order, tokens, surface,
+//! pattern, `freq`, `nested_freq`, `containers`) to the per-sequence
+//! reference extractor kept in this file.
 //!
 //! One `#[test]` because [`boe_par::set_threads`] is process-global and
 //! the harness runs `#[test]`s of one binary concurrently.
@@ -13,13 +15,14 @@
 use bio_onto_enrich::corpus::corpus::{Corpus, CorpusBuilder};
 use bio_onto_enrich::graph::{Graph, NodeId};
 use bio_onto_enrich::par as boe_par;
-use bio_onto_enrich::textkit::Language;
+use bio_onto_enrich::textkit::pattern::PatternSet;
+use bio_onto_enrich::textkit::{Language, TokenId};
 use bio_onto_enrich::workflow::termex::candidates::{CandidateOptions, CandidateSet};
 use bio_onto_enrich::workflow::termex::{
-    extract_candidates, tergraph_scores, term_cooccurrence_graph,
+    extract_candidates, tergraph_scores, term_cooccurrence_graph, CandidateTerm,
 };
 use boe_rng::StdRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Word pools with the orthography that stresses the tokenizer: accents,
 /// elisions, hyphens, digits. Repetition is deliberate — candidates need
@@ -122,6 +125,89 @@ fn ingest_batch(lang: Language, texts: &[String]) -> Corpus {
     b.build()
 }
 
+/// The pattern matches of one token sequence in the reference
+/// extractor: the pattern of its first match and every
+/// (doc, sentence, start, len), in reading order.
+struct RawCandidate {
+    pattern: usize,
+    occs: Vec<(u32, u32, u32, u32)>,
+}
+
+/// (start, len, candidate index) of every kept occurrence in a sentence.
+type SentenceOccs = Vec<(u32, u32, usize)>;
+
+/// Reference candidate extraction: one owned occurrence list per token
+/// sequence, kept sequences sorted by tokens, and nesting counted by
+/// looking each occurrence up in a per-sentence table of every kept
+/// occurrence.
+fn extract_candidates_reference(corpus: &Corpus, opts: CandidateOptions) -> Vec<CandidateTerm> {
+    let patterns = PatternSet::for_language(corpus.language());
+    let mut raw: HashMap<Vec<TokenId>, RawCandidate> = HashMap::new();
+    let mut found = Vec::new();
+    for doc in corpus.docs() {
+        for (si, s) in doc.sentences.iter().enumerate() {
+            patterns.matches(&s.tags, &mut found);
+            for m in &found {
+                let tokens = &s.tokens[m.start..m.start + m.len];
+                if corpus.is_stopword(tokens[0]) || corpus.is_stopword(tokens[m.len - 1]) {
+                    continue;
+                }
+                raw.entry(tokens.to_vec())
+                    .or_insert_with(|| RawCandidate {
+                        pattern: m.pattern,
+                        occs: Vec::new(),
+                    })
+                    .occs
+                    .push((doc.id.0, si as u32, m.start as u32, m.len as u32));
+            }
+        }
+    }
+    let mut kept: Vec<(Vec<TokenId>, RawCandidate)> = raw
+        .into_iter()
+        .filter(|(_, r)| r.occs.len() >= opts.min_freq as usize)
+        .collect();
+    kept.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut by_sentence: HashMap<(u32, u32), SentenceOccs> = HashMap::new();
+    for (idx, (_, r)) in kept.iter().enumerate() {
+        for &(d, s, st, ln) in &r.occs {
+            by_sentence.entry((d, s)).or_default().push((st, ln, idx));
+        }
+    }
+    kept.into_iter()
+        .map(|(tokens, RawCandidate { pattern, occs })| {
+            let mut nested_freq = 0u32;
+            let mut containers: Vec<usize> = Vec::new();
+            for &(d, s, st, ln) in &occs {
+                let before = containers.len();
+                containers.extend(
+                    by_sentence[&(d, s)]
+                        .iter()
+                        .filter(|&&(ost, oln, _)| oln > ln && ost <= st && ost + oln >= st + ln)
+                        .map(|&(_, _, oidx)| oidx),
+                );
+                if containers.len() > before {
+                    nested_freq += 1;
+                }
+            }
+            containers.sort_unstable();
+            containers.dedup();
+            let surface = tokens
+                .iter()
+                .map(|&t| corpus.text(t))
+                .collect::<Vec<_>>()
+                .join(" ");
+            CandidateTerm {
+                tokens,
+                surface,
+                pattern,
+                freq: occs.len() as u32,
+                nested_freq,
+                containers: containers.len() as u32,
+            }
+        })
+        .collect()
+}
+
 /// Reference co-occurrence graph: one serial pass over every sentence,
 /// testing every candidate at every start position; edge weight = number
 /// of sentences where both candidates occur, edges added in sorted pair
@@ -209,6 +295,24 @@ fn randomized_step1_is_bit_identical_across_paths_and_threads() {
             !set_ref.terms.is_empty(),
             "{lang:?}: vacuous corpus — no candidates extracted"
         );
+        assert_eq!(
+            set_ref.terms,
+            extract_candidates_reference(&reference, opts),
+            "{lang:?}: candidates vs the reference extractor"
+        );
+        assert!(
+            set_ref.terms.iter().any(|t| t.containers > 0),
+            "{lang:?}: vacuous corpus — no nested candidates"
+        );
+        // Other thresholds drop different containers.
+        for min_freq in [1, 3] {
+            let opts = CandidateOptions { min_freq };
+            assert_eq!(
+                extract_candidates(&reference, opts).terms,
+                extract_candidates_reference(&reference, opts),
+                "{lang:?}: candidates vs the reference extractor, min_freq {min_freq}"
+            );
+        }
 
         // Graph + TeRGraph scores against the references above.
         let g_ref = cooccurrence_graph_reference(&reference, &set_ref);
