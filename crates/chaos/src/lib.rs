@@ -57,8 +57,9 @@ pub mod sites {
     pub const TERM_LINK: &str = "term.link";
     /// Before final report assembly.
     pub const REPORT: &str = "pipeline.report";
-    /// Inside the `boe-par` worker loop, before a worker starts its
-    /// chunk (both the serial short-circuit and every spawned worker).
+    /// Inside the `boe-par` worker loop, once per worker before its
+    /// first claim (the one worker of a serial run included), keyed by
+    /// the worker index.
     pub const PAR_WORKER: &str = "par.worker";
 
     /// Every site, for matrix sweeps.
@@ -251,8 +252,8 @@ pub fn inject(site: &str) {
     inject_keyed(site, 0);
 }
 
-/// Hit an injection site with a caller-supplied key (e.g. a chunk start
-/// index or a term hash). Panic fires on every hit; stall fires when the
+/// Hit an injection site with a caller-supplied key (e.g. a `boe-par`
+/// worker index or a term hash). Panic fires on every hit; stall fires when the
 /// plan's key filter matches (or is absent).
 pub fn inject_keyed(site: &str, key: u64) {
     let Some(plan) = plan_for(site) else {

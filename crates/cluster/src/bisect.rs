@@ -79,7 +79,7 @@ fn refine_kway(unit: &[SparseVector], start: ClusterSolution) -> ClusterSolution
             comps[a].add_assign(v);
         }
         let centroids: Vec<SparseVector> = comps.into_iter().map(|c| c.normalized()).collect();
-        // Per-object re-assignment is independent → chunked across
+        // Per-object re-assignment is independent → spread across
         // threads for large collections, identical to the serial scan.
         let next: Vec<usize> =
             boe_par::par_map_indexed_min(n, crate::kmeans::PAR_ASSIGN_MIN, |i| {

@@ -73,7 +73,7 @@ fn farthest_first_seeds(unit: &[SparseVector], k: usize, rng: &mut StdRng) -> Ve
 }
 
 /// Assign each object to its most similar centroid (lowest index wins
-/// ties). Each object's choice is independent, so the loop is chunked
+/// ties). Each object's choice is independent, so the loop is spread
 /// across threads for large collections (results are in input order and
 /// identical to the serial scan; below the threshold no threads spawn —
 /// Step-III context sets are usually small and a spawn would cost more

@@ -57,69 +57,23 @@ impl SimMatrix {
 }
 
 /// Full pairwise cosine matrix (n×n, symmetric, diagonal = 1 for nonzero
-/// vectors). The upper triangle is computed in parallel over **row
-/// ranges** balanced by cell count (row `i` holds `n-1-i` cells, so
-/// per-row chunking would give early workers most of the work and pay
-/// one task-dispatch per row); each range returns one flat buffer and
-/// the ranges are stitched back in order. Every entry is an independent
-/// dot product, so the matrix is bit-identical at any thread count.
+/// vectors). The upper triangle is computed in parallel with one item
+/// per row: row `i` holds `n-1-i` cells, so the heavy rows come first in
+/// `boe-par`'s in-order claims and the light tail balances the workers.
+/// Every entry is an independent dot product, so the matrix is
+/// bit-identical at any thread count.
 pub fn similarity_matrix(unit: &[SparseVector]) -> SimMatrix {
     let n = unit.len();
-    let ranges = row_ranges(n, boe_par::threads());
-    let chunks: Vec<Vec<f64>> = boe_par::par_map_min(&ranges, 2, |&(lo, hi)| {
-        let mut buf = Vec::new();
-        for i in lo..hi {
-            buf.extend(((i + 1)..n).map(|j| unit[i].dot(&unit[j])));
-        }
-        buf
-    });
+    let rows: Vec<Vec<f64>> =
+        boe_par::par_map_indexed(n, |i| ((i + 1)..n).map(|j| unit[i].dot(&unit[j])).collect());
     let mut m = SimMatrix::zeros(n);
-    for (i, u) in unit.iter().enumerate() {
+    for (i, (u, row)) in unit.iter().zip(&rows).enumerate() {
         m.set(i, i, if u.is_empty() { 0.0 } else { 1.0 });
-    }
-    let mut row = 0usize;
-    for (&(lo, hi), buf) in ranges.iter().zip(&chunks) {
-        debug_assert_eq!(row, lo);
-        let mut at = 0usize;
-        for i in lo..hi {
-            for j in (i + 1)..n {
-                m.set_sym(i, j, buf[at]);
-                at += 1;
-            }
+        for (j, &v) in ((i + 1)..n).zip(row) {
+            m.set_sym(i, j, v);
         }
-        row = hi;
     }
-    // Cell-free trailing rows may be absent from `ranges`; their
-    // diagonal was already set above.
-    debug_assert!(row <= n);
     m
-}
-
-/// Split rows `0..n` of an upper-triangular build into at most `workers`
-/// contiguous ranges with approximately equal **cell counts** (row `i`
-/// contributes `n-1-i` cells). Ranges cover every row with work; empty
-/// trailing rows may be left out (they hold no off-diagonal cells).
-fn row_ranges(n: usize, workers: usize) -> Vec<(usize, usize)> {
-    let total: usize = n.saturating_sub(1) * n / 2;
-    if total == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n.max(1));
-    let target = total.div_ceil(workers);
-    let mut ranges = Vec::with_capacity(workers);
-    let mut lo = 0usize;
-    let mut acc = 0usize;
-    for i in 0..n {
-        acc += n - 1 - i;
-        if acc >= target || i + 1 == n {
-            if acc > 0 {
-                ranges.push((lo, i + 1));
-            }
-            lo = i + 1;
-            acc = 0;
-        }
-    }
-    ranges
 }
 
 /// Average pairwise similarity among all *ordered distinct* pairs in a

@@ -215,35 +215,35 @@ impl EnrichmentPipeline {
         let occ = Arc::new(OccurrenceIndex::from(index));
 
         // Step II: train the detector on ontology-derived weak labels. A
-        // panic during training (or from the chaos site) degrades to the
-        // fallback detector instead of failing the run. A hard trip while
-        // the training rows are built leaves no detector; the checkpoint
-        // below then truncates the fan-out.
+        // panic during training (or from the chaos site, or while the
+        // feature context is built) degrades to the fallback detector
+        // instead of failing the run. A hard trip while the training rows
+        // are built leaves no detector; the checkpoint below then
+        // truncates the fan-out.
         let stop_rows = || gov.check_hard().is_some();
-        let (features, detector, rows_interrupted) =
-            run.step(Stage::PolysemyDetection, |diag| {
-                let features = FeatureContext::build_with_index(corpus, Arc::clone(&occ));
-                let trained = catch_unwind(AssertUnwindSafe(|| {
-                    boe_chaos::inject(boe_chaos::sites::STEP2_TRAIN);
-                    self.train_detector(corpus, ontology, &occ, &features, &stop_rows, diag)
-                }));
-                match trained {
-                    Ok(Ok(d)) => (features, d, false),
-                    Ok(Err(RowsInterrupted)) => (features, None, true),
-                    Err(payload) => {
-                        let reason = panic_message(payload);
-                        diag.detector = DetectorOutcome::Fallback {
-                            reason: format!("training panicked: {reason}"),
-                        };
-                        diag.degrade(
-                            "",
-                            Stage::PolysemyDetection,
-                            format!("detector training panicked: {reason}"),
-                        );
-                        (features, None, false)
-                    }
+        let (trained, rows_interrupted) = run.step(Stage::PolysemyDetection, |diag| {
+            let trained = catch_unwind(AssertUnwindSafe(|| {
+                boe_chaos::inject(boe_chaos::sites::STEP2_TRAIN);
+                self.train_detector(corpus, ontology, &occ, &stop_rows, diag)
+            }));
+            match trained {
+                Ok(Ok(d)) => (d, false),
+                Ok(Err(RowsInterrupted)) => (None, true),
+                Err(payload) => {
+                    let reason = panic_message(payload);
+                    diag.detector = DetectorOutcome::Fallback {
+                        reason: format!("training panicked: {reason}"),
+                    };
+                    diag.degrade(
+                        "",
+                        Stage::PolysemyDetection,
+                        format!("detector training panicked: {reason}"),
+                    );
+                    (None, false)
                 }
-            })?;
+            }
+        })?;
+        let detector = trained.as_ref().map(|(d, features)| (d, features));
         run.checkpoint(Stage::PolysemyDetection, FANOUT_STEPS, rows_interrupted)?;
 
         // Step III/IV setup: the inducer and linker are corpus-wide and
@@ -264,25 +264,18 @@ impl EnrichmentPipeline {
 
         // Steps II–IV fan out across candidate terms: each term is
         // independent given the trained detector, the inducer and the
-        // linker, so the per-term work is chunked across threads
-        // (`boe-par`). Determinism contract: outcomes come back in term
-        // order, so reports, degradations (term order, stage order within
-        // a term) and timing sums are identical to the serial loop at any
-        // thread count. The governor is polled before every item; an
+        // linker, so threads claim the terms in rank order (`boe-par`).
+        // Determinism contract: outcomes come back in term order, so
+        // reports, degradations (term order, stage order within a term)
+        // and timing sums are identical to the serial loop at any thread
+        // count. The governor is polled before every claim and item; an
         // interruption keeps the deterministic completed prefix.
         gov.begin_stage();
         let stop = || gov.check().is_some();
         let (outcomes, panicked) = fan_out(|| {
             boe_chaos::inject(boe_chaos::sites::FANOUT);
             boe_par::try_par_map(&run.pending, &stop, |r| {
-                self.process_term(
-                    corpus,
-                    r,
-                    detector.as_ref(),
-                    &features,
-                    &inducer,
-                    Some(&linker),
-                )
+                self.process_term(corpus, r, detector, &inducer, Some(&linker))
             })
         });
         run.absorb(outcomes);
@@ -320,7 +313,7 @@ impl EnrichmentPipeline {
         let stop_hard = || gov.check_hard().is_some();
         let (outcomes, panicked) = fan_out(|| {
             boe_par::try_par_map(&run.pending[run.processed..], &stop_hard, |r| {
-                self.process_term(corpus, r, detector.as_ref(), &features, &cheap, None)
+                self.process_term(corpus, r, detector, &cheap, None)
             })
         });
         run.absorb(outcomes);
@@ -338,15 +331,16 @@ impl EnrichmentPipeline {
         Ok(())
     }
 
-    /// Steps II–IV for one candidate term. `linker` is `None` in the
-    /// degraded cheap pass, which skips Step IV entirely. Every stage is
-    /// individually guarded: a panic degrades the term, never the run.
+    /// Steps II–IV for one candidate term. `detector` is the trained
+    /// detector with the feature context it classifies from, `None` when
+    /// Step II fell back. `linker` is `None` in the degraded cheap pass,
+    /// which skips Step IV entirely. Every stage is individually guarded:
+    /// a panic degrades the term, never the run.
     fn process_term(
         &self,
         corpus: &Corpus,
         r: &RankedTerm,
-        detector: Option<&PolysemyDetector>,
-        features: &FeatureContext<'_>,
+        detector: Option<(&PolysemyDetector, &FeatureContext<'_>)>,
         inducer: &SenseInducer<'_>,
         linker: Option<&SemanticLinker<'_>>,
     ) -> TermOutcome {
@@ -373,7 +367,7 @@ impl EnrichmentPipeline {
             || {
                 boe_chaos::inject_keyed(boe_chaos::sites::TERM_DETECT, chaos_key);
                 match detector {
-                    Some(d) => d.is_polysemic(&features.features(&tokens, &r.surface)),
+                    Some((d, features)) => d.is_polysemic(&features.features(&tokens, &r.surface)),
                     None => false,
                 }
             },
@@ -440,18 +434,19 @@ impl EnrichmentPipeline {
     /// recorded in `diag.detector` either way.
     ///
     /// The class balance is decided from the labels alone, so a fallback
-    /// computes no features. The feature rows are built on `boe-par`,
-    /// polling `stop` before each; an interruption discards them all
-    /// (`Err`), so the outcome does not depend on the thread count.
-    fn train_detector(
+    /// builds no feature context and computes no features. Otherwise the
+    /// context is built and returned with the detector, which classifies
+    /// from it. The feature rows are built on `boe-par`, polling `stop`
+    /// before each; an interruption discards them all (`Err`), so the
+    /// outcome does not depend on the thread count.
+    fn train_detector<'c>(
         &self,
-        corpus: &Corpus,
+        corpus: &'c Corpus,
         ontology: &Ontology,
-        occ: &OccurrenceIndex,
-        features: &FeatureContext<'_>,
+        occ: &Arc<OccurrenceIndex>,
         stop: &(dyn Fn() -> bool + Sync),
         diag: &mut RunDiagnostics,
-    ) -> Result<Option<PolysemyDetector>, RowsInterrupted> {
+    ) -> Result<Option<(PolysemyDetector, FeatureContext<'c>)>, RowsInterrupted> {
         let mut examples = Vec::new();
         for (surface, concepts) in ontology.terms() {
             let Some(tokens) = corpus.phrase_ids(surface) else {
@@ -472,6 +467,7 @@ impl EnrichmentPipeline {
             };
             return Ok(None);
         }
+        let features = FeatureContext::build_with_index(corpus, Arc::clone(occ));
         let rows = match boe_par::try_par_map(&examples, &stop, |(surface, tokens, _)| {
             features.features(tokens, surface)
         }) {
@@ -488,11 +484,8 @@ impl EnrichmentPipeline {
             positives: pos,
         };
         let labels = examples.iter().map(|e| e.2).collect();
-        Ok(Some(PolysemyDetector::train(
-            self.config.polysemy_model,
-            rows,
-            labels,
-        )))
+        let detector = PolysemyDetector::train(self.config.polysemy_model, rows, labels);
+        Ok(Some((detector, features)))
     }
 }
 

@@ -9,46 +9,56 @@
 //! same output regardless of the machine's core count. Every combinator
 //! here therefore guarantees the **determinism contract**:
 //!
-//! * items are split into contiguous index chunks, each worker computes
-//!   its chunk independently, and results are reassembled **in input
-//!   order** — the output `Vec` is identical to the serial
-//!   `items.iter().map(f).collect()` for any pure `f`;
+//! * workers **claim** items from one shared cursor in index order, one
+//!   item or one small block at a time (the block size depends only on
+//!   the item and worker counts), so a worker that drew expensive items
+//!   claims fewer of them and no worker idles while work is left;
+//! * each worker keeps `(index, value)` pairs, ascending because claims
+//!   are, and the lists are merged back **in input order** — the output
+//!   `Vec` is identical to the serial `items.iter().map(f).collect()`
+//!   for any pure `f`, whichever worker computed which item;
 //! * callers that reduce fold the returned `Vec` serially in index
 //!   order, so floating-point accumulation associates exactly as the
 //!   serial loop would — results are bit-identical, not merely "close";
-//! * a worker panic is re-raised on the calling thread (first panicking
-//!   chunk in index order), matching the serial behaviour under
-//!   `catch_unwind`.
+//! * a worker panic is re-raised on the calling thread: the one at the
+//!   lowest item index, which the serial loop would have hit first,
+//!   matching the serial behaviour under `catch_unwind`.
 //!
 //! The thread count comes from, in priority order: a process-wide
 //! programmatic override ([`set_threads`]), the `BOE_THREADS` environment
 //! variable, and finally [`std::thread::available_parallelism`]. A count
-//! of 1 (or fewer items than [`MIN_PARALLEL_ITEMS`]) short-circuits to
-//! the plain serial loop — no threads are spawned at all, so `BOE_THREADS=1`
-//! is a true serial baseline.
+//! of 1 (or fewer items than [`MIN_PARALLEL_ITEMS`]) means one worker,
+//! and worker 0 always runs on the calling thread — no threads are
+//! spawned at all, so `BOE_THREADS=1` is a true serial baseline.
 //!
 //! ## Cooperative early exit
 //!
-//! [`try_par_map`] additionally polls a caller-supplied stop predicate
-//! **before every item**. When it first returns `true` the
-//! workers stop and the call returns [`ParOutcome::Interrupted`] holding
-//! the **deterministic completed prefix**: the longest contiguous run of
-//! leading items that finished. Because chunks are contiguous and
-//! reassembly is in order, that prefix is always bit-identical to the
-//! first `prefix.len()` results of the serial loop — work completed
-//! beyond the first gap is discarded rather than surfaced out of order.
-//! A worker panic still propagates (first panicking chunk in index
-//! order) and the scoped join guarantees no interrupted or poisoned
-//! worker can leak or deadlock the scope.
+//! [`try_par_map`] additionally polls a caller-supplied stop predicate:
+//! every worker polls it **before each claim and before each item**.
+//! When a poll fires, that worker stops and cuts the output right after
+//! the last item *it* completed (or, for a poll before an item of a
+//! claimed block, right before that item): the serial loop, which polls
+//! before every item, would have stopped there. The call returns
+//! [`ParOutcome::Interrupted`] holding the **deterministic completed
+//! prefix**: the leading items below the lowest cut, all of which some
+//! worker finished, so the prefix is bit-identical to the first
+//! `prefix.len()` results of the serial loop. It is
+//! [`ParOutcome::Complete`] iff that prefix covers all `n` items. A
+//! worker that fires before completing any item cuts nothing; items no
+//! worker claimed end the prefix. A worker panic still propagates (the
+//! lowest-index one) and the scoped join guarantees no interrupted or
+//! poisoned worker can leak or deadlock the scope.
 //!
-//! Every worker (and the serial short-circuit) hits the
-//! `boe_chaos::sites::PAR_WORKER` injection site once before starting
-//! its chunk, keyed by the chunk's start index — a no-op unless a chaos
-//! plan is armed.
+//! Every worker (the one on the calling thread included) hits the
+//! `boe_chaos::sites::PAR_WORKER` injection site once, before its first
+//! claim, keyed by its worker index — a no-op unless a chaos plan is
+//! armed. Worker 0 keeps key 0 at every thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this many items the combinators run serially even when more
@@ -95,8 +105,8 @@ pub enum ParOutcome<U> {
     Complete(Vec<U>),
     /// The stop predicate fired; `prefix` holds the results of items
     /// `0..prefix.len()`, bit-identical to the serial loop's first
-    /// `prefix.len()` outputs. Items beyond the first gap are discarded
-    /// even if some later chunk had finished them.
+    /// `prefix.len()` outputs. Items at or past the cut are discarded
+    /// even if some worker had finished them.
     Interrupted {
         /// The deterministic completed prefix, in input order.
         prefix: Vec<U>,
@@ -137,88 +147,160 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    match chunked_run(n, min_items, None::<&fn() -> bool>, f) {
+    match cursor_run(n, min_items, None::<&fn() -> bool>, f) {
         ParOutcome::Complete(v) => v,
         // Without a stop predicate no worker ever stops early.
         ParOutcome::Interrupted { .. } => unreachable!("no stop predicate"),
     }
 }
 
-/// The shared chunked executor behind both the plain and the
-/// cancellable maps. `stop` is polled before each item; `None` compiles
-/// down to the unconditional loop.
-fn chunked_run<U, F, S>(n: usize, min_items: usize, stop: Option<&S>, f: F) -> ParOutcome<U>
+/// Claims per worker the item count is divided into: a block is
+/// `n / (CLAIMS_PER_WORKER · workers)` items, at least one. Per-item
+/// claims and blocks this fine balance equally; blocks four times
+/// coarser lost most of the gain on the skewed per-term fan-out, while
+/// blocks keep cheap per-item kernels (one dot product, one score) from
+/// paying one contended claim per item.
+const CLAIMS_PER_WORKER: usize = 32;
+
+/// The shared executor behind both the plain and the cancellable maps:
+/// `workers` workers claim blocks of items from one cursor in index
+/// order (see the crate docs for the contract). `stop` is polled before
+/// each claim and each item; `None` compiles down to the unconditional
+/// loop.
+fn cursor_run<U, F, S>(n: usize, min_items: usize, stop: Option<&S>, f: F) -> ParOutcome<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
     S: Fn() -> bool + Sync,
 {
-    // One worker's share: compute items `lo..hi`, polling the stop
-    // predicate before each; `true` in the flag means the whole range
-    // completed.
-    let run_range = |lo: usize, hi: usize| -> (Vec<U>, bool) {
-        boe_chaos::inject_keyed(boe_chaos::sites::PAR_WORKER, lo as u64);
-        // Trailing chunks can be empty when n isn't divisible by the
-        // worker count (lo past the end).
-        let mut part = Vec::with_capacity(hi.saturating_sub(lo));
-        for i in lo..hi {
-            if stop.is_some_and(|s| s()) {
-                return (part, false);
-            }
-            part.push(f(i));
-        }
-        (part, true)
+    let workers = if n < min_items.max(MIN_PARALLEL_ITEMS) {
+        1
+    } else {
+        threads().min(n)
     };
+    let block = (n / (CLAIMS_PER_WORKER * workers)).max(1);
+    // The cursor publishes no other data (results travel through the
+    // joins), so relaxed claims suffice.
+    let cursor = AtomicUsize::new(0);
+    let work = |w: usize| claim_items(w, n, block, &cursor, stop, &f);
+    // Worker 0 runs on the calling thread, so a serial run spawns nothing.
+    let parts: Vec<Part<U>> = std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+        let mut parts = vec![work(0)];
+        parts.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panics are caught in claim_items")),
+        );
+        parts
+    });
 
-    let workers = threads().min(n);
-    if workers <= 1 || n < min_items.max(MIN_PARALLEL_ITEMS) {
-        let (part, complete) = run_range(0, n);
-        return if complete {
-            ParOutcome::Complete(part)
-        } else {
-            ParOutcome::Interrupted { prefix: part }
-        };
-    }
-    let chunk = n.div_ceil(workers);
-    let run_range = &run_range;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                s.spawn(move || run_range(lo, hi))
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        let mut interrupted = false;
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            match h.join() {
-                Ok((part, complete)) => {
-                    // Results after the first gap are discarded: the
-                    // returned prefix must be contiguous from item 0.
-                    if !interrupted {
-                        out.extend(part);
-                        if !complete {
-                            interrupted = true;
-                        }
-                    }
-                }
-                // Keep the first panic (lowest chunk index) — the one the
-                // serial loop would have hit first.
-                Err(payload) if panic.is_none() => panic = Some(payload),
-                Err(_) => {}
+    // The serial loop would have hit the lowest-index panic first; ties
+    // (the chaos site, hit before any item) go to the lowest worker.
+    let mut panic: Option<(usize, Box<dyn Any + Send>)> = None;
+    let mut cut = n;
+    let mut lists = Vec::with_capacity(parts.len());
+    for part in parts {
+        if let Some((at, payload)) = part.panic {
+            if panic.as_ref().is_none_or(|(lowest, _)| at < *lowest) {
+                panic = Some((at, payload));
             }
         }
-        if let Some(payload) = panic {
-            std::panic::resume_unwind(payload);
+        cut = cut.min(part.cut.unwrap_or(n));
+        lists.push(part.done.into_iter().peekable());
+    }
+    if let Some((_, payload)) = panic {
+        resume_unwind(payload);
+    }
+
+    // Merge the ascending per-worker lists up to the cut. Each block is
+    // contiguous in one list, so the owner of the next index is found
+    // once per block; an index no worker computed ends the prefix.
+    let mut out = Vec::with_capacity(cut);
+    while out.len() < cut {
+        let next = out.len();
+        let Some(list) = lists
+            .iter_mut()
+            .find_map(|l| l.peek().is_some_and(|&(i, _)| i == next).then_some(l))
+        else {
+            break;
+        };
+        while out.len() < cut {
+            let Some((_, v)) = list.next_if(|&(i, _)| i == out.len()) else {
+                break;
+            };
+            out.push(v);
         }
-        if interrupted {
-            ParOutcome::Interrupted { prefix: out }
-        } else {
-            ParOutcome::Complete(out)
+    }
+    if out.len() == n {
+        ParOutcome::Complete(out)
+    } else {
+        ParOutcome::Interrupted { prefix: out }
+    }
+}
+
+/// What one worker hands back.
+struct Part<U> {
+    /// `(index, value)` of every item it completed, ascending.
+    done: Vec<(usize, U)>,
+    /// Where its firing stop poll cuts the output, if one fired after
+    /// it completed an item.
+    cut: Option<usize>,
+    /// The index of the item it panicked on (0 for a panic before its
+    /// first claim) and the payload.
+    panic: Option<(usize, Box<dyn Any + Send>)>,
+}
+
+/// Worker `w`'s loop: claim blocks of `block` items from `cursor` until
+/// it passes `n`, polling `stop` before each claim and each item. A
+/// panic ends the worker and is handed back with the item's index.
+fn claim_items<U, F, S>(
+    w: usize,
+    n: usize,
+    block: usize,
+    cursor: &AtomicUsize,
+    stop: Option<&S>,
+    f: &F,
+) -> Part<U>
+where
+    F: Fn(usize) -> U,
+    S: Fn() -> bool,
+{
+    let mut done = Vec::new();
+    let mut cut = None;
+    let mut at = 0;
+    let stopped = || stop.is_some_and(|s| s());
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        boe_chaos::inject_keyed(boe_chaos::sites::PAR_WORKER, w as u64);
+        // One past the last item this worker completed.
+        let mut next = None;
+        loop {
+            if stopped() {
+                cut = next;
+                return;
+            }
+            let lo = cursor.fetch_add(block, Ordering::Relaxed);
+            if lo >= n {
+                return;
+            }
+            let hi = (lo + block).min(n);
+            for i in lo..hi {
+                if i > lo && stopped() {
+                    cut = Some(i);
+                    return;
+                }
+                at = i;
+                done.push((i, f(i)));
+            }
+            next = Some(hi);
         }
-    })
+    }));
+    Part {
+        done,
+        cut,
+        panic: run.err().map(|payload| (at, payload)),
+    }
 }
 
 /// Map `f` over a slice in parallel, returning results in input order.
@@ -244,9 +326,11 @@ where
     par_map_indexed_min(items.len(), min_items, |i| f(&items[i]))
 }
 
-/// [`par_map`] with cooperative cancellation: `should_stop` is polled
-/// before every item; once it returns `true` the workers wind down and
-/// the deterministic completed prefix is returned. The predicate must be
+/// [`par_map`] with cooperative cancellation: every worker polls
+/// `should_stop` before each claim and each item; once it returns `true`
+/// the workers wind down and the deterministic completed prefix, cut
+/// where the serial loop would have stopped, is returned (see the crate
+/// docs). The predicate must be
 /// monotonic (once `true`, stay `true`) for the prefix guarantee to be
 /// meaningful.
 pub fn try_par_map<T, U, F, S>(items: &[T], should_stop: &S, f: F) -> ParOutcome<U>
@@ -256,7 +340,7 @@ where
     F: Fn(&T) -> U + Sync,
     S: Fn() -> bool + Sync,
 {
-    chunked_run(items.len(), MIN_PARALLEL_ITEMS, Some(should_stop), |i| {
+    cursor_run(items.len(), MIN_PARALLEL_ITEMS, Some(should_stop), |i| {
         f(&items[i])
     })
 }
@@ -377,6 +461,69 @@ mod tests {
         for n in [2usize, 3, 7, 13, 97] {
             let out = with_threads(4, || par_map_indexed(n, |i| i));
             assert_eq!(out, (0..n).collect::<Vec<usize>>(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn claims_balance_a_skewed_fan_out() {
+        // Item 0 waits until items 1..n/2 are done. Contiguous chunks
+        // would give those items to item 0's own worker, which would wait
+        // out the timeout; claimed in index order, the other workers take
+        // them while item 0 waits.
+        let n = 64;
+        for nt in [2, 3, 8] {
+            let done = AtomicUsize::new(0);
+            let out = with_threads(nt, || {
+                par_map_indexed(n, |i| {
+                    if i == 0 {
+                        let t0 = std::time::Instant::now();
+                        while done.load(Ordering::SeqCst) < n / 2 - 1 {
+                            if t0.elapsed() > std::time::Duration::from_secs(10) {
+                                return false;
+                            }
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                    } else if i < n / 2 {
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }
+                    true
+                })
+            });
+            assert!(
+                out[0],
+                "threads = {nt}: item 0 timed out waiting for items 1..{}",
+                n / 2
+            );
+            assert!(out.iter().all(|&ok| ok));
+        }
+    }
+
+    #[test]
+    fn the_lowest_index_panic_is_re_raised() {
+        // Item 10 panics later in time than item 50, but the serial loop
+        // would hit it first.
+        let items: Vec<usize> = (0..64).collect();
+        for nt in [2, 3, 8] {
+            let caught = with_threads(nt, || {
+                std::panic::catch_unwind(|| {
+                    par_map(&items, |&x| {
+                        if x == 10 {
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            panic!("boom at {x}");
+                        }
+                        if x == 50 {
+                            panic!("boom at {x}");
+                        }
+                        x
+                    })
+                })
+            });
+            let payload = caught.expect_err("panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(msg, "boom at 10", "threads = {nt}");
         }
     }
 

@@ -1,15 +1,23 @@
 //! Property tests for the cooperative early-exit contract of
-//! `try_par_map`:
+//! `try_par_map`, whose workers claim items from one cursor in index
+//! order and poll the stop predicate before each claim and each item:
 //!
 //! * an interrupted run always returns a contiguous *leading* prefix of
 //!   the serial output, bit-identical item by item, at any thread count;
 //! * a stop predicate that is already `true` yields an empty prefix at
 //!   any thread count;
+//! * a firing poll cuts the output right after the last item its worker
+//!   completed, where the serial loop would have stopped: a slow first
+//!   item that trips the stop keeps exactly itself, even though other
+//!   workers finished every later item meanwhile, and a stop that fires
+//!   after the last item leaves the run complete;
 //! * a poisoned (panicking) worker propagates its panic to the caller
 //!   without deadlocking the scope, interrupted or not.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use boe_par::{set_threads, try_par_map, ParOutcome};
 use boe_rng::StdRng;
@@ -25,7 +33,7 @@ fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// A moderately expensive pure function so chunks take long enough for
+/// A moderately expensive pure function so workers run long enough for
 /// stop predicates to actually land mid-run.
 fn work(x: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(x);
@@ -73,6 +81,65 @@ fn stop_already_true_yields_empty_prefix_at_any_thread_count() {
             ParOutcome::Interrupted { prefix: Vec::new() },
             "threads = {nt}"
         );
+    }
+}
+
+#[test]
+fn a_slow_first_item_that_trips_the_stop_keeps_only_itself() {
+    // The serial loop finishes item 0, then polls before item 1 and
+    // stops. In parallel the other workers finish every later item while
+    // item 0 sleeps; item 0's worker polls after it and cuts there, so
+    // the outcome is the serial one at every thread count.
+    let items: Vec<u64> = (0..64).collect();
+    for nt in [1usize, 2, 3, 8] {
+        let tripped = AtomicBool::new(false);
+        let stop = || tripped.load(Ordering::SeqCst);
+        let out = with_threads(nt, || {
+            try_par_map(&items, &stop, |&x| {
+                if x == 0 {
+                    std::thread::sleep(Duration::from_millis(200));
+                    tripped.store(true, Ordering::SeqCst);
+                }
+                work(x)
+            })
+        });
+        assert_eq!(
+            out,
+            ParOutcome::Interrupted {
+                prefix: vec![work(0)]
+            },
+            "threads = {nt}"
+        );
+    }
+}
+
+thread_local! {
+    /// Set on the thread that ran the last item.
+    static RAN_LAST: Cell<bool> = const { Cell::new(false) };
+}
+
+#[test]
+fn a_stop_that_fires_after_the_last_item_keeps_the_run_complete() {
+    // The stop fires for the worker that ran the last item only, so no
+    // other worker's late poll can race with it. That worker polls once
+    // more before its next claim; the cut it makes lies past the last
+    // item, which leaves the run complete, as the serial loop (which
+    // never polls after the last item) would be.
+    let items: Vec<u64> = (0..64).collect();
+    let serial: Vec<u64> = items.iter().map(|&x| work(x)).collect();
+    let stop = || RAN_LAST.with(Cell::get);
+    for nt in [1usize, 2, 3, 8] {
+        let out = with_threads(nt, || {
+            try_par_map(&items, &stop, |&x| {
+                if x == 63 {
+                    RAN_LAST.with(|r| r.set(true));
+                }
+                work(x)
+            })
+        });
+        // Worker 0 runs on this test's thread.
+        RAN_LAST.with(|r| r.set(false));
+        assert_eq!(out, ParOutcome::Complete(serial.clone()), "threads = {nt}");
     }
 }
 

@@ -32,8 +32,14 @@ run cargo build --release --offline
 #   (`linkage_oracle`);
 # * resource-governance gates: budgets trip into truncated reports
 #   (`governor`), `boe-par` early exit keeps a deterministic prefix
-#   (`early_exit`), every chaos site × mode × {1,8} threads stays
-#   bit-identical (`chaos_matrix`);
+#   (`early_exit`: a slow first item that trips the stop keeps only
+#   itself, a stop after the last item keeps the run complete), every
+#   chaos site × mode × {1,8} threads stays bit-identical
+#   (`chaos_matrix`);
+# * `boe-par` claim-cursor gates (crate unit tests): a skewed fan-out is
+#   balanced across workers (`claims_balance_a_skewed_fan_out`) and the
+#   lowest-index panic is the one re-raised
+#   (`the_lowest_index_panic_is_re_raised`);
 # * occurrence-index gate: the positional index reproduces an in-file
 #   naive scan, occurrences and contexts, cached document-scope contexts
 #   included (`occurrence_index_equality`); the corpus stem map matches
@@ -54,10 +60,16 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # on 2 cores) must reproduce the committed `experiments_full.txt` byte
 # for byte, so a refactor or perf change cannot move them silently. The
 # output is deterministic at any thread count; a change that means to
-# move a number regenerates the file (and EXPERIMENTS.md) with it.
-echo "==> run_experiments --full, diffed against experiments_full.txt"
-BOE_CHAOS=off cargo run --release --offline -q -p boe-eval --bin run_experiments -- --full \
-    > target/experiments_full.txt
-diff -u experiments_full.txt target/experiments_full.txt
+# move a number regenerates the file (and EXPERIMENTS.md) with it. A
+# second pass at 3 threads, an odd worker count, runs E3/E4's k-means
+# and similarity matrices through uneven `boe-par` claims and must print
+# the same file.
+for threads in "" 3; do
+    echo "==> run_experiments --full${threads:+ at $threads threads}, diffed against experiments_full.txt"
+    BOE_CHAOS=off BOE_THREADS="$threads" \
+        cargo run --release --offline -q -p boe-eval --bin run_experiments -- --full \
+        > target/experiments_full.txt
+    diff -u experiments_full.txt target/experiments_full.txt
+done
 
 echo "ci: all checks passed"

@@ -1,5 +1,8 @@
 //! Determinism across thread counts: the parallel runtime must make the
 //! pipeline's output bit-identical to the serial run, not merely "close".
+//! Workers claim items from one cursor, so which worker computes which
+//! item changes from run to run: the pipeline runs at an odd worker count
+//! (3) and three times at 8 threads, each against the 1-thread report.
 //!
 //! The whole check lives in one `#[test]` because the thread-count
 //! override ([`boe_par::set_threads`]) is process-global and the test
@@ -85,6 +88,26 @@ fn assert_reports_identical(a: &EnrichmentReport, b: &EnrichmentReport) {
     assert_eq!(deg(a), deg(b));
 }
 
+/// The parallel thread counts every pipeline report is checked at: an
+/// odd worker count, then 8 threads three times over.
+const PARALLEL_THREADS: [usize; 4] = [3, 8, 8, 8];
+
+/// `pipeline` on `w` at 1 thread, then at each of [`PARALLEL_THREADS`].
+fn serial_and_parallel(
+    pipeline: &EnrichmentPipeline,
+    w: &World,
+) -> (EnrichmentReport, Vec<(usize, EnrichmentReport)>) {
+    let run = |threads| {
+        boe_par::set_threads(Some(threads));
+        pipeline
+            .run(&w.corpus, &w.reduced_ontology)
+            .expect("valid input")
+    };
+    let serial = run(1);
+    let parallel = PARALLEL_THREADS.iter().map(|&t| (t, run(t))).collect();
+    (serial, parallel)
+}
+
 #[test]
 fn serial_and_parallel_runs_are_bit_identical() {
     let w = world();
@@ -92,16 +115,7 @@ fn serial_and_parallel_runs_are_bit_identical() {
         top_terms: 120,
         ..Default::default()
     });
-
-    boe_par::set_threads(Some(1));
-    let serial = pipeline
-        .run(&w.corpus, &w.reduced_ontology)
-        .expect("valid input");
-
-    boe_par::set_threads(Some(8));
-    let parallel = pipeline
-        .run(&w.corpus, &w.reduced_ontology)
-        .expect("valid input");
+    let (serial, parallel) = serial_and_parallel(&pipeline, &w);
 
     // Step IV: the linker must return exactly the reference
     // implementation's top-10 (order, terms, cosine bits), still at 8
@@ -121,9 +135,9 @@ fn serial_and_parallel_runs_are_bit_identical() {
         );
     }
 
-    // Step-III kernel: the row-range-chunked similarity matrix must stay
-    // bit-identical across thread counts (chunk boundaries move with the
-    // worker count; cell values must not).
+    // Step-III kernel: the similarity matrix, one claimed item per row,
+    // must stay bit-identical across thread counts (which worker fills
+    // which row moves; cell values must not).
     use bio_onto_enrich::cluster::similarity::similarity_matrix;
     use bio_onto_enrich::corpus::SparseVector;
     let unit: Vec<SparseVector> = (0..97u32)
@@ -138,43 +152,40 @@ fn serial_and_parallel_runs_are_bit_identical() {
         .collect();
     boe_par::set_threads(Some(1));
     let m1 = similarity_matrix(&unit);
-    boe_par::set_threads(Some(8));
-    let m8 = similarity_matrix(&unit);
-    assert_eq!(m1, m8, "similarity matrix diverges across thread counts");
+    for threads in PARALLEL_THREADS {
+        boe_par::set_threads(Some(threads));
+        let m = similarity_matrix(&unit);
+        assert_eq!(m1, m, "similarity matrix diverges at {threads} threads");
+    }
 
     // Step II: the planted world trains a detector (its feature rows are
     // built in parallel and memoized per head word), the default world
-    // falls back before computing any feature. Both outcomes are exact
-    // and thread-count invariant.
+    // falls back before building any feature context. Both outcomes are
+    // exact and thread-count invariant.
     let w2 = planted_world();
-    boe_par::set_threads(Some(1));
-    let trained_serial = pipeline
-        .run(&w2.corpus, &w2.reduced_ontology)
-        .expect("valid input");
-    boe_par::set_threads(Some(8));
-    let trained_parallel = pipeline
-        .run(&w2.corpus, &w2.reduced_ontology)
-        .expect("valid input");
+    let (trained_serial, trained_parallel) = serial_and_parallel(&pipeline, &w2);
 
     boe_par::set_threads(None);
-    assert_reports_identical(&serial, &parallel);
     assert!(!serial.terms.is_empty(), "nothing analysed — vacuous test");
     let fallback = DetectorOutcome::Fallback {
         reason: "124 usable training terms, 0 polysemic — need both classes and ≥ 4 terms"
             .to_owned(),
     };
     assert_eq!(serial.diagnostics.detector, fallback);
-    assert_eq!(parallel.diagnostics.detector, fallback);
-
-    assert_reports_identical(&trained_serial, &trained_parallel);
     let trained = DetectorOutcome::Trained {
         examples: 135,
         positives: 9,
     };
     assert_eq!(trained_serial.diagnostics.detector, trained);
-    assert_eq!(trained_parallel.diagnostics.detector, trained);
     assert!(
         trained_serial.terms.iter().any(|t| t.polysemic),
         "the trained detector flags no term — vacuous test"
     );
+    for ((threads, report), (_, trained_report)) in parallel.iter().zip(&trained_parallel) {
+        eprintln!("checking the {threads}-thread reports");
+        assert_reports_identical(&serial, report);
+        assert_eq!(report.diagnostics.detector, fallback);
+        assert_reports_identical(&trained_serial, trained_report);
+        assert_eq!(trained_report.diagnostics.detector, trained);
+    }
 }
