@@ -31,7 +31,7 @@ enum MetaValue {
 }
 
 impl PerfReport {
-    /// An empty report tagged with `bench` (e.g. `"BENCH_3"`).
+    /// An empty report tagged with `bench`.
     pub fn new(bench: &str) -> Self {
         let mut r = PerfReport::default();
         r.set_str("bench", bench);

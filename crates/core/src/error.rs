@@ -47,12 +47,11 @@ impl fmt::Display for Stage {
     }
 }
 
-/// Why an enrichment run cannot produce a report.
+/// Why an enrichment run cannot produce a report: exactly the failures
+/// [`EnrichmentPipeline::run`](crate::EnrichmentPipeline::run) returns.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EnrichError {
-    /// The input is structurally unusable (unparseable, inconsistent).
-    InvalidInput(String),
     /// The corpus has no documents (or no tokens at all).
     EmptyCorpus,
     /// The ontology has no concepts.
@@ -65,8 +64,6 @@ pub enum EnrichError {
         /// The ontology language.
         ontology: Language,
     },
-    /// A requested term does not occur in the corpus vocabulary.
-    UnknownTerm(String),
     /// A stage failed in a way that could not be downgraded.
     StageFailure {
         /// The stage that failed.
@@ -76,46 +73,17 @@ pub enum EnrichError {
         /// What went wrong.
         cause: String,
     },
-    /// Strict mode promoted degraded-mode warnings to a hard error.
-    Degraded {
-        /// Number of warnings / degraded terms in the run.
-        warnings: usize,
-    },
-    /// The run's wall-clock deadline passed before the workflow
-    /// completed; the report (if any) is truncated.
-    DeadlineExceeded {
-        /// Wall-clock milliseconds actually elapsed when the trip fired.
-        elapsed_ms: u64,
-        /// The configured deadline, in milliseconds.
-        budget_ms: u64,
-    },
-    /// The run was cancelled through its
-    /// [`CancelToken`](crate::governor::CancelToken).
-    Cancelled,
-    /// The run allocated more memory than its budget allows.
-    BudgetExhausted {
-        /// Mebibytes allocated beyond the run-start baseline.
-        allocated_mb: u64,
-        /// The configured budget, in mebibytes.
-        budget_mb: u64,
-    },
 }
 
 impl EnrichError {
     /// Stable process exit code for this error class (the `boe` CLI
-    /// reserves 0 for success, 1 for I/O errors and 2 for usage errors).
+    /// reserves 0 for success, 1 for I/O errors and 2 for usage errors,
+    /// and owns the codes of its own failure classes).
     pub fn exit_code(&self) -> u8 {
         match self {
-            EnrichError::InvalidInput(_)
-            | EnrichError::EmptyCorpus
-            | EnrichError::EmptyOntology => 3,
+            EnrichError::EmptyCorpus | EnrichError::EmptyOntology => 3,
             EnrichError::LanguageMismatch { .. } => 4,
-            EnrichError::UnknownTerm(_) => 5,
             EnrichError::StageFailure { .. } => 6,
-            EnrichError::Degraded { .. } => 7,
-            EnrichError::DeadlineExceeded { .. } => 8,
-            EnrichError::Cancelled => 9,
-            EnrichError::BudgetExhausted { .. } => 10,
         }
     }
 }
@@ -123,16 +91,12 @@ impl EnrichError {
 impl fmt::Display for EnrichError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EnrichError::InvalidInput(what) => write!(f, "invalid input: {what}"),
             EnrichError::EmptyCorpus => write!(f, "the corpus contains no documents"),
             EnrichError::EmptyOntology => write!(f, "the ontology contains no concepts"),
             EnrichError::LanguageMismatch { corpus, ontology } => write!(
                 f,
                 "language mismatch: corpus is {corpus}, ontology is {ontology}"
             ),
-            EnrichError::UnknownTerm(term) => {
-                write!(f, "term {term:?} does not occur in the corpus")
-            }
             EnrichError::StageFailure { stage, term, cause } => {
                 if term.is_empty() {
                     write!(f, "{stage} failed: {cause}")
@@ -140,24 +104,6 @@ impl fmt::Display for EnrichError {
                     write!(f, "{stage} failed on {term:?}: {cause}")
                 }
             }
-            EnrichError::Degraded { warnings } => {
-                write!(f, "strict mode: run degraded with {warnings} warning(s)")
-            }
-            EnrichError::DeadlineExceeded {
-                elapsed_ms,
-                budget_ms,
-            } => write!(
-                f,
-                "deadline exceeded: {elapsed_ms} ms elapsed against a {budget_ms} ms budget"
-            ),
-            EnrichError::Cancelled => write!(f, "run cancelled"),
-            EnrichError::BudgetExhausted {
-                allocated_mb,
-                budget_mb,
-            } => write!(
-                f,
-                "memory budget exhausted: {allocated_mb} MiB allocated against a {budget_mb} MiB budget"
-            ),
         }
     }
 }
@@ -186,62 +132,20 @@ mod tests {
         };
         assert!(sf.to_string().contains("step III"), "{sf}");
         assert!(sf.to_string().contains("cornea"));
-        let dl = EnrichError::DeadlineExceeded {
-            elapsed_ms: 120,
-            budget_ms: 100,
-        };
-        assert!(dl.to_string().contains("120 ms"), "{dl}");
-        let mem = EnrichError::BudgetExhausted {
-            allocated_mb: 64,
-            budget_mb: 32,
-        };
-        assert!(mem.to_string().contains("64 MiB"), "{mem}");
-    }
-
-    #[test]
-    fn governed_exit_codes_are_stable() {
-        assert_eq!(
-            EnrichError::DeadlineExceeded {
-                elapsed_ms: 1,
-                budget_ms: 1
-            }
-            .exit_code(),
-            8
-        );
-        assert_eq!(EnrichError::Cancelled.exit_code(), 9);
-        assert_eq!(
-            EnrichError::BudgetExhausted {
-                allocated_mb: 1,
-                budget_mb: 1
-            }
-            .exit_code(),
-            10
-        );
     }
 
     #[test]
     fn exit_codes_are_distinct_per_class() {
         let errors = [
-            EnrichError::InvalidInput("x".into()),
+            EnrichError::EmptyCorpus,
             EnrichError::LanguageMismatch {
                 corpus: Language::English,
                 ontology: Language::Spanish,
             },
-            EnrichError::UnknownTerm("x".into()),
             EnrichError::StageFailure {
                 stage: Stage::Validation,
                 term: String::new(),
                 cause: "x".into(),
-            },
-            EnrichError::Degraded { warnings: 1 },
-            EnrichError::DeadlineExceeded {
-                elapsed_ms: 10,
-                budget_ms: 5,
-            },
-            EnrichError::Cancelled,
-            EnrichError::BudgetExhausted {
-                allocated_mb: 10,
-                budget_mb: 5,
             },
         ];
         let mut codes: Vec<u8> = errors.iter().map(|e| e.exit_code()).collect();

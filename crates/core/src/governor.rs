@@ -44,16 +44,6 @@ pub struct BudgetConfig {
     pub max_alloc_mb: Option<u64>,
 }
 
-impl BudgetConfig {
-    /// Whether any limit is set at all (lets the pipeline skip governor
-    /// plumbing entirely on the default config).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline_ms.is_none()
-            && self.stage_deadline_ms.is_none()
-            && self.max_alloc_mb.is_none()
-    }
-}
-
 /// Which budget a [`Governor`] poll found exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TripKind {
@@ -235,8 +225,7 @@ impl Governor {
     }
 
     /// The measured value and the limit a trip crossed (ms for the clock
-    /// budgets, MiB for the allocation budget), for diagnostics and
-    /// error payloads.
+    /// budgets, MiB for the allocation budget), for diagnostics.
     pub fn describe(&self, trip: TripKind) -> (u64, u64) {
         match trip {
             TripKind::Deadline => (self.elapsed_ms(), self.deadline_ms().unwrap_or(0)),
@@ -303,7 +292,14 @@ mod tests {
     #[test]
     fn default_config_is_unlimited_and_never_trips() {
         let cfg = BudgetConfig::default();
-        assert!(cfg.is_unlimited());
+        assert_eq!(
+            cfg,
+            BudgetConfig {
+                deadline_ms: None,
+                stage_deadline_ms: None,
+                max_alloc_mb: None,
+            }
+        );
         let gov = Governor::new(cfg);
         assert_eq!(gov.check(), None);
         assert_eq!(gov.check_hard(), None);

@@ -158,13 +158,6 @@ impl PolysemyDetector {
         self.scaler.transform_row(&mut row);
         self.model.predict(&row)
     }
-
-    /// Probability the term is polysemic.
-    pub fn proba(&self, features: &[f64]) -> f64 {
-        let mut row = features.to_vec();
-        self.scaler.transform_row(&mut row);
-        self.model.predict_proba(&row)
-    }
 }
 
 #[cfg(test)]
@@ -212,22 +205,6 @@ mod tests {
             .count();
         let acc = correct as f64 / rows.len() as f64;
         assert!(acc > 0.9, "training accuracy {acc}");
-    }
-
-    #[test]
-    fn proba_is_in_unit_interval() {
-        let (corpus, terms) = labelled_corpus(4);
-        let ctx = FeatureContext::build(&corpus);
-        let rows: Vec<Vec<f64>> = terms
-            .iter()
-            .map(|(t, _)| ctx.features(&corpus.phrase_ids(t).expect("known"), t))
-            .collect();
-        let labels: Vec<bool> = terms.iter().map(|(_, l)| *l).collect();
-        let det = PolysemyDetector::train(PolysemyModel::LogReg, rows.clone(), labels);
-        for r in &rows {
-            let p = det.proba(r);
-            assert!((0.0..=1.0).contains(&p));
-        }
     }
 
     #[test]

@@ -102,22 +102,12 @@ impl<'c> SenseInducer<'c> {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> SenseInducerConfig {
-        self.config
-    }
-
     /// The per-occurrence context vectors of a term under the configured
-    /// representation.
-    pub fn contexts(&self, phrase: &[TokenId]) -> Vec<SparseVector> {
-        self.contexts_repaired(phrase).0
-    }
-
-    /// [`contexts`](Self::contexts) plus the number of vectors that
-    /// needed repair: non-finite weights (whether produced upstream or
-    /// injected by the `term.induce` chaos site) are dropped and the
-    /// norm recomputed, so clustering never sees NaN.
-    pub fn contexts_repaired(&self, phrase: &[TokenId]) -> (Vec<SparseVector>, usize) {
+    /// representation, plus the number of vectors that needed repair:
+    /// non-finite weights (whether produced upstream or injected by the
+    /// `term.induce` chaos site) are dropped and the norm recomputed, so
+    /// clustering never sees NaN.
+    fn contexts_repaired(&self, phrase: &[TokenId]) -> (Vec<SparseVector>, usize) {
         let mut ctxs = build_representation(
             self.corpus,
             &self.occ,

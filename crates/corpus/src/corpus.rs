@@ -196,43 +196,17 @@ impl CorpusBuilder {
     /// bit-identical at any thread count (equality-tested in
     /// `tests/step1_parallel_equality.rs`).
     pub fn add_texts<S: AsRef<str> + Sync>(&mut self, texts: &[S]) -> Vec<DocId> {
-        let (ids, interrupted) = self.try_add_texts(texts, &|| false);
-        debug_assert!(!interrupted, "never-stop predicate cannot interrupt");
-        ids
-    }
-
-    /// [`add_texts`](Self::add_texts) with cooperative cancellation:
-    /// `should_stop` is polled before each document in both phases (the
-    /// parallel tokenize/tag fan-out and the serial intern pass). When it
-    /// first returns `true`, only the deterministic completed prefix of
-    /// documents is added and the second tuple field is `true`. The
-    /// predicate must be monotonic (once `true`, stay `true`).
-    pub fn try_add_texts<S, F>(&mut self, texts: &[S], should_stop: &F) -> (Vec<DocId>, bool)
-    where
-        S: AsRef<str> + Sync,
-        F: Fn() -> bool + Sync,
-    {
         // Phase 1 (parallel, no shared state): raw text → tagged token
         // buffers. Tokenizer and tagger are reentrant (`&self`, Sync).
         let (tokenizer, tagger) = (&self.tokenizer, &self.tagger);
-        let outcome = boe_par::try_par_map(texts, should_stop, |t| {
-            tokenize_doc(tokenizer, tagger, t.as_ref())
-        });
-        let interrupted = outcome.is_interrupted();
-        let tagged_docs = outcome.into_results();
+        let tagged_docs = boe_par::par_map(texts, |t| tokenize_doc(tokenizer, tagger, t.as_ref()));
         // Phase 2 (serial, in order): intern into the shared vocabulary.
         // Token ids depend only on first-seen order, which this pass
         // replays exactly as the serial ingestion loop would.
-        let mut ids = Vec::with_capacity(tagged_docs.len());
-        let mut stopped_at = None;
-        for (i, tagged) in tagged_docs.into_iter().enumerate() {
-            if should_stop() {
-                stopped_at = Some(i);
-                break;
-            }
-            ids.push(self.intern_doc(tagged));
-        }
-        (ids, interrupted || stopped_at.is_some())
+        tagged_docs
+            .into_iter()
+            .map(|tagged| self.intern_doc(tagged))
+            .collect()
     }
 
     /// Serial intern pass shared by [`add_text`](Self::add_text) and
@@ -450,20 +424,6 @@ mod tests {
             }
             assert_eq!(batch.stop, serial.stop);
         }
-    }
-
-    #[test]
-    fn try_add_texts_keeps_deterministic_prefix() {
-        let texts = ["one cornea.", "two corneas.", "three corneas."];
-        let mut b = CorpusBuilder::new(Language::English);
-        let (ids, interrupted) = b.try_add_texts(&texts, &|| true);
-        assert!(interrupted);
-        assert!(ids.is_empty());
-        assert!(b.is_empty());
-        let (ids, interrupted) = b.try_add_texts(&texts, &|| false);
-        assert!(!interrupted);
-        assert_eq!(ids.len(), 3);
-        assert_eq!(b.len(), 3);
     }
 
     #[test]

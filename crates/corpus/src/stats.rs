@@ -147,11 +147,6 @@ impl CoocCounts {
         v
     }
 
-    /// Number of distinct co-occurring pairs.
-    pub fn pair_count(&self) -> usize {
-        self.adjacency.len() / 2
-    }
-
     /// Neighbours of `t` with counts, sorted by decreasing count then id
     /// (empty for a token with no pairs).
     pub fn neighbours(&self, t: TokenId) -> &[(TokenId, u32)] {
@@ -159,34 +154,6 @@ impl CoocCounts {
             Some(&[lo, hi]) => &self.adjacency[lo..hi],
             _ => &[],
         }
-    }
-
-    /// Pointwise mutual information of a pair given total token mass.
-    ///
-    /// `pmi = log( p(a,b) / (p(a) p(b)) )` with add-zero smoothing: returns
-    /// `None` when any count involved is zero.
-    pub fn pmi(&self, a: TokenId, b: TokenId) -> Option<f64> {
-        let cab = self.pair(a, b);
-        let ca = self.occurrences(a);
-        let cb = self.occurrences(b);
-        if cab == 0 || ca == 0 || cb == 0 {
-            return None;
-        }
-        let total: u64 = self.occurrences.iter().map(|&c| u64::from(c)).sum();
-        // Every pair is listed once per endpoint.
-        let total_pairs: u64 = self
-            .adjacency
-            .iter()
-            .map(|&(_, c)| u64::from(c))
-            .sum::<u64>()
-            / 2;
-        if total == 0 || total_pairs == 0 {
-            return None;
-        }
-        let pab = f64::from(cab) / total_pairs as f64;
-        let pa = f64::from(ca) / total as f64;
-        let pb = f64::from(cb) / total as f64;
-        Some((pab / (pa * pb)).ln())
     }
 }
 
@@ -265,17 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn pmi_behaviour() {
-        let c = corpus(&["cornea injury.", "cornea injury.", "stroma membrane."]);
-        let cc = CoocCounts::from_corpus(&c, 2);
-        let cornea = c.vocab().get("cornea").expect("id");
-        let injury = c.vocab().get("injury").expect("id");
-        let stroma = c.vocab().get("stroma").expect("id");
-        assert!(cc.pmi(cornea, injury).expect("co-occurring") > 0.0);
-        assert!(cc.pmi(cornea, stroma).is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "window")]
     fn zero_window_panics() {
         let c = corpus(&["a."]);
@@ -288,7 +244,7 @@ mod tests {
         let cc = CoocCounts::from_corpus(&c, 4);
         let pairs = cc.iter_pairs();
         assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(pairs.len(), cc.pair_count());
+        assert_eq!(2 * pairs.len(), cc.adjacency.len());
     }
 
     #[test]
@@ -324,7 +280,7 @@ mod tests {
             }
             listed += nb.len();
         }
-        assert_eq!(listed, 2 * cc.pair_count());
-        assert_eq!(cc.iter_pairs().len(), cc.pair_count());
+        assert_eq!(listed, cc.adjacency.len());
+        assert_eq!(2 * cc.iter_pairs().len(), cc.adjacency.len());
     }
 }

@@ -11,8 +11,6 @@
 //!   generator: *terms that denote a concept co-occur with that concept's
 //!   characteristic vocabulary*, the property every workflow step relies
 //!   on;
-//! * [`pubmed`] — PubMed-like abstract collections over a set of concept
-//!   profiles;
 //! * [`mshwsd`] — an MSH-WSD-like word-sense-disambiguation dataset: N
 //!   ambiguous entities, each with k ∈ \[2,5\] senses and ~100 context
 //!   snippets per sense.
@@ -20,11 +18,9 @@
 //! All generators are seeded and fully deterministic.
 
 pub mod mshwsd;
-pub mod pubmed;
 pub mod topic;
 pub mod vocabgen;
 
 pub use mshwsd::{AmbiguousEntity, MshWsdDataset};
-pub use pubmed::PubMedGenerator;
 pub use topic::{AbstractGenerator, Background, ConceptProfile};
 pub use vocabgen::LexiconPools;

@@ -85,11 +85,6 @@ impl Background {
         }
     }
 
-    /// Wrap existing pools.
-    pub fn from_pools(pools: LexiconPools) -> Self {
-        Background { pools }
-    }
-
     /// The underlying pools.
     pub fn pools(&self) -> &LexiconPools {
         &self.pools
@@ -114,11 +109,6 @@ impl AbstractGenerator {
             background: Background::for_language(lang),
             topic_prob: 0.75,
         }
-    }
-
-    /// The generator's language.
-    pub fn language(&self) -> Language {
-        self.lang
     }
 
     fn pick<'a>(rng: &mut StdRng, xs: &'a [&'static str]) -> &'a str {
@@ -225,32 +215,6 @@ impl AbstractGenerator {
         out.push((".".to_owned(), PosTag::Punctuation));
         out.into_iter().unzip()
     }
-
-    /// An abstract: `n_sentences` sentences, each about a profile drawn
-    /// from `profiles` (round-robin over a random starting offset), with a
-    /// `mention_prob` chance of embedding the profile's term.
-    pub fn abstract_for(
-        &self,
-        rng: &mut StdRng,
-        profiles: &[&ConceptProfile],
-        n_sentences: usize,
-        mention_prob: f64,
-    ) -> Vec<(Vec<String>, Vec<PosTag>)> {
-        assert!(!profiles.is_empty(), "at least one profile required");
-        let start = rng.gen_range(0..profiles.len());
-        (0..n_sentences)
-            .map(|i| {
-                let p = profiles[(start + i) % profiles.len()];
-                let mention = if rng.gen_bool(mention_prob) {
-                    let surfaces: Vec<&Vec<TaggedWord>> = p.surfaces().collect();
-                    Some(surfaces[rng.gen_range(0..surfaces.len())].clone())
-                } else {
-                    None
-                };
-                self.sentence(rng, p, mention.as_deref())
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -345,28 +309,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn abstract_mentions_appear_with_requested_rate() {
-        let g = AbstractGenerator::new(Language::English);
-        let p = profile(Language::English);
-        let mut rng = StdRng::seed_from_u64(11);
-        let sents = g.abstract_for(&mut rng, &[&p], 300, 0.5);
-        let with_mention = sents
-            .iter()
-            .filter(|(w, _)| w.join(" ").contains("corneal injuries"))
-            .count();
-        let rate = with_mention as f64 / 300.0;
-        assert!((0.35..=0.65).contains(&rate), "mention rate {rate}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one profile")]
-    fn empty_profiles_panics() {
-        let g = AbstractGenerator::new(Language::English);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = g.abstract_for(&mut rng, &[], 3, 0.5);
     }
 
     #[test]

@@ -63,11 +63,6 @@ pub fn core_numbers(g: &Graph) -> Vec<u32> {
     core
 }
 
-/// The maximum core number (graph degeneracy); 0 for the empty graph.
-pub fn degeneracy(g: &Graph) -> u32 {
-    core_numbers(g).into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +78,6 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), 1.0);
         let core = core_numbers(&g);
         assert_eq!(core, vec![2, 2, 2, 1, 0]);
-        assert_eq!(degeneracy(&g), 2);
     }
 
     #[test]
@@ -111,6 +105,5 @@ mod tests {
     #[test]
     fn empty_graph() {
         assert!(core_numbers(&Graph::new()).is_empty());
-        assert_eq!(degeneracy(&Graph::new()), 0);
     }
 }

@@ -66,43 +66,6 @@ fn clustering_with(g: &Graph, v: NodeId, mark: &mut [bool]) -> f64 {
     2.0 * closed as f64 / (d * (d - 1)) as f64
 }
 
-/// Summary statistics of the degree distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-    /// Population variance of degrees.
-    pub variance: f64,
-}
-
-/// Compute [`DegreeStats`]; `None` for the empty graph.
-pub fn degree_stats(g: &Graph) -> Option<DegreeStats> {
-    if g.node_count() == 0 {
-        return None;
-    }
-    let degrees: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
-    let n = degrees.len() as f64;
-    let mean = degrees.iter().sum::<usize>() as f64 / n;
-    let variance = degrees
-        .iter()
-        .map(|&d| {
-            let x = d as f64 - mean;
-            x * x
-        })
-        .sum::<f64>()
-        / n;
-    Some(DegreeStats {
-        min: *degrees.iter().min().expect("nonempty"),
-        max: *degrees.iter().max().expect("nonempty"),
-        mean,
-        variance,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,17 +109,6 @@ mod tests {
         let expected = (1.0 / 3.0 + 1.0 + 1.0 + 0.0) / 4.0;
         assert!((avg - expected).abs() < 1e-12);
         assert_eq!(average_clustering(&Graph::new()), 0.0);
-    }
-
-    #[test]
-    fn degree_stats_values() {
-        let g = triangle_plus_tail();
-        let s = degree_stats(&g).expect("nonempty");
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 3);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert!(s.variance > 0.0);
-        assert!(degree_stats(&Graph::new()).is_none());
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl AdaBoost {
         Self::default()
     }
 
-    /// Number of fitted stumps (≤ rounds; boosting stops early on a
-    /// perfect stump).
-    pub fn stump_count(&self) -> usize {
-        self.stumps.len()
-    }
-
     /// The weighted vote margin (positive ⇒ positive class).
     pub fn decision(&self, row: &[f64]) -> f64 {
         self.stumps
@@ -207,7 +201,7 @@ mod tests {
         let mut m = AdaBoost::new();
         m.fit(&d);
         assert_eq!(predict_all(&m, &d), d.labels());
-        assert!(m.stump_count() >= 1);
+        assert!(!m.stumps.is_empty());
     }
 
     #[test]
@@ -224,7 +218,7 @@ mod tests {
             .count() as f64
             / d.len() as f64;
         assert!(acc >= 0.95, "accuracy {acc}");
-        assert!(m.stump_count() > 1);
+        assert!(m.stumps.len() > 1);
     }
 
     #[test]
@@ -264,7 +258,7 @@ mod tests {
         let mut m = AdaBoost::new();
         m.fit(&Dataset::new(vec![], vec![]));
         assert!(m.predict(&[1.0])); // zero margin ⇒ non-negative
-        assert_eq!(m.stump_count(), 0);
+        assert!(m.stumps.is_empty());
     }
 
     #[test]

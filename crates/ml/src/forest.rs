@@ -38,11 +38,6 @@ impl RandomForest {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of fitted trees.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Classifier for RandomForest {
@@ -110,7 +105,7 @@ mod tests {
         let acc =
             preds.iter().zip(d.labels()).filter(|(p, l)| p == l).count() as f64 / d.len() as f64;
         assert!(acc > 0.9, "accuracy {acc}");
-        assert_eq!(f.tree_count(), 30);
+        assert_eq!(f.trees.len(), 30);
     }
 
     #[test]
@@ -139,6 +134,6 @@ mod tests {
         let mut f = RandomForest::new();
         f.fit(&Dataset::new(vec![], vec![]));
         assert!(!f.predict(&[0.0]));
-        assert_eq!(f.tree_count(), 0);
+        assert_eq!(f.trees.len(), 0);
     }
 }

@@ -106,11 +106,6 @@ impl Ontology {
         !self.concepts_of_term(term).is_empty()
     }
 
-    /// Number of distinct (normalized) terms.
-    pub fn term_count(&self) -> usize {
-        self.term_index.len()
-    }
-
     /// Iterate `(normalized term, concepts)` in sorted term order.
     pub fn terms(&self) -> Vec<(&str, &[ConceptId])> {
         let mut v: Vec<(&str, &[ConceptId])> = self
@@ -333,8 +328,8 @@ mod tests {
     #[test]
     fn term_count_counts_synonyms() {
         let o = tiny();
-        assert_eq!(o.term_count(), 5);
         let terms = o.terms();
+        assert_eq!(terms.len(), 5);
         assert!(terms.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 

@@ -89,7 +89,7 @@ pub fn neighbourhood(onto: &Ontology, c: ConceptId, radius: usize) -> Vec<Concep
 /// concept itself; hierarchically these are fathers ∪ sons. The paper's
 /// Table-4 correctness criterion is "the proposed position is a synonym,
 /// father or son of the gold concept".
-pub fn paradigmatic_relatives(onto: &Ontology, c: ConceptId) -> Vec<ConceptId> {
+fn paradigmatic_relatives(onto: &Ontology, c: ConceptId) -> Vec<ConceptId> {
     let mut v: Vec<ConceptId> = fathers(onto, c)
         .iter()
         .chain(sons(onto, c))

@@ -114,11 +114,6 @@ pub enum ParOutcome<U> {
 }
 
 impl<U> ParOutcome<U> {
-    /// Whether the stop predicate cut the run short.
-    pub fn is_interrupted(&self) -> bool {
-        matches!(self, ParOutcome::Interrupted { .. })
-    }
-
     /// The results regardless of outcome (full vector or prefix).
     pub fn into_results(self) -> Vec<U> {
         match self {

@@ -148,11 +148,6 @@ impl PatternSet {
         self.patterns[idx].weight
     }
 
-    /// Find the pattern matching an exact tag sequence, if any.
-    pub fn find_exact(&self, tags: &[PosTag]) -> Option<usize> {
-        self.patterns.iter().position(|p| p.tags == tags)
-    }
-
     /// Enumerate every occurrence of every pattern over a tagged sentence
     /// into `out` (cleared first, so one buffer serves every sentence),
     /// by start, then pattern index.
@@ -234,18 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn find_exact() {
-        let set = PatternSet::for_language(Language::English);
-        let idx = set.find_exact(&[Adjective, Noun]).expect("A N exists");
-        assert!((set.weight(idx) - 0.185).abs() < 1e-12);
-        assert!(set.find_exact(&[Verb, Verb]).is_none());
-    }
-
-    #[test]
     fn french_noun_adjective_order() {
         let set = PatternSet::for_language(Language::French);
         // "hépatite chronique" → N A must match.
-        assert!(set.find_exact(&[Noun, Adjective]).is_some());
+        assert!(set.patterns().iter().any(|p| p.tags == [Noun, Adjective]));
     }
 
     #[test]

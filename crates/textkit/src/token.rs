@@ -20,16 +20,6 @@ pub enum TokenKind {
     Other,
 }
 
-impl TokenKind {
-    /// Whether this token can participate in a candidate term.
-    pub fn is_lexical(self) -> bool {
-        matches!(
-            self,
-            TokenKind::Word | TokenKind::Number | TokenKind::Alphanumeric
-        )
-    }
-}
-
 /// A token: a slice of the source text plus its classification.
 ///
 /// The surface form is stored owned (tokens outlive the source buffer in
@@ -76,15 +66,6 @@ impl fmt::Display for Token {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lexical_kinds() {
-        assert!(TokenKind::Word.is_lexical());
-        assert!(TokenKind::Number.is_lexical());
-        assert!(TokenKind::Alphanumeric.is_lexical());
-        assert!(!TokenKind::Punctuation.is_lexical());
-        assert!(!TokenKind::Other.is_lexical());
-    }
 
     #[test]
     fn token_display_and_len() {

@@ -50,6 +50,13 @@ run timeout "$TEST_TIMEOUT" cargo test -q --offline
 # and a mismatch between the pipeline and its traced rebuild before the
 # benchmark itself runs.
 run timeout "$TEST_TIMEOUT" cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
+# `cargo test` builds the examples but never runs them, and they are the
+# only shipping callers of some library items (`ontology::edit::apply`,
+# for one). Each must run to completion and exit 0.
+for example in enrich_ontology multilingual_extraction quickstart relation_extraction sense_induction; do
+    echo "==> example $example"
+    cargo run --release --offline -q --example "$example" > /dev/null
+done
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo fmt --check
 # Broken intra-doc links fail the build, so docs cannot keep pointing at

@@ -16,13 +16,17 @@
 //! Exit codes are stable per error class: 0 success, 1 I/O error,
 //! 2 usage error, 3 invalid/empty input, 4 language mismatch, 5 unknown
 //! term, 6 stage failure, 7 degraded run under `--strict`, 8 deadline
-//! exceeded, 9 cancelled, 10 memory budget exhausted. Warnings and
-//! degradations always go to stderr; a budget-truncated report is still
-//! printed before the governed exit code is returned.
+//! exceeded, 9 cancelled, 10 memory budget exhausted. Codes 3 (empty
+//! corpus or ontology), 4 and 6 are the library's [`EnrichError`]
+//! classes; the rest are the CLI's own. `boe` never exits 4 (it loads the
+//! corpus in the ontology's language) or 9 (it holds no cancel token).
+//! Warnings and degradations always go to stderr; a budget-truncated
+//! report is still printed before the governed exit code is returned.
 
 use bio_onto_enrich::corpus::corpus::{Corpus, CorpusBuilder};
 use bio_onto_enrich::ontology::{io as onto_io, Ontology};
 use bio_onto_enrich::textkit::Language;
+use bio_onto_enrich::workflow::diagnostics::BudgetTrip;
 use bio_onto_enrich::workflow::error::EnrichError;
 use bio_onto_enrich::workflow::governor::{self, BudgetConfig, TripKind};
 use bio_onto_enrich::workflow::linkage::{LinkerConfig, SemanticLinker};
@@ -106,6 +110,31 @@ enum CliError {
     Usage(String),
     /// The OS said no: unreadable files and similar.
     Io(String),
+    /// A file's content is unusable: no documents, unparsable ontology.
+    InvalidInput(String),
+    /// A requested term does not occur in the corpus vocabulary.
+    UnknownTerm(String),
+    /// `--strict` promoted a degraded run to a failure.
+    Degraded {
+        /// Number of warnings / degraded terms in the run.
+        warnings: usize,
+    },
+    /// The run's wall-clock deadline tripped; the report was truncated.
+    DeadlineExceeded {
+        /// Milliseconds elapsed when the trip fired.
+        elapsed_ms: u64,
+        /// The configured deadline, in milliseconds.
+        budget_ms: u64,
+    },
+    /// The run was cancelled; the report was truncated.
+    Cancelled,
+    /// The run's memory budget tripped; the report was truncated.
+    BudgetExhausted {
+        /// Mebibytes allocated beyond the run-start baseline.
+        allocated_mb: u64,
+        /// The configured budget, in mebibytes.
+        budget_mb: u64,
+    },
     /// A typed workflow error.
     Enrich(EnrichError),
 }
@@ -113,8 +142,14 @@ enum CliError {
 impl CliError {
     fn exit_code(&self) -> u8 {
         match self {
-            CliError::Usage(_) => 2,
             CliError::Io(_) => 1,
+            CliError::Usage(_) => 2,
+            CliError::InvalidInput(_) => 3,
+            CliError::UnknownTerm(_) => 5,
+            CliError::Degraded { .. } => 7,
+            CliError::DeadlineExceeded { .. } => 8,
+            CliError::Cancelled => 9,
+            CliError::BudgetExhausted { .. } => 10,
             CliError::Enrich(e) => e.exit_code(),
         }
     }
@@ -124,6 +159,28 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Usage(m) | CliError::Io(m) => f.write_str(m),
+            CliError::InvalidInput(what) => write!(f, "invalid input: {what}"),
+            CliError::UnknownTerm(term) => {
+                write!(f, "term {term:?} does not occur in the corpus")
+            }
+            CliError::Degraded { warnings } => {
+                write!(f, "strict mode: run degraded with {warnings} warning(s)")
+            }
+            CliError::DeadlineExceeded {
+                elapsed_ms,
+                budget_ms,
+            } => write!(
+                f,
+                "deadline exceeded: {elapsed_ms} ms elapsed against a {budget_ms} ms budget"
+            ),
+            CliError::Cancelled => write!(f, "run cancelled"),
+            CliError::BudgetExhausted {
+                allocated_mb,
+                budget_mb,
+            } => write!(
+                f,
+                "memory budget exhausted: {allocated_mb} MiB allocated against a {budget_mb} MiB budget"
+            ),
             CliError::Enrich(e) => write!(f, "{e}"),
         }
     }
@@ -296,7 +353,9 @@ fn load_corpus(path: &str, lang: Language) -> Result<Corpus, CliError> {
         .collect();
     builder.add_texts(&docs);
     if builder.is_empty() {
-        return Err(EnrichError::InvalidInput(format!("{path:?} contains no documents")).into());
+        return Err(CliError::InvalidInput(format!(
+            "{path:?} contains no documents"
+        )));
     }
     Ok(builder.build())
 }
@@ -305,7 +364,7 @@ fn load_ontology(path: &str) -> Result<Ontology, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Io(format!("cannot read {path:?}: {e}")))?;
     onto_io::from_str(&text)
-        .map_err(|e| EnrichError::InvalidInput(format!("cannot parse {path:?}: {e}")).into())
+        .map_err(|e| CliError::InvalidInput(format!("cannot parse {path:?}: {e}")))
 }
 
 fn parse_measure(name: &str) -> Result<TermMeasure, CliError> {
@@ -346,7 +405,7 @@ fn cmd_senses(flags: &Flags) -> Result<(), CliError> {
     let corpus = load_corpus(path, flags.lang()?)?;
     let ids = corpus
         .phrase_ids(term)
-        .ok_or_else(|| EnrichError::UnknownTerm(term.clone()))?;
+        .ok_or_else(|| CliError::UnknownTerm(term.clone()))?;
     let inducer = SenseInducer::new(&corpus, SenseInducerConfig::default());
     let senses = inducer.induce(&ids, true);
     println!("term {term:?}: {} sense(s)", senses.k);
@@ -376,7 +435,7 @@ fn cmd_link(flags: &Flags) -> Result<(), CliError> {
     let ontology = load_ontology(onto_path)?;
     let corpus = load_corpus(corpus_path, ontology.language())?;
     if corpus.phrase_ids(term).is_none() {
-        return Err(EnrichError::UnknownTerm(term.clone()).into());
+        return Err(CliError::UnknownTerm(term.clone()));
     }
     let top = flags.top(10)?;
     let linker = SemanticLinker::new(
@@ -441,30 +500,32 @@ fn cmd_pipeline(flags: &Flags) -> Result<(), CliError> {
     print!("{report}");
     // A hard budget trip produced a truncated report; surface it as the
     // matching governed exit code. Takes precedence over --strict.
-    if let Some(trip) = report.diagnostics.hard_trip() {
-        let err = match trip.kind {
-            TripKind::Deadline => Some(EnrichError::DeadlineExceeded {
-                elapsed_ms: trip.measured,
-                budget_ms: trip.limit,
-            }),
-            TripKind::Cancelled => Some(EnrichError::Cancelled),
-            TripKind::AllocBudget => Some(EnrichError::BudgetExhausted {
-                allocated_mb: trip.measured,
-                budget_mb: trip.limit,
-            }),
-            TripKind::StageDeadline => None,
-        };
-        if let Some(e) = err {
-            return Err(e.into());
-        }
+    if let Some(e) = report.diagnostics.hard_trip().and_then(trip_error) {
+        return Err(e);
     }
     if flags.has("strict") && report.is_degraded() {
-        return Err(EnrichError::Degraded {
+        return Err(CliError::Degraded {
             warnings: report.diagnostics.warning_count(),
-        }
-        .into());
+        });
     }
     Ok(())
+}
+
+/// The error a budget trip ends the CLI with: one per hard trip kind,
+/// `None` for the soft stage deadline.
+fn trip_error(trip: &BudgetTrip) -> Option<CliError> {
+    match trip.kind {
+        TripKind::Deadline => Some(CliError::DeadlineExceeded {
+            elapsed_ms: trip.measured,
+            budget_ms: trip.limit,
+        }),
+        TripKind::Cancelled => Some(CliError::Cancelled),
+        TripKind::AllocBudget => Some(CliError::BudgetExhausted {
+            allocated_mb: trip.measured,
+            budget_mb: trip.limit,
+        }),
+        TripKind::StageDeadline => None,
+    }
 }
 
 fn cmd_demo() -> Result<(), CliError> {
@@ -485,4 +546,75 @@ fn cmd_demo() -> Result<(), CliError> {
     let case = exp_linkage_case::run(&world, 0, 150);
     println!("{}", exp_linkage_case::render(&case));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bio_onto_enrich::workflow::error::Stage;
+
+    fn trip(kind: TripKind, measured: u64, limit: u64) -> BudgetTrip {
+        BudgetTrip {
+            kind,
+            stage: Stage::SenseInduction,
+            detail: String::new(),
+            measured,
+            limit,
+        }
+    }
+
+    #[test]
+    fn exit_codes_are_stable_and_distinct_per_class() {
+        let hard = [
+            TripKind::Deadline,
+            TripKind::Cancelled,
+            TripKind::AllocBudget,
+        ]
+        .map(|kind| {
+            trip_error(&trip(kind, 1, 1))
+                .expect("hard trip")
+                .exit_code()
+        });
+        assert_eq!(hard, [8, 9, 10]);
+        assert!(trip_error(&trip(TripKind::StageDeadline, 1, 1)).is_none());
+
+        let errors = [
+            CliError::Io("x".into()),
+            CliError::Usage("x".into()),
+            CliError::InvalidInput("x".into()),
+            CliError::Enrich(EnrichError::LanguageMismatch {
+                corpus: Language::English,
+                ontology: Language::Spanish,
+            }),
+            CliError::UnknownTerm("x".into()),
+            CliError::Enrich(EnrichError::StageFailure {
+                stage: Stage::Validation,
+                term: String::new(),
+                cause: "x".into(),
+            }),
+            CliError::Degraded { warnings: 1 },
+            CliError::DeadlineExceeded {
+                elapsed_ms: 10,
+                budget_ms: 5,
+            },
+            CliError::Cancelled,
+            CliError::BudgetExhausted {
+                allocated_mb: 10,
+                budget_mb: 5,
+            },
+        ];
+        let codes: Vec<u8> = errors.iter().map(CliError::exit_code).collect();
+        assert_eq!(codes, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10], "codes collide");
+        // The library's empty-input classes share the invalid-input code.
+        assert_eq!(CliError::Enrich(EnrichError::EmptyCorpus).exit_code(), 3);
+        assert_eq!(CliError::Enrich(EnrichError::EmptyOntology).exit_code(), 3);
+    }
+
+    #[test]
+    fn trip_messages_carry_their_measurements() {
+        let dl = trip_error(&trip(TripKind::Deadline, 120, 100)).expect("hard trip");
+        assert!(dl.to_string().contains("120 ms"), "{dl}");
+        let mem = trip_error(&trip(TripKind::AllocBudget, 64, 32)).expect("hard trip");
+        assert!(mem.to_string().contains("64 MiB"), "{mem}");
+    }
 }

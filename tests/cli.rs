@@ -215,3 +215,32 @@ fn unknown_measure_is_rejected() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown measure"));
 }
+
+#[test]
+fn unparsable_ontology_exits_3() {
+    let corpus = write_temp("c11.txt", CORPUS);
+    let onto = write_temp("o11.boe", "this is not an ontology\n");
+    let out = boe(&[
+        "pipeline",
+        corpus.to_str().expect("utf8"),
+        onto.to_str().expect("utf8"),
+    ]);
+    assert_eq!(out.status.code(), Some(3), "invalid input exits 3");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot parse"), "{stderr}");
+}
+
+#[test]
+fn link_with_a_term_absent_from_the_corpus_exits_5() {
+    let corpus = write_temp("c12.txt", CORPUS);
+    let onto = write_temp("o12.boe", ONTOLOGY);
+    let out = boe(&[
+        "link",
+        corpus.to_str().expect("utf8"),
+        onto.to_str().expect("utf8"),
+        "zyzzyva keratitis",
+    ]);
+    assert_eq!(out.status.code(), Some(5), "unknown term exits 5");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("zyzzyva keratitis"), "{stderr}");
+}
