@@ -82,25 +82,16 @@ pub struct SemanticLinker<'c> {
 impl<'c> SemanticLinker<'c> {
     /// Build the linker (indexes the corpus for ontology terms once).
     pub fn new(corpus: &'c Corpus, ontology: &'c Ontology, config: LinkerConfig) -> Self {
-        Self::with_candidates(corpus, ontology, config, &[])
+        let occ = Arc::new(OccurrenceIndex::build(corpus));
+        Self::with_candidates_indexed(corpus, ontology, config, &[], occ)
     }
 
     /// Build the linker with extra proposable corpus terms (Step-I
     /// candidates, cf. Table 3 where "wound" and "re-epithelialization"
-    /// are proposed despite not being MeSH terms).
-    pub fn with_candidates(
-        corpus: &'c Corpus,
-        ontology: &'c Ontology,
-        config: LinkerConfig,
-        candidates: &[String],
-    ) -> Self {
-        let occ = Arc::new(OccurrenceIndex::build(corpus));
-        Self::with_candidates_indexed(corpus, ontology, config, candidates, occ)
-    }
-
-    /// [`Self::with_candidates`] resolving occurrences through a shared
-    /// [`OccurrenceIndex`] (the pipeline builds one per run and hands it
-    /// to every stage instead of re-indexing per component).
+    /// are proposed despite not being MeSH terms), resolving occurrences
+    /// through a shared [`OccurrenceIndex`] over `corpus` (the pipeline
+    /// builds one per run, in Step I, and hands it to every stage instead
+    /// of re-indexing per component).
     pub fn with_candidates_indexed(
         corpus: &'c Corpus,
         ontology: &'c Ontology,
@@ -332,11 +323,12 @@ mod tests {
     #[test]
     fn corpus_candidates_are_proposable() {
         let (c, o) = world();
-        let linker = SemanticLinker::with_candidates(
+        let linker = SemanticLinker::with_candidates_indexed(
             &c,
             &o,
             LinkerConfig::default(),
             &["epithelium".to_owned(), "corneal injuries".to_owned()],
+            Arc::new(OccurrenceIndex::build(&c)),
         );
         let props = linker.propose("corneal injuries");
         let epi = props.iter().find(|p| p.term == "epithelium");

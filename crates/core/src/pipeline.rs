@@ -193,10 +193,14 @@ impl EnrichmentPipeline {
                     .top(corpus, self.config.measure, self.config.top_terms)
                     .into_iter()
                     .partition(|r| ontology.contains_term(&r.surface));
-                (known, new_terms, extractor.into_index())
+                // One positional index per run: Step I's serves every
+                // remaining stage (detector training, per-term features,
+                // sense contexts, linkage); the candidate set is dropped
+                // with the extractor here.
+                (known, new_terms, Arc::clone(extractor.index()))
             })
         })?;
-        let Some((known, new_terms, index)) = extracted else {
+        let Some((known, new_terms, occ)) = extracted else {
             // Interrupted mid-extraction: partial candidate statistics
             // would be prefix-dependent, so Step I reports no terms at
             // all — deterministic at any thread count.
@@ -208,11 +212,6 @@ impl EnrichmentPipeline {
             run.diag.warn("step I extracted no new candidate terms");
         }
         run.checkpoint(Stage::TermExtraction, FANOUT_STEPS, false)?;
-
-        // One inverted index per run: Step I's becomes the occurrence
-        // index every remaining stage (detector training, per-term
-        // features, sense contexts, linkage) resolves phrases through.
-        let occ = Arc::new(OccurrenceIndex::from(index));
 
         // Step II: train the detector on ontology-derived weak labels. A
         // panic during training (or from the chaos site, or while the

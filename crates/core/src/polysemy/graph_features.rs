@@ -14,7 +14,7 @@ use boe_graph::community::{community_count, label_propagation, modularity};
 use boe_graph::components::connected_components;
 use boe_graph::kcore::core_numbers;
 use boe_graph::metrics::{average_clustering, density};
-use boe_graph::pagerank::{pagerank, PageRankParams};
+use boe_graph::pagerank::pagerank;
 use boe_graph::{Graph, NodeId};
 use boe_textkit::TokenId;
 use std::collections::HashMap;
@@ -70,7 +70,7 @@ impl TermGraphContext {
             .enumerate()
             .map(|(i, &k)| (TokenId(k as u32), NodeId(i as u32)))
             .collect();
-        let pr = pagerank(&graph, PageRankParams::default());
+        let pr = pagerank(&graph);
         let cores = core_numbers(&graph);
         let memo = (0..graph.node_count()).map(|_| OnceLock::new()).collect();
         TermGraphContext {

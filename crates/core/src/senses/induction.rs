@@ -24,11 +24,12 @@ pub struct SenseInducerConfig {
     pub index: InternalIndex,
     /// Inclusive k range (the paper fixes (2, 5) per Table 1).
     pub k_range: (usize, usize),
-    /// Features kept per induced concept.
-    pub top_features: usize,
-    /// Clustering seed.
-    pub seed: u64,
 }
+
+/// Features kept per induced concept.
+const TOP_FEATURES: usize = 10;
+/// Clustering seed.
+const SEED: u64 = 0;
 
 impl Default for SenseInducerConfig {
     fn default() -> Self {
@@ -38,8 +39,6 @@ impl Default for SenseInducerConfig {
             algorithm: Algorithm::Direct,
             index: InternalIndex::Ek,
             k_range: (2, 5),
-            top_features: 10,
-            seed: 0,
         }
     }
 }
@@ -163,14 +162,14 @@ impl<'c> SenseInducer<'c> {
                     k_range: self.config.k_range,
                     algorithm: self.config.algorithm,
                     index: self.config.index,
-                    seed: self.config.seed,
+                    seed: SEED,
                 },
             ) {
                 Some(pred) => pred.solution,
                 None => ClusterSolution::new(vec![0; ctxs.len()], 1),
             }
         };
-        let concepts = induce_concepts(&solution, &ctxs, self.config.top_features);
+        let concepts = induce_concepts(&solution, &ctxs, TOP_FEATURES);
         InducedSenses {
             k: solution.k(),
             concepts,

@@ -10,11 +10,11 @@
 
 use crate::termex::candidates::CandidateTerm;
 use crate::termex::measures::c_value;
-use boe_corpus::index::InvertedIndex;
+use boe_corpus::OccurrenceIndex;
 use boe_textkit::pattern::PatternSet;
 
 /// LIDF-value of one candidate.
-pub fn lidf_value(index: &InvertedIndex, patterns: &PatternSet, term: &CandidateTerm) -> f64 {
+pub fn lidf_value(index: &OccurrenceIndex, patterns: &PatternSet, term: &CandidateTerm) -> f64 {
     let p_pattern = patterns.weight(term.pattern);
     let df = index.phrase_matches(&term.tokens).len() as f64;
     let n = index.doc_count() as f64;
@@ -26,7 +26,7 @@ pub fn lidf_value(index: &InvertedIndex, patterns: &PatternSet, term: &Candidate
 /// an independent read-only computation, so the loop runs on `boe_par`
 /// (bit-identical to the serial map at any thread count).
 pub fn lidf_values(
-    index: &InvertedIndex,
+    index: &OccurrenceIndex,
     patterns: &PatternSet,
     set: &crate::termex::candidates::CandidateSet,
 ) -> Vec<f64> {
@@ -40,13 +40,13 @@ mod tests {
     use boe_corpus::corpus::CorpusBuilder;
     use boe_textkit::Language;
 
-    fn setup(texts: &[&str]) -> (InvertedIndex, CandidateSet, PatternSet) {
+    fn setup(texts: &[&str]) -> (OccurrenceIndex, CandidateSet, PatternSet) {
         let mut b = CorpusBuilder::new(Language::English);
         for t in texts {
             b.add_text(t);
         }
         let c = b.build();
-        let ix = InvertedIndex::build(&c);
+        let ix = OccurrenceIndex::build(&c);
         let set = extract_candidates(&c, CandidateOptions::default());
         (ix, set, PatternSet::for_language(Language::English))
     }

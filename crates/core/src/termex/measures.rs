@@ -2,7 +2,7 @@
 //! harmonic fusions F-TFIDF-C and F-OCapi (IRJ 2016, §4).
 
 use crate::termex::candidates::{CandidateSet, CandidateTerm};
-use boe_corpus::index::InvertedIndex;
+use boe_corpus::OccurrenceIndex;
 
 /// C-value (Frantzi et al. 2000, as used by BIOTEX):
 ///
@@ -22,7 +22,7 @@ pub fn c_value(term: &CandidateTerm) -> f64 {
 
 /// Phrase-level TF-IDF: max over documents of
 /// `(1 + ln tf_d) × ln((N+1)/(df+1)) + 1` using exact phrase counts.
-pub fn phrase_tf_idf(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
+pub fn phrase_tf_idf(index: &OccurrenceIndex, term: &CandidateTerm) -> f64 {
     let matches = index.phrase_matches(&term.tokens);
     let n = index.doc_count() as f64;
     let df = matches.len() as f64;
@@ -40,7 +40,7 @@ const BM25_B: f64 = 0.75;
 
 /// Phrase-level Okapi BM25: max over documents of the BM25 score with
 /// exact phrase counts.
-pub fn phrase_okapi(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
+pub fn phrase_okapi(index: &OccurrenceIndex, term: &CandidateTerm) -> f64 {
     let matches = index.phrase_matches(&term.tokens);
     let n = index.doc_count() as f64;
     let df = matches.len() as f64;
@@ -68,12 +68,12 @@ pub fn harmonic(a: f64, b: f64) -> f64 {
 }
 
 /// F-TFIDF-C: harmonic mean of phrase TF-IDF and C-value.
-pub fn f_tfidf_c(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
+pub fn f_tfidf_c(index: &OccurrenceIndex, term: &CandidateTerm) -> f64 {
     harmonic(phrase_tf_idf(index, term), c_value(term))
 }
 
 /// F-OCapi: harmonic mean of phrase Okapi and C-value.
-pub fn f_ocapi(index: &InvertedIndex, term: &CandidateTerm) -> f64 {
+pub fn f_ocapi(index: &OccurrenceIndex, term: &CandidateTerm) -> f64 {
     harmonic(phrase_okapi(index, term), c_value(term))
 }
 
@@ -86,23 +86,23 @@ pub fn c_values(set: &CandidateSet) -> Vec<f64> {
 }
 
 /// Phrase TF-IDF for a whole candidate set (index-aligned), on `boe_par`.
-pub fn phrase_tf_idfs(index: &InvertedIndex, set: &CandidateSet) -> Vec<f64> {
+pub fn phrase_tf_idfs(index: &OccurrenceIndex, set: &CandidateSet) -> Vec<f64> {
     boe_par::par_map_min(&set.terms, 64, |t| phrase_tf_idf(index, t))
 }
 
 /// Phrase Okapi BM25 for a whole candidate set (index-aligned), on
 /// `boe_par`.
-pub fn phrase_okapis(index: &InvertedIndex, set: &CandidateSet) -> Vec<f64> {
+pub fn phrase_okapis(index: &OccurrenceIndex, set: &CandidateSet) -> Vec<f64> {
     boe_par::par_map_min(&set.terms, 64, |t| phrase_okapi(index, t))
 }
 
 /// F-TFIDF-C for a whole candidate set (index-aligned), on `boe_par`.
-pub fn f_tfidf_cs(index: &InvertedIndex, set: &CandidateSet) -> Vec<f64> {
+pub fn f_tfidf_cs(index: &OccurrenceIndex, set: &CandidateSet) -> Vec<f64> {
     boe_par::par_map_min(&set.terms, 64, |t| f_tfidf_c(index, t))
 }
 
 /// F-OCapi for a whole candidate set (index-aligned), on `boe_par`.
-pub fn f_ocapis(index: &InvertedIndex, set: &CandidateSet) -> Vec<f64> {
+pub fn f_ocapis(index: &OccurrenceIndex, set: &CandidateSet) -> Vec<f64> {
     boe_par::par_map_min(&set.terms, 64, |t| f_ocapi(index, t))
 }
 
@@ -114,13 +114,13 @@ mod tests {
     use boe_corpus::Corpus;
     use boe_textkit::Language;
 
-    fn setup(texts: &[&str]) -> (Corpus, InvertedIndex, CandidateSet) {
+    fn setup(texts: &[&str]) -> (Corpus, OccurrenceIndex, CandidateSet) {
         let mut b = CorpusBuilder::new(Language::English);
         for t in texts {
             b.add_text(t);
         }
         let c = b.build();
-        let ix = InvertedIndex::build(&c);
+        let ix = OccurrenceIndex::build(&c);
         let set = extract_candidates(&c, CandidateOptions::default());
         (c, ix, set)
     }

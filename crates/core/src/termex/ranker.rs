@@ -4,9 +4,9 @@ use crate::termex::candidates::{try_extract_candidates, CandidateOptions, Candid
 use crate::termex::lidf::lidf_values;
 use crate::termex::measures::{c_values, f_ocapis, f_tfidf_cs, phrase_okapis, phrase_tf_idfs};
 use crate::termex::tergraph::{tergraph_scores, term_cooccurrence_graph};
-use boe_corpus::index::InvertedIndex;
-use boe_corpus::Corpus;
+use boe_corpus::{Corpus, OccurrenceIndex};
 use boe_textkit::pattern::PatternSet;
+use std::sync::Arc;
 
 /// The termhood measures BIOTEX exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,7 +89,7 @@ pub struct RankedTerm {
 #[derive(Debug)]
 pub struct TermExtractor {
     candidates: CandidateSet,
-    index: InvertedIndex,
+    index: Arc<OccurrenceIndex>,
     patterns: PatternSet,
 }
 
@@ -112,7 +112,7 @@ impl TermExtractor {
         let candidates = try_extract_candidates(corpus, opts, should_stop)?;
         Some(TermExtractor {
             candidates,
-            index: InvertedIndex::build(corpus),
+            index: Arc::new(OccurrenceIndex::build(corpus)),
             patterns: PatternSet::for_language(corpus.language()),
         })
     }
@@ -122,11 +122,11 @@ impl TermExtractor {
         &self.candidates
     }
 
-    /// Give up the extractor, keeping its inverted index: the pipeline
-    /// hands it to the run's occurrence index instead of building a
-    /// second one over the same corpus.
-    pub fn into_index(self) -> InvertedIndex {
-        self.index
+    /// The positional index built over the corpus: callers that go on
+    /// to resolve phrases in the same corpus (the pipeline's later
+    /// steps, a linker) share it instead of building a second one.
+    pub fn index(&self) -> &Arc<OccurrenceIndex> {
+        &self.index
     }
 
     /// Rank all candidates by `measure`, descending (surface breaks ties
@@ -144,7 +144,7 @@ impl TermExtractor {
             TermMeasure::FOCapi => f_ocapis(&self.index, &self.candidates),
             TermMeasure::LidfValue => lidf_values(&self.index, &self.patterns, &self.candidates),
             TermMeasure::TerGraph => {
-                let graph = term_cooccurrence_graph(corpus, &self.candidates);
+                let graph = term_cooccurrence_graph(corpus, &self.index, &self.candidates);
                 let tg = tergraph_scores(&graph);
                 lidf_values(&self.index, &self.patterns, &self.candidates)
                     .into_iter()

@@ -11,75 +11,49 @@
 //! same sentence are linked).
 
 use crate::termex::candidates::CandidateSet;
-use boe_corpus::Corpus;
+use boe_corpus::{Corpus, OccurrenceIndex};
 use boe_graph::{Graph, NodeId};
-use std::collections::HashMap;
-
-/// Per-sentence candidate scan: the (sorted, deduped) co-occurrence pair
-/// counts of one document, as a canonically ordered list.
-fn doc_pair_counts(
-    doc: &boe_corpus::doc::Document,
-    set: &CandidateSet,
-    by_first: &HashMap<boe_textkit::TokenId, Vec<usize>>,
-) -> Vec<((usize, usize), u32)> {
-    let mut counts: HashMap<(usize, usize), u32> = HashMap::new();
-    let mut present: Vec<usize> = Vec::new();
-    for s in &doc.sentences {
-        present.clear();
-        for start in 0..s.tokens.len() {
-            if let Some(cands) = by_first.get(&s.tokens[start]) {
-                for &ci in cands {
-                    let t = &set.terms[ci];
-                    if start + t.tokens.len() <= s.tokens.len()
-                        && s.tokens[start..start + t.tokens.len()] == t.tokens[..]
-                    {
-                        present.push(ci);
-                    }
-                }
-            }
-        }
-        present.sort_unstable();
-        present.dedup();
-        for i in 0..present.len() {
-            for j in (i + 1)..present.len() {
-                *counts.entry((present[i], present[j])).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut pairs: Vec<((usize, usize), u32)> = counts.into_iter().collect();
-    pairs.sort_unstable();
-    pairs
-}
 
 /// The term co-occurrence graph over a candidate set: node = candidate
 /// index, edge weight = number of sentences where both candidates occur.
 ///
-/// Per-document edge multisets are built in parallel (`boe_par`) and
-/// reduced serially in document order; edge weights are integer counts,
-/// so the result is bit-identical to the serial loop at any thread
-/// count (equality-tested against a reference build in
-/// `tests/step1_parallel_equality.rs`).
-pub fn term_cooccurrence_graph(corpus: &Corpus, set: &CandidateSet) -> Graph {
-    let mut g = Graph::with_nodes(set.len());
-    // Map from first token to candidate indices, for fast sentence scans.
-    let mut by_first: HashMap<boe_textkit::TokenId, Vec<usize>> = HashMap::new();
-    for (i, t) in set.terms.iter().enumerate() {
-        by_first.entry(t.tokens[0]).or_default().push(i);
-    }
-    let per_doc: Vec<Vec<((usize, usize), u32)>> =
-        boe_par::par_map(corpus.docs(), |doc| doc_pair_counts(doc, set, &by_first));
-    // Serial in-order reduction; sorting the pairs fixes the edge
-    // insertion order independently of hash-map iteration order.
-    let mut pair_counts: HashMap<(usize, usize), u32> = HashMap::new();
-    for doc_pairs in per_doc {
-        for (pair, w) in doc_pairs {
-            *pair_counts.entry(pair).or_insert(0) += w;
+/// Each candidate's occurrences come from `index` (built over `corpus`),
+/// one `boe_par` task per candidate. Their `(doc, sentence, candidate)`
+/// triples, sorted and deduplicated, group into one run per sentence;
+/// every pair within a run counts that sentence once, and edges are
+/// added in sorted pair order. Edge weights are integer counts, so the
+/// result is bit-identical at any thread count (equality-tested against
+/// a sentence-scan reference in `tests/step1_parallel_equality.rs`).
+pub fn term_cooccurrence_graph(
+    corpus: &Corpus,
+    index: &OccurrenceIndex,
+    set: &CandidateSet,
+) -> Graph {
+    let per_candidate = boe_par::par_map(&set.terms, |t| index.find_occurrences(corpus, &t.tokens));
+    let mut triples: Vec<(u32, u32, u32)> = per_candidate
+        .into_iter()
+        .enumerate()
+        .flat_map(|(ci, occs)| {
+            occs.into_iter()
+                .map(move |o| (o.doc.0, o.sentence as u32, ci as u32))
+        })
+        .collect();
+    // A candidate occurring twice in one sentence counts it once.
+    triples.sort_unstable();
+    triples.dedup();
+    // One entry per (pair, sentence); sorting groups each pair's
+    // sentences into one run and orders the edges.
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for run in triples.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        for (i, &(_, _, a)) in run.iter().enumerate() {
+            pairs.extend(run[i + 1..].iter().map(|&(_, _, b)| (a, b)));
         }
     }
-    let mut pairs: Vec<((usize, usize), u32)> = pair_counts.into_iter().collect();
     pairs.sort_unstable();
-    for ((a, b), w) in pairs {
-        g.add_edge(NodeId(a as u32), NodeId(b as u32), f64::from(w));
+    let mut g = Graph::with_nodes(set.len());
+    for same in pairs.chunk_by(|x, y| x == y) {
+        let (a, b) = same[0];
+        g.add_edge(NodeId(a), NodeId(b), same.len() as f64);
     }
     g
 }
@@ -115,23 +89,24 @@ mod tests {
     use boe_corpus::corpus::CorpusBuilder;
     use boe_textkit::Language;
 
-    fn setup(texts: &[&str]) -> (Corpus, CandidateSet) {
+    fn setup(texts: &[&str]) -> (Corpus, OccurrenceIndex, CandidateSet) {
         let mut b = CorpusBuilder::new(Language::English);
         for t in texts {
             b.add_text(t);
         }
         let c = b.build();
+        let ix = OccurrenceIndex::build(&c);
         let set = extract_candidates(&c, CandidateOptions::default());
-        (c, set)
+        (c, ix, set)
     }
 
     #[test]
     fn cooccurring_candidates_are_linked() {
-        let (c, set) = setup(&[
+        let (c, ix, set) = setup(&[
             "corneal injuries damage epithelium badly.",
             "corneal injuries damage epithelium severely.",
         ]);
-        let g = term_cooccurrence_graph(&c, &set);
+        let g = term_cooccurrence_graph(&c, &ix, &set);
         let ci = set
             .terms
             .iter()
@@ -148,11 +123,11 @@ mod tests {
 
     #[test]
     fn different_sentences_do_not_link() {
-        let (c, set) = setup(&[
+        let (c, ix, set) = setup(&[
             "cornea heals. epithelium grows.",
             "cornea scars. epithelium thins.",
         ]);
-        let g = term_cooccurrence_graph(&c, &set);
+        let g = term_cooccurrence_graph(&c, &ix, &set);
         let a = set
             .terms
             .iter()
@@ -164,6 +139,29 @@ mod tests {
             .position(|t| t.surface == "epithelium")
             .expect("kept");
         assert!(!g.has_edge(NodeId(a as u32), NodeId(b as u32)));
+    }
+
+    #[test]
+    fn repeated_candidate_counts_its_sentence_once() {
+        // "cornea" occurs twice in the first sentence: the edge still
+        // counts two sentences, not three occurrence pairs.
+        let (c, ix, set) = setup(&[
+            "cornea scars reach cornea epithelium.",
+            "cornea heals near epithelium.",
+        ]);
+        let g = term_cooccurrence_graph(&c, &ix, &set);
+        let a = set
+            .terms
+            .iter()
+            .position(|t| t.surface == "cornea")
+            .expect("kept");
+        let b = set
+            .terms
+            .iter()
+            .position(|t| t.surface == "epithelium")
+            .expect("kept");
+        assert_eq!(set.terms[a].freq, 3);
+        assert_eq!(g.edge_weight(NodeId(a as u32), NodeId(b as u32)), Some(2.0));
     }
 
     #[test]
@@ -192,7 +190,7 @@ mod tests {
 
     #[test]
     fn parallel_graph_and_scores_match_serial() {
-        let (c, set) = setup(&[
+        let (c, ix, set) = setup(&[
             "corneal injuries damage epithelium badly. cornea heals.",
             "corneal injuries damage epithelium severely. cornea scars.",
             "acute corneal injuries worsen. epithelium thins.",
@@ -200,11 +198,11 @@ mod tests {
         ]);
         // At one thread `boe_par` runs the plain serial loop.
         boe_par::set_threads(Some(1));
-        let gs = term_cooccurrence_graph(&c, &set);
+        let gs = term_cooccurrence_graph(&c, &ix, &set);
         let ss = tergraph_scores(&gs);
         for threads in [1usize, 8] {
             boe_par::set_threads(Some(threads));
-            let gp = term_cooccurrence_graph(&c, &set);
+            let gp = term_cooccurrence_graph(&c, &ix, &set);
             let sp = tergraph_scores(&gp);
             boe_par::set_threads(None);
             assert_eq!(gp.node_count(), gs.node_count(), "at {threads} thread(s)");
@@ -222,11 +220,11 @@ mod tests {
 
     #[test]
     fn nested_candidates_both_detected_in_sentence() {
-        let (c, set) = setup(&[
+        let (c, ix, set) = setup(&[
             "acute corneal injuries worsen.",
             "acute corneal injuries persist.",
         ]);
-        let g = term_cooccurrence_graph(&c, &set);
+        let g = term_cooccurrence_graph(&c, &ix, &set);
         let inner = set
             .terms
             .iter()

@@ -5,14 +5,12 @@
 //!
 //! * [`doc`] / [`corpus`] — tokenized, POS-tagged document collections over
 //!   an interned vocabulary and its stem map;
-//! * [`index`] — flat positional inverted index: the corpus as one
-//!   sentinel-separated token stream, each token's stream positions in
-//!   one CSR array, and exact phrase matching by a rarest-token walk
-//!   that compares stream windows;
-//! * [`occurrence`] — index-backed phrase-occurrence resolution and
-//!   context harvesting shared by Steps I–IV (the rarest-token walk,
-//!   the document-scope context cache), bit-identical to a full corpus
-//!   scan;
+//! * [`occurrence`] — the one positional index, shared by Steps I–IV:
+//!   the corpus as one sentinel-separated token stream, each token's
+//!   stream positions in one CSR array, exact phrase matching by a
+//!   rarest-token walk that compares stream windows, and context
+//!   harvesting with a document-scope cache, bit-identical to a full
+//!   corpus scan;
 //! * [`stats`] — frequency and windowed co-occurrence statistics;
 //! * [`vector`] — sparse vectors and the cosine kernel every downstream
 //!   step (clustering, linkage) runs on;
@@ -26,7 +24,6 @@
 pub mod context;
 pub mod corpus;
 pub mod doc;
-pub mod index;
 pub mod occurrence;
 pub mod stats;
 pub mod synth;

@@ -1,18 +1,28 @@
 //! Index-backed occurrence resolution and context harvesting.
 //!
 //! The enrichment workflow keeps asking one question — *where does this
-//! phrase occur, and what surrounds it?* — for ontology terms (Step IV's
-//! inventory), candidate terms (Steps II–IV), and term pairs (the
-//! relation graph). A full corpus scan per phrase would cost
-//! O(ontology terms × corpus tokens) for the inventory build alone.
+//! phrase occur, and what surrounds it?* — for candidate terms (Step I's
+//! measures and TeRGraph graph, Steps II–IV), ontology terms (Step IV's
+//! inventory) and term pairs (the relation graph). A full corpus scan
+//! per phrase would cost O(ontology terms × corpus tokens) for the
+//! inventory build alone.
 //!
-//! [`OccurrenceIndex`] answers the question through the positional
-//! [`InvertedIndex`]: pick the phrase token with the smallest corpus
-//! frequency (the *rarest* token), walk only its positions in the
-//! index's flat token stream, and confirm each proposed start by
-//! comparing the stream window there with the phrase. A sentinel ends
-//! every sentence in the stream, so no confirmed window crosses a
-//! sentence or document. Cost becomes proportional to the rarest token's
+//! [`OccurrenceIndex`] is one flat positional index. The corpus is laid
+//! out once as a single token stream in reading order (documents, then
+//! sentences, then tokens), with an end-of-sentence sentinel after every
+//! sentence. Per token id, a CSR (compressed sparse row) offset table
+//! points into one array of ascending stream positions. Building it takes
+//! two linear passes and no hash map: one fills the stream, the sentence
+//! table and the per-token counts, the other scatters the positions.
+//!
+//! A phrase query picks the phrase token with the smallest corpus
+//! frequency (the *rarest* token), walks only its stream positions, and
+//! confirms each proposed start by comparing the stream window there
+//! with the phrase. The sentinels are no vocabulary ids, so no window
+//! that crosses a sentence or document boundary can equal a phrase. Each
+//! sentinel's id names the sentence it closes, so a match finds its
+//! sentence by scanning to the next sentinel, with no per-position
+//! sentence array. Cost becomes proportional to the rarest token's
 //! occurrences — for typical ontology terms, orders of magnitude below a
 //! corpus scan.
 //!
@@ -38,50 +48,165 @@
 use crate::context::{context_dim, context_vector, ContextOptions, ContextScope, Occurrence};
 use crate::corpus::Corpus;
 use crate::doc::DocId;
-use crate::index::InvertedIndex;
 use crate::vector::SparseVector;
 use boe_textkit::TokenId;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
+/// Where one sentence starts in the token stream.
+#[derive(Debug, Clone, Copy)]
+struct SentenceStart {
+    doc: DocId,
+    /// The sentence's index within its document.
+    index: u32,
+    /// Stream position of its first token.
+    start: u32,
+}
+
 /// Phrase-occurrence resolution and context harvesting shared across the
 /// whole pipeline run.
 ///
-/// Build once per `(corpus, run)` — with [`OccurrenceIndex::build`], or
-/// from an [`InvertedIndex`] already built over the corpus — and share
-/// by reference (or `Arc`). All query methods take the corpus the index
-/// was built over; handing them a different corpus is a logic error
-/// (caught by `debug_assert`).
+/// Build once per `(corpus, run)` with [`OccurrenceIndex::build`] and
+/// share by reference (or `Arc`). All query methods that take a corpus
+/// expect the one the index was built over; handing them a different
+/// corpus is a logic error (caught by `debug_assert`).
 #[derive(Debug)]
 pub struct OccurrenceIndex {
-    index: InvertedIndex,
+    /// Every corpus token in reading order; sentence `s` (counted over
+    /// the whole corpus) is followed by the sentinel [`sentinel`]`(s)`.
+    stream: Vec<TokenId>,
+    /// Per token id `t`: its positions are
+    /// `positions[offsets[t]..offsets[t + 1]]`; one entry per vocabulary
+    /// id plus one.
+    offsets: Vec<u32>,
+    /// Stream positions grouped by token, ascending within each token.
+    positions: Vec<u32>,
+    /// Every sentence in reading order; starts ascend.
+    sentences: Vec<SentenceStart>,
+    doc_lens: Vec<u32>,
+    avg_doc_len: f64,
     /// Document-scope context caches, raw (`[0]`) and stemmed (`[1]`),
     /// each built on the first document-scope query that needs it.
     doc_contexts: [OnceLock<DocContextCache>; 2],
 }
 
-impl From<InvertedIndex> for OccurrenceIndex {
-    fn from(index: InvertedIndex) -> Self {
-        OccurrenceIndex {
-            index,
-            doc_contexts: Default::default(),
-        }
-    }
+/// The sentinel closing corpus sentence `s`: ids count down from
+/// `u32::MAX`, above every vocabulary id.
+fn sentinel(s: usize) -> TokenId {
+    TokenId(u32::MAX - s as u32)
 }
 
 impl OccurrenceIndex {
     /// Build the positional index over `corpus` (two linear passes).
+    ///
+    /// # Panics
+    /// Panics if the vocabulary size plus the stream length (tokens plus
+    /// one sentinel per sentence) exceeds `u32::MAX`, so that positions
+    /// or sentinel ids would not fit.
     pub fn build(corpus: &Corpus) -> Self {
-        InvertedIndex::build(corpus).into()
+        let vocab = corpus.vocab().len();
+        let sentence_count: usize = corpus.docs().iter().map(|d| d.sentences.len()).sum();
+        let stream_len = corpus.token_count() + sentence_count;
+        assert!(
+            u32::try_from(vocab + stream_len).is_ok(),
+            "corpus exceeds u32::MAX stream positions and token ids"
+        );
+        let mut stream = Vec::with_capacity(stream_len);
+        let mut sentences = Vec::with_capacity(sentence_count);
+        let mut doc_lens = Vec::with_capacity(corpus.len());
+        // `offsets[t + 1]` counts token `t` until the prefix sum below.
+        let mut offsets = vec![0u32; vocab + 1];
+        for doc in corpus.docs() {
+            let mut len = 0u32;
+            for (si, s) in doc.sentences.iter().enumerate() {
+                for &t in &s.tokens {
+                    offsets[t.index() + 1] += 1;
+                }
+                stream.extend_from_slice(&s.tokens);
+                stream.push(sentinel(sentences.len()));
+                sentences.push(SentenceStart {
+                    doc: doc.id,
+                    index: si as u32,
+                    start: (stream.len() - s.tokens.len() - 1) as u32,
+                });
+                len += s.tokens.len() as u32;
+            }
+            doc_lens.push(len);
+        }
+        for t in 0..vocab {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut next = offsets[..vocab].to_vec();
+        let mut positions = vec![0u32; offsets[vocab] as usize];
+        for (p, &t) in stream.iter().enumerate() {
+            if let Some(slot) = next.get_mut(t.index()) {
+                positions[*slot as usize] = p as u32;
+                *slot += 1;
+            }
+        }
+        let total: u64 = doc_lens.iter().map(|&l| u64::from(l)).sum();
+        let avg_doc_len = if doc_lens.is_empty() {
+            0.0
+        } else {
+            total as f64 / doc_lens.len() as f64
+        };
+        OccurrenceIndex {
+            stream,
+            offsets,
+            positions,
+            sentences,
+            doc_lens,
+            avg_doc_len,
+            doc_contexts: Default::default(),
+        }
+    }
+
+    /// Number of documents in the indexed corpus.
+    pub fn doc_count(&self) -> usize {
+        self.doc_lens.len()
+    }
+
+    /// Average document length in tokens.
+    pub fn avg_doc_len(&self) -> f64 {
+        self.avg_doc_len
+    }
+
+    /// Length of one document in tokens.
+    pub fn doc_len(&self, doc: DocId) -> u32 {
+        self.doc_lens[doc.index()]
+    }
+
+    /// The ascending stream positions of `token` (empty if unseen).
+    fn positions(&self, token: TokenId) -> &[u32] {
+        match self.offsets.get(token.index()..token.index() + 2) {
+            Some(&[lo, hi]) => &self.positions[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Corpus frequency (total occurrences) of `token`.
+    pub fn term_freq(&self, token: TokenId) -> u64 {
+        self.positions(token).len() as u64
+    }
+
+    /// Documents containing every token of `phrase` *adjacently in order*
+    /// (exact phrase match), with the match count per document, in
+    /// document order.
+    pub fn phrase_matches(&self, phrase: &[TokenId]) -> Vec<(DocId, u32)> {
+        let mut out: Vec<(DocId, u32)> = Vec::new();
+        self.walk_phrase(phrase, |occ| {
+            match out.last_mut() {
+                Some((d, n)) if *d == occ.doc => *n += 1,
+                _ => out.push((occ.doc, 1)),
+            }
+            true
+        });
+        out
     }
 
     /// All occurrences of `phrase`, in `(doc, sentence, start)` order.
     pub fn find_occurrences(&self, corpus: &Corpus, phrase: &[TokenId]) -> Vec<Occurrence> {
-        debug_assert_eq!(
-            self.index.doc_count(),
-            corpus.len(),
-            "index/corpus mismatch"
-        );
+        debug_assert_eq!(self.doc_count(), corpus.len(), "index/corpus mismatch");
         let mut out = Vec::new();
         self.walk_phrase(phrase, |occ| {
             out.push(occ);
@@ -93,11 +218,7 @@ impl OccurrenceIndex {
     /// Whether `phrase` occurs at least once — equivalent to
     /// `!find_occurrences(..).is_empty()` but stops at the first match.
     pub fn contains(&self, corpus: &Corpus, phrase: &[TokenId]) -> bool {
-        debug_assert_eq!(
-            self.index.doc_count(),
-            corpus.len(),
-            "index/corpus mismatch"
-        );
+        debug_assert_eq!(self.doc_count(), corpus.len(), "index/corpus mismatch");
         let mut found = false;
         self.walk_phrase(phrase, |_| {
             found = true;
@@ -158,17 +279,57 @@ impl OccurrenceIndex {
         })
     }
 
-    /// Calls `emit` per occurrence in `(doc, sentence, start)` order
-    /// (the index's rarest-token walk); `emit` returning `false` stops
-    /// the walk.
+    /// Calls `emit` per exact match of `phrase`, in `(doc, sentence,
+    /// start)` reading order, until it returns `false`.
+    ///
+    /// The walk anchors on the *rarest* phrase token, the one with the
+    /// smallest corpus frequency (the first such offset on ties, so a
+    /// phrase with repeated tokens counts each start once). Each of the
+    /// anchor's stream positions `p` proposes the start `p − anchor
+    /// offset`, confirmed by comparing the stream around `p` with the
+    /// rest of the phrase; the sentinels keep a confirmed window inside
+    /// one sentence, and the next one names it. Positions ascend, so
+    /// matches come out in the order a scan of every sentence finds them.
     fn walk_phrase(&self, phrase: &[TokenId], mut emit: impl FnMut(Occurrence) -> bool) {
-        self.index.walk_phrase(phrase, |doc, sentence, start| {
-            emit(Occurrence {
-                doc,
-                sentence: sentence as usize,
-                start: start as usize,
-            })
-        });
+        let Some((anchor, &rarest)) = phrase
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &t)| self.term_freq(t))
+        else {
+            return;
+        };
+        let (before, after) = (&phrase[..anchor], &phrase[anchor + 1..]);
+        for &p in self.positions(rarest) {
+            // A match would start `anchor` tokens to the left.
+            let p = p as usize;
+            let Some(start) = p.checked_sub(anchor) else {
+                continue;
+            };
+            let end = p + 1 + after.len();
+            if &self.stream[start..p] != before || self.stream.get(p + 1..end) != Some(after) {
+                continue;
+            }
+            let s = self.sentences[self.sentence_of(end)];
+            let occ = Occurrence {
+                doc: s.doc,
+                sentence: s.index as usize,
+                start: start - s.start as usize,
+            };
+            if !emit(occ) {
+                return;
+            }
+        }
+    }
+
+    /// The corpus sentence holding stream position `pos` (or closed by the
+    /// sentinel there): the one the next sentinel names.
+    fn sentence_of(&self, pos: usize) -> usize {
+        let vocab = self.offsets.len() - 1;
+        let closing = self.stream[pos..]
+            .iter()
+            .find(|t| t.index() >= vocab)
+            .expect("every sentence ends with a sentinel");
+        (u32::MAX - closing.0) as usize
     }
 }
 
@@ -354,6 +515,89 @@ mod tests {
     }
 
     #[test]
+    fn empty_phrase_has_no_phrase_matches() {
+        let c = corpus();
+        let ox = OccurrenceIndex::build(&c);
+        assert!(ox.phrase_matches(&[]).is_empty());
+    }
+
+    #[test]
+    fn doc_and_term_freq() {
+        let c = corpus();
+        let ox = OccurrenceIndex::build(&c);
+        let corneal = c.vocab().get("corneal").expect("interned");
+        let cornea = c.vocab().get("cornea").expect("interned");
+        assert_eq!(ox.term_freq(corneal), 4);
+        assert_eq!(ox.term_freq(cornea), 1);
+        assert_eq!(ox.doc_count(), 3);
+    }
+
+    #[test]
+    fn phrase_matching() {
+        let c = corpus();
+        let ox = OccurrenceIndex::build(&c);
+        let phrase = c.phrase_ids("corneal injuries").expect("known");
+        assert_eq!(
+            ox.phrase_matches(&phrase),
+            vec![(DocId(0), 2), (DocId(1), 1)]
+        );
+    }
+
+    #[test]
+    fn phrase_does_not_cross_sentences() {
+        let mut b = CorpusBuilder::new(Language::English);
+        // "corneal" ends sentence 1, "injuries" begins sentence 2 — the
+        // phrase must not match across the boundary.
+        b.add_text("Damage was corneal. Injuries were treated.");
+        let c = b.build();
+        let ox = OccurrenceIndex::build(&c);
+        let phrase = c.phrase_ids("corneal injuries").expect("known");
+        assert!(ox.phrase_matches(&phrase).is_empty());
+    }
+
+    #[test]
+    fn phrase_does_not_cross_documents() {
+        let mut b = CorpusBuilder::new(Language::English);
+        // "corneal" ends document 0, "injuries" begins document 1.
+        b.add_text("Damage was corneal");
+        b.add_text("Injuries were treated.");
+        let c = b.build();
+        let ox = OccurrenceIndex::build(&c);
+        let phrase = c.phrase_ids("corneal injuries").expect("known");
+        assert!(ox.phrase_matches(&phrase).is_empty());
+        assert!(ox.find_occurrences(&c, &phrase).is_empty());
+        assert!(!ox.contains(&c, &phrase));
+    }
+
+    #[test]
+    fn phrase_with_unknown_token_matches_nothing() {
+        let c = corpus();
+        let ox = OccurrenceIndex::build(&c);
+        let corneal = c.vocab().get("corneal").expect("interned");
+        let unknown = TokenId(c.vocab().len() as u32);
+        for phrase in [
+            vec![unknown],
+            vec![corneal, unknown],
+            vec![unknown, corneal],
+            vec![corneal, TokenId(u32::MAX)],
+        ] {
+            assert!(ox.phrase_matches(&phrase).is_empty(), "{phrase:?}");
+            assert!(ox.find_occurrences(&c, &phrase).is_empty(), "{phrase:?}");
+        }
+        assert_eq!(ox.term_freq(unknown), 0);
+        assert_eq!(ox.term_freq(TokenId(u32::MAX)), 0);
+    }
+
+    #[test]
+    fn avg_and_doc_lengths() {
+        let c = corpus();
+        let ox = OccurrenceIndex::build(&c);
+        let total: u32 = (0..c.len() as u32).map(|i| ox.doc_len(DocId(i))).sum();
+        assert_eq!(total as usize, c.token_count());
+        assert!((ox.avg_doc_len() - total as f64 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn repeated_token_phrases_count_each_start_once() {
         let mut b = CorpusBuilder::new(Language::English);
         b.add_text("buffalo buffalo buffalo graze.");
@@ -366,21 +610,6 @@ mod tests {
             [occ(0, 0, 0), occ(0, 0, 1), occ(0, 0, 2)]
         );
         assert_eq!(ox.find_occurrences(&c, &two), [occ(0, 0, 0), occ(0, 0, 1)]);
-    }
-
-    #[test]
-    fn from_inverted_index_answers_like_build() {
-        let c = corpus();
-        let built = OccurrenceIndex::build(&c);
-        let handed = OccurrenceIndex::from(InvertedIndex::build(&c));
-        for phrase in ["corneal injuries", "injuries", "cornea"] {
-            let ids = c.phrase_ids(phrase).expect("known");
-            assert_eq!(
-                handed.find_occurrences(&c, &ids),
-                built.find_occurrences(&c, &ids),
-                "{phrase}"
-            );
-        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use boe_corpus::context::{ContextOptions, ContextScope};
 use boe_corpus::corpus::CorpusBuilder;
-use boe_corpus::index::InvertedIndex;
 use boe_corpus::stats::CoocCounts;
 use boe_corpus::{Corpus, DocId, OccurrenceIndex};
 use boe_rng::StdRng;
@@ -41,24 +40,30 @@ fn rand_corpus(rng: &mut StdRng) -> Corpus {
     b.build()
 }
 
+/// Every vocabulary id of `c`: each one occurs in the corpus it was
+/// interned from.
+fn vocab_ids(c: &Corpus) -> impl Iterator<Item = TokenId> {
+    (0..c.vocab().len() as u32).map(TokenId)
+}
+
 #[test]
 fn index_frequencies_are_consistent() {
     let mut rng = StdRng::seed_from_u64(10);
     for _ in 0..CASES {
         let c = rand_corpus(&mut rng);
-        let ix = InvertedIndex::build(&c);
+        let ix = OccurrenceIndex::build(&c);
         // Sum of per-token corpus frequencies equals total token count.
-        let total: u64 = ix.tokens().iter().map(|&t| ix.term_freq(t)).sum();
+        let total: u64 = vocab_ids(&c).map(|t| ix.term_freq(t)).sum();
         assert_eq!(total as usize, c.token_count());
-        for t in ix.tokens() {
-            let df = ix.doc_freq(t);
-            assert!(df >= 1);
-            assert!(df <= c.len());
-            assert!(ix.term_freq(t) >= df as u64);
-            // Per-document tf sums to term_freq.
-            let tf_sum: u64 = (0..c.len() as u32)
-                .map(|d| u64::from(ix.tf_in_doc(t, DocId(d))))
-                .sum();
+        for t in vocab_ids(&c) {
+            // The single-token phrase's per-document counts: each
+            // document at most once, in document order, summing to
+            // term_freq.
+            let per_doc = ix.phrase_matches(&[t]);
+            assert!(!per_doc.is_empty());
+            assert!(per_doc.len() <= c.len());
+            assert!(per_doc.windows(2).all(|w| w[0].0 < w[1].0));
+            let tf_sum: u64 = per_doc.iter().map(|&(_, n)| u64::from(n)).sum();
             assert_eq!(tf_sum, ix.term_freq(t));
         }
     }
@@ -69,11 +74,10 @@ fn single_token_phrase_matches_agree_with_occurrences() {
     let mut rng = StdRng::seed_from_u64(11);
     for _ in 0..CASES {
         let c = rand_corpus(&mut rng);
-        let ix = InvertedIndex::build(&c);
         let ox = OccurrenceIndex::build(&c);
-        for t in ix.tokens().into_iter().take(10) {
+        for t in vocab_ids(&c).take(10) {
             let phrase = [t];
-            let total_phrase: u32 = ix.phrase_matches(&phrase).iter().map(|&(_, n)| n).sum();
+            let total_phrase: u32 = ox.phrase_matches(&phrase).iter().map(|&(_, n)| n).sum();
             let occs = ox.find_occurrences(&c, &phrase);
             assert_eq!(total_phrase as usize, occs.len());
         }
@@ -136,7 +140,7 @@ fn phrase_matches_agree_with_a_sentence_scan() {
     let mut matched = [0usize; 3];
     for _ in 0..CASES * 4 {
         let c = rand_phrase_corpus(&mut rng);
-        let ix = InvertedIndex::build(&c);
+        let ix = OccurrenceIndex::build(&c);
         let ids: Vec<TokenId> = PHRASE_WORDS
             .iter()
             .filter_map(|w| c.vocab().get(w))
@@ -214,7 +218,6 @@ fn context_vectors_are_nonnegative_counts() {
     let mut rng = StdRng::seed_from_u64(14);
     for _ in 0..CASES {
         let c = rand_corpus(&mut rng);
-        let ix = InvertedIndex::build(&c);
         let ox = OccurrenceIndex::build(&c);
         for scope in [ContextScope::Sentence, ContextScope::Document] {
             let opts = ContextOptions {
@@ -222,7 +225,7 @@ fn context_vectors_are_nonnegative_counts() {
                 stemmed: false,
                 scope,
             };
-            for t in ix.tokens().into_iter().take(5) {
+            for t in vocab_ids(&c).take(5) {
                 for v in ox.contexts(&c, &[t], opts) {
                     for (_, x) in v.iter() {
                         assert!(x >= 1.0);
@@ -243,9 +246,8 @@ fn document_contexts_dominate_sentence_contexts() {
     let mut rng = StdRng::seed_from_u64(15);
     for _ in 0..CASES {
         let c = rand_corpus(&mut rng);
-        let ix = InvertedIndex::build(&c);
         let ox = OccurrenceIndex::build(&c);
-        for t in ix.tokens().into_iter().take(5) {
+        for t in vocab_ids(&c).take(5) {
             let s_opts = ContextOptions {
                 window: None,
                 stemmed: false,

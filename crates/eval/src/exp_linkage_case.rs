@@ -14,6 +14,7 @@ use boe_core::linkage::{LinkerConfig, Proposition, SemanticLinker};
 use boe_core::termex::candidates::CandidateOptions;
 use boe_core::termex::{TermExtractor, TermMeasure};
 use boe_textkit::normalize::match_key;
+use std::sync::Arc;
 
 /// The case-study result.
 #[derive(Debug, Clone)]
@@ -44,11 +45,12 @@ pub fn run(world: &World, which: usize, top_candidates: usize) -> CaseStudy {
         .into_iter()
         .map(|t| t.surface)
         .collect();
-    let linker = SemanticLinker::with_candidates(
+    let linker = SemanticLinker::with_candidates_indexed(
         &world.corpus,
         &world.reduced_ontology,
         LinkerConfig::default(),
         &candidates,
+        Arc::clone(extractor.index()),
     );
     let props = linker.propose(&held.surface);
     let propositions = props

@@ -14,6 +14,7 @@ use boe_core::linkage::{LinkerConfig, SemanticLinker};
 use boe_core::termex::candidates::CandidateOptions;
 use boe_core::termex::{TermExtractor, TermMeasure};
 use boe_textkit::normalize::match_key;
+use std::sync::Arc;
 
 /// The Table-4 result.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +38,7 @@ pub fn run(world: &World, top_candidates: usize, expand_hierarchy: bool) -> Prec
         .into_iter()
         .map(|t| t.surface)
         .collect();
-    let linker = SemanticLinker::with_candidates(
+    let linker = SemanticLinker::with_candidates_indexed(
         &world.corpus,
         &world.reduced_ontology,
         LinkerConfig {
@@ -45,6 +46,7 @@ pub fn run(world: &World, top_candidates: usize, expand_hierarchy: bool) -> Prec
             ..Default::default()
         },
         &candidates,
+        Arc::clone(extractor.index()),
     );
     let mut hits = [0usize; 4];
     let mut no_proposals = 0usize;

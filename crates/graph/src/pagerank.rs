@@ -2,30 +2,18 @@
 
 use crate::graph::Graph;
 
-/// PageRank parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct PageRankParams {
-    /// Damping factor (usually 0.85).
-    pub damping: f64,
-    /// Convergence threshold on the L1 change per iteration.
-    pub tolerance: f64,
-    /// Iteration cap.
-    pub max_iterations: usize,
-}
+/// Damping factor.
+const DAMPING: f64 = 0.85;
+/// Convergence threshold on the L1 change per iteration.
+const TOLERANCE: f64 = 1e-9;
+/// Iteration cap.
+const MAX_ITERATIONS: usize = 200;
 
-impl Default for PageRankParams {
-    fn default() -> Self {
-        PageRankParams {
-            damping: 0.85,
-            tolerance: 1e-9,
-            max_iterations: 200,
-        }
-    }
-}
-
-/// Compute weighted PageRank scores (sum to 1 over nodes). The empty graph
-/// yields an empty vector. Isolated nodes receive the teleport mass only.
-pub fn pagerank(g: &Graph, params: PageRankParams) -> Vec<f64> {
+/// Compute weighted PageRank scores (sum to 1 over nodes), damping 0.85,
+/// until the L1 change per iteration falls below 1e-9 or after 200
+/// iterations. The empty graph yields an empty vector. Isolated nodes
+/// receive the teleport mass only.
+pub fn pagerank(g: &Graph) -> Vec<f64> {
     let n = g.node_count();
     if n == 0 {
         return Vec::new();
@@ -34,18 +22,18 @@ pub fn pagerank(g: &Graph, params: PageRankParams) -> Vec<f64> {
     let mut rank = vec![1.0 / nf; n];
     let mut next = vec![0.0; n];
     let wdeg: Vec<f64> = g.nodes().map(|v| g.weighted_degree(v)).collect();
-    for _ in 0..params.max_iterations {
-        let teleport = (1.0 - params.damping) / nf;
+    for _ in 0..MAX_ITERATIONS {
+        let teleport = (1.0 - DAMPING) / nf;
         // Mass of dangling (isolated) nodes is redistributed uniformly.
         let dangling: f64 = (0..n).filter(|&i| wdeg[i] == 0.0).map(|i| rank[i]).sum();
         for x in next.iter_mut() {
-            *x = teleport + params.damping * dangling / nf;
+            *x = teleport + DAMPING * dangling / nf;
         }
         for v in g.nodes() {
             if wdeg[v.index()] == 0.0 {
                 continue;
             }
-            let share = params.damping * rank[v.index()] / wdeg[v.index()];
+            let share = DAMPING * rank[v.index()] / wdeg[v.index()];
             for &(u, w) in g.neighbours(v) {
                 next[u.index()] += share * w;
             }
@@ -56,7 +44,7 @@ pub fn pagerank(g: &Graph, params: PageRankParams) -> Vec<f64> {
             .map(|(a, b)| (a - b).abs())
             .sum();
         std::mem::swap(&mut rank, &mut next);
-        if delta < params.tolerance {
+        if delta < TOLERANCE {
             break;
         }
     }
@@ -74,7 +62,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         g.add_edge(NodeId(1), NodeId(2), 1.0);
         g.add_edge(NodeId(2), NodeId(3), 1.0);
-        let r = pagerank(&g, PageRankParams::default());
+        let r = pagerank(&g);
         let sum: f64 = r.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
     }
@@ -86,7 +74,7 @@ mod tests {
         for i in 1..6 {
             g.add_edge(NodeId(0), NodeId(i), 1.0);
         }
-        let r = pagerank(&g, PageRankParams::default());
+        let r = pagerank(&g);
         for i in 1..6 {
             assert!(r[0] > r[i], "center {} leaf {}", r[0], r[i]);
         }
@@ -99,7 +87,7 @@ mod tests {
         for i in 0..5u32 {
             g.add_edge(NodeId(i), NodeId((i + 1) % 5), 1.0);
         }
-        let r = pagerank(&g, PageRankParams::default());
+        let r = pagerank(&g);
         for w in r.windows(2) {
             assert!((w[0] - w[1]).abs() < 1e-9);
         }
@@ -111,15 +99,15 @@ mod tests {
         let mut g = Graph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1), 1.0);
         g.add_edge(NodeId(1), NodeId(2), 10.0);
-        let r = pagerank(&g, PageRankParams::default());
+        let r = pagerank(&g);
         assert!(r[2] > r[0]);
     }
 
     #[test]
     fn empty_and_isolated() {
-        assert!(pagerank(&Graph::new(), PageRankParams::default()).is_empty());
+        assert!(pagerank(&Graph::new()).is_empty());
         let g = Graph::with_nodes(3);
-        let r = pagerank(&g, PageRankParams::default());
+        let r = pagerank(&g);
         let sum: f64 = r.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         assert!((r[0] - r[1]).abs() < 1e-12);

@@ -7,7 +7,7 @@ use boe_graph::community::{community_count, label_propagation, modularity};
 use boe_graph::components::connected_components;
 use boe_graph::kcore::core_numbers;
 use boe_graph::metrics::{average_clustering, density, local_clustering};
-use boe_graph::pagerank::{pagerank, PageRankParams};
+use boe_graph::pagerank::pagerank;
 use boe_graph::{Graph, NodeId};
 use boe_rng::StdRng;
 
@@ -35,7 +35,7 @@ fn pagerank_is_a_distribution() {
     let mut rng = StdRng::seed_from_u64(20);
     for _ in 0..CASES {
         let g = rand_graph(&mut rng);
-        let r = pagerank(&g, PageRankParams::default());
+        let r = pagerank(&g);
         assert_eq!(r.len(), g.node_count());
         let sum: f64 = r.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");

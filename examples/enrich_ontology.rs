@@ -12,6 +12,7 @@ use bio_onto_enrich::ontology::edit::{apply, EnrichmentOp};
 use bio_onto_enrich::workflow::linkage::{LinkerConfig, SemanticLinker};
 use bio_onto_enrich::workflow::termex::candidates::CandidateOptions;
 use bio_onto_enrich::workflow::termex::{TermExtractor, TermMeasure};
+use std::sync::Arc;
 
 fn main() {
     let world = World::generate(&WorldConfig {
@@ -40,11 +41,12 @@ fn main() {
         .into_iter()
         .map(|t| t.surface)
         .collect();
-    let linker = SemanticLinker::with_candidates(
+    let linker = SemanticLinker::with_candidates_indexed(
         &world.corpus,
         &world.reduced_ontology,
         LinkerConfig::default(),
         &candidates,
+        Arc::clone(extractor.index()),
     );
     let held = &world.holdout[0];
     let props = linker.propose(&held.surface);

@@ -50,6 +50,23 @@ run timeout "$TEST_TIMEOUT" cargo test -q --offline
 # and a mismatch between the pipeline and its traced rebuild before the
 # benchmark itself runs.
 run timeout "$TEST_TIMEOUT" cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
+# Its tests never run the benchmark itself. One short run per workload
+# of BENCHMARK.json (about 2 s each on 2 cores) must report a correct
+# result and no failed operation, so a library change that makes the
+# benchmark refuse to run, or fail operations, is caught here.
+for workload in trained-s trained-s-1t fallback-wide-m; do
+    echo "==> perfbench smoke run: $workload"
+    result=$(cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0.1 --trace 0 | tail -n 1)
+    echo "$result"
+    case "$result" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *)
+            echo "perfbench $workload: incorrect result or failed operations" >&2
+            exit 1
+            ;;
+    esac
+done
 # `cargo test` builds the examples but never runs them, and they are the
 # only shipping callers of some library items (`ontology::edit::apply`,
 # for one). Each must run to completion and exit 0.

@@ -99,9 +99,9 @@ const USAGE: &str = "usage:
 
 measures: c-value tf-idf okapi f-tfidf-c f-ocapi lidf-value tergraph
 
-exit codes: 0 ok · 1 i/o · 2 usage · 3 invalid input · 4 language
-mismatch · 5 unknown term · 6 stage failure · 7 degraded (--strict) ·
-8 deadline exceeded · 9 cancelled · 10 memory budget exhausted";
+exit codes: 0 ok · 1 i/o · 2 usage · 3 invalid input · 5 unknown term ·
+6 stage failure · 7 degraded (--strict) · 8 deadline exceeded ·
+10 memory budget exhausted";
 
 /// A CLI failure, mapped onto a stable exit code.
 #[derive(Debug)]

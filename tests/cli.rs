@@ -88,6 +88,13 @@ fn bad_usage_fails_with_usage_text() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage:"), "{stderr}");
+    // `boe` loads the corpus in the ontology's language and holds no
+    // cancel token, so its usage text names neither exit code 4
+    // (language mismatch) nor 9 (cancelled).
+    let codes = stderr.split("exit codes:").nth(1).expect("exit code list");
+    for gone in ["4 ", "9 ", "language mismatch", "cancelled"] {
+        assert!(!codes.contains(gone), "usage names {gone:?}: {stderr}");
+    }
 
     let out = boe(&[]);
     assert!(!out.status.success());

@@ -19,7 +19,7 @@ use bio_onto_enrich::graph::community::{community_count, modularity};
 use bio_onto_enrich::graph::components::connected_components;
 use bio_onto_enrich::graph::kcore::core_numbers;
 use bio_onto_enrich::graph::metrics::density;
-use bio_onto_enrich::graph::pagerank::{pagerank, PageRankParams};
+use bio_onto_enrich::graph::pagerank::pagerank;
 use bio_onto_enrich::graph::NodeId;
 use bio_onto_enrich::par as boe_par;
 use bio_onto_enrich::textkit::{Language, TokenId};
@@ -121,7 +121,7 @@ fn every_vocabulary_token_matches_the_oracle_cold_and_warm() {
         let w = world(lang);
         let cooc = CoocCounts::from_corpus(&w.corpus, 5);
         let ctx = TermGraphContext::build(&w.corpus, &cooc, 1);
-        let pr = pagerank(ctx.graph(), PageRankParams::default());
+        let pr = pagerank(ctx.graph());
         let cores = core_numbers(ctx.graph());
         let tokens: Vec<TokenId> = w.corpus.vocab().iter().map(|(t, _)| t).collect();
         let expected: Vec<Vec<u64>> = tokens
@@ -160,7 +160,7 @@ fn ontology_term_rows_match_the_oracle_at_1_and_8_threads() {
 
         let cooc = CoocCounts::from_corpus(corpus, 5);
         let ctx = TermGraphContext::build(corpus, &cooc, 1);
-        let pr = pagerank(ctx.graph(), PageRankParams::default());
+        let pr = pagerank(ctx.graph());
         let cores = core_numbers(ctx.graph());
         let expected: Vec<Vec<u64>> = terms
             .iter()

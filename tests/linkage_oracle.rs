@@ -55,11 +55,12 @@ fn inverted_index_matches_naive_scan_exactly() {
             expand_hierarchy,
             ..Default::default()
         };
-        let linker = SemanticLinker::with_candidates(
+        let linker = SemanticLinker::with_candidates_indexed(
             &c,
             &o,
             config,
             &["epithelium".to_owned(), "stroma".to_owned()],
+            Arc::new(OccurrenceIndex::build(&c)),
         );
         let reference = LinkageOracle::new(&c, &o, linker.inventory(), config);
         for candidate in ["corneal injuries", "epithelium", "nonexistent term"] {

@@ -13,6 +13,7 @@
 //! the harness runs `#[test]`s of one binary concurrently.
 
 use bio_onto_enrich::corpus::corpus::{Corpus, CorpusBuilder};
+use bio_onto_enrich::corpus::OccurrenceIndex;
 use bio_onto_enrich::graph::{Graph, NodeId};
 use bio_onto_enrich::par as boe_par;
 use bio_onto_enrich::textkit::pattern::PatternSet;
@@ -324,9 +325,10 @@ fn randomized_step1_is_bit_identical_across_paths_and_threads() {
             g_ref.edge_count() > 0,
             "{lang:?}: vacuous corpus — no co-occurring candidates"
         );
+        let index = OccurrenceIndex::build(&reference);
         for threads in [1usize, 8] {
             boe_par::set_threads(Some(threads));
-            let g = term_cooccurrence_graph(&reference, &set_ref);
+            let g = term_cooccurrence_graph(&reference, &index, &set_ref);
             assert_eq!(g.node_count(), g_ref.node_count(), "{lang:?} {threads}t");
             let ea: Vec<_> = g_ref.edges().collect();
             let eb: Vec<_> = g.edges().collect();
