@@ -435,9 +435,10 @@ impl EnrichmentPipeline {
     /// The class balance is decided from the labels alone, so a fallback
     /// builds no feature context and computes no features. Otherwise the
     /// context is built and returned with the detector, which classifies
-    /// from it. The feature rows are built on `boe-par`, polling `stop`
-    /// before each; an interruption discards them all (`Err`), so the
-    /// outcome does not depend on the thread count.
+    /// from it. The graph features of the rows' distinct head words, then
+    /// the feature rows, are built on `boe-par`, polling `stop` before
+    /// each; an interruption discards them all (`Err`), so the outcome
+    /// does not depend on the thread count.
     fn train_detector<'c>(
         &self,
         corpus: &'c Corpus,
@@ -467,11 +468,23 @@ impl EnrichmentPipeline {
             return Ok(None);
         }
         let features = FeatureContext::build_with_index(corpus, Arc::clone(occ));
-        let rows = match boe_par::try_par_map(&examples, &stop, |(surface, tokens, _)| {
-            features.features(tokens, surface)
-        }) {
-            boe_par::ParOutcome::Complete(rows) => rows,
-            boe_par::ParOutcome::Interrupted { .. } => {
+        // Each distinct head word's graph features first, once each and
+        // costliest first: rows that share a head then read the memo
+        // instead of waiting on each other.
+        let graph = features.graph();
+        let heads = graph.heads(examples.iter().map(|e| e.1.as_slice()));
+        let heads_done = matches!(
+            boe_par::try_par_map(&heads, &stop, |&v| graph.node_features(v)),
+            boe_par::ParOutcome::Complete(_)
+        );
+        let rows = heads_done.then(|| {
+            boe_par::try_par_map(&examples, &stop, |(surface, tokens, _)| {
+                features.features(tokens, surface)
+            })
+        });
+        let rows = match rows {
+            Some(boe_par::ParOutcome::Complete(rows)) => rows,
+            _ => {
                 diag.detector = DetectorOutcome::Fallback {
                     reason: "training interrupted by a hard budget trip".to_owned(),
                 };

@@ -113,6 +113,11 @@ impl<'c> FeatureContext<'c> {
         }
     }
 
+    /// The induced word graph the 12 graph features come from.
+    pub(crate) fn graph(&self) -> &TermGraphContext {
+        &self.graph
+    }
+
     /// The full 23-feature vector of one term.
     pub fn features(&self, phrase: &[TokenId], surface: &str) -> Vec<f64> {
         let d = direct_features(self.corpus, &self.occ, &self.cooc, phrase, surface);

@@ -9,7 +9,6 @@
 
 use boe_corpus::stats::CoocCounts;
 use boe_corpus::Corpus;
-use boe_graph::builder::GraphBuilder;
 use boe_graph::community::{community_count, label_propagation, modularity};
 use boe_graph::components::connected_components;
 use boe_graph::kcore::core_numbers;
@@ -17,7 +16,7 @@ use boe_graph::metrics::{average_clustering, density};
 use boe_graph::pagerank::pagerank;
 use boe_graph::{Graph, NodeId};
 use boe_textkit::TokenId;
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use std::sync::OnceLock;
 
 /// Names of the 12 graph features, index-aligned with [`graph_features`].
@@ -36,6 +35,9 @@ pub const GRAPH_FEATURE_NAMES: [&str; 12] = [
     "two_hop_expansion",
 ];
 
+/// `node_of` entry of a token without a node.
+const NO_NODE: u32 = u32::MAX;
+
 /// The corpus-wide induced word graph plus cached global analyses,
 /// shared across all terms being classified.
 ///
@@ -47,29 +49,35 @@ pub const GRAPH_FEATURE_NAMES: [&str; 12] = [
 #[derive(Debug)]
 pub struct TermGraphContext {
     graph: Graph,
-    node_of: HashMap<TokenId, NodeId>,
+    /// Node of each token id; [`NO_NODE`] for a token without one.
+    node_of: Vec<u32>,
     pagerank: Vec<f64>,
     cores: Vec<u32>,
     memo: Vec<OnceLock<[f64; 12]>>,
 }
 
 impl TermGraphContext {
-    /// Build the induced graph from windowed co-occurrence counts,
-    /// keeping pairs with count ≥ `min_cooc`.
+    /// Build the induced graph from `corpus`'s windowed co-occurrence
+    /// counts, keeping pairs with count ≥ `min_cooc`. Nodes are numbered
+    /// in order of first appearance in the sorted pair list.
     pub fn build(corpus: &Corpus, cooc: &CoocCounts, min_cooc: u32) -> Self {
-        let _ = corpus; // the corpus fixes the vocabulary the counts use
-        let mut b = GraphBuilder::new();
-        for ((a, bb), c) in cooc.iter_pairs() {
-            if c >= min_cooc {
-                b.add_edge(u64::from(a.0), u64::from(bb.0), f64::from(c));
+        let mut node_of = vec![NO_NODE; corpus.vocab().len()];
+        let mut nodes = 0u32;
+        let mut node = |t: TokenId| {
+            let slot = &mut node_of[t.index()];
+            if *slot == NO_NODE {
+                *slot = nodes;
+                nodes += 1;
             }
-        }
-        let (graph, keys) = b.build();
-        let node_of = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (TokenId(k as u32), NodeId(i as u32)))
+            NodeId(*slot)
+        };
+        let edges: Vec<_> = cooc
+            .iter_pairs()
+            .into_iter()
+            .filter(|&(_, c)| c >= min_cooc)
+            .map(|((a, b), c)| (node(a), node(b), f64::from(c)))
             .collect();
+        let graph = Graph::from_edges(nodes as usize, &edges);
         let pr = pagerank(&graph);
         let cores = core_numbers(&graph);
         let memo = (0..graph.node_count()).map(|_| OnceLock::new()).collect();
@@ -89,25 +97,80 @@ impl TermGraphContext {
 
     /// Node of a token, if it survived the co-occurrence threshold.
     pub fn node(&self, t: TokenId) -> Option<NodeId> {
-        self.node_of.get(&t).copied()
+        match self.node_of.get(t.index()) {
+            Some(&n) if n != NO_NODE => Some(NodeId(n)),
+            _ => None,
+        }
+    }
+
+    /// The node [`graph_features`] analyses for `phrase`: its word of
+    /// highest degree (the last of equals), if any word has a node.
+    fn head(&self, phrase: &[TokenId]) -> Option<NodeId> {
+        phrase
+            .iter()
+            .filter_map(|&t| self.node(t))
+            .max_by_key(|&n| self.graph.degree(n))
+    }
+
+    /// The distinct heads of `phrases`, costliest first: by degree
+    /// descending, then by id.
+    pub(crate) fn heads<'p>(&self, phrases: impl Iterator<Item = &'p [TokenId]>) -> Vec<NodeId> {
+        let mut heads: Vec<NodeId> = phrases.filter_map(|p| self.head(p)).collect();
+        heads.sort_unstable_by_key(|&v| (Reverse(self.graph.degree(v)), v));
+        heads.dedup();
+        heads
     }
 
     /// The 12 features of node `v`, computed on first use.
-    fn node_features(&self, v: NodeId) -> [f64; 12] {
+    pub(crate) fn node_features(&self, v: NodeId) -> [f64; 12] {
         *self.memo[v.index()].get_or_init(|| self.compute(v))
     }
 
     /// The 12 features of node `v`, from its ego network.
     fn compute(&self, v: NodeId) -> [f64; 12] {
+        /// `local` entry of a node not reached yet.
+        const UNSEEN: u32 = u32::MAX;
+        /// `local` entry of `v` and of each second-hop node once counted.
+        const REACHED: u32 = u32::MAX - 1;
         let g = &self.graph;
-        let degree = g.degree(v) as f64;
+        let nbs = g.neighbours(v);
+        let degree = nbs.len() as f64;
         let wdegree = g.weighted_degree(v);
 
-        // Ego network minus the center: the sense-split signal. Its
-        // density is v's local clustering coefficient (same closed-pair
-        // count, same formula), so that feature costs nothing extra.
-        let ego_nodes: Vec<NodeId> = g.neighbours(v).iter().map(|&(u, _)| u).collect();
-        let (ego, _) = g.induced_subgraph(&ego_nodes);
+        // One walk over the neighbours' rows. Ego ids follow neighbour
+        // order, so the ego edges (ego network minus the center: the
+        // sense-split signal) come out sorted, and `from_edges` lays
+        // them out without sorting a row. The same walk counts the
+        // two-hop expansion |N2(v)| / |N1(v)| (polysemic hubs reach more)
+        // and sums the neighbour degrees in neighbour order.
+        let mut local = vec![UNSEEN; g.node_count()];
+        local[v.index()] = REACHED;
+        for (i, &(u, _)) in nbs.iter().enumerate() {
+            local[u.index()] = i as u32;
+        }
+        let mut ego_edges = Vec::new();
+        let mut n2 = 0usize;
+        let mut degree_sum = 0.0;
+        for (i, &(u, _)) in nbs.iter().enumerate() {
+            let row = g.neighbours(u);
+            degree_sum += row.len() as f64;
+            for &(w, weight) in row {
+                match local[w.index()] {
+                    UNSEEN => {
+                        local[w.index()] = REACHED;
+                        n2 += 1;
+                    }
+                    REACHED => {}
+                    j if j > i as u32 => ego_edges.push((NodeId(i as u32), NodeId(j), weight)),
+                    _ => {}
+                }
+            }
+        }
+        let ego = Graph::from_edges(nbs.len(), &ego_edges);
+
+        // The ego density is v's local clustering coefficient (same
+        // closed-pair count, same formula), so that feature costs nothing
+        // extra.
         let ego_density = density(&ego);
         let lcc = ego_density;
         let comps = connected_components(&ego);
@@ -118,29 +181,11 @@ impl TermGraphContext {
 
         let pr = self.pagerank[v.index()];
         let core = f64::from(self.cores[v.index()]);
-        let (mean_nb_deg, two_hop) = if ego_nodes.is_empty() {
+        let (mean_nb_deg, two_hop) = if nbs.is_empty() {
             (0.0, 0.0)
         } else {
-            let n1 = ego_nodes.len() as f64;
-            let mean = ego_nodes.iter().map(|&u| g.degree(u) as f64).sum::<f64>() / n1;
-            // Two-hop expansion: |N2(v)| / |N1(v)| — polysemic hubs
-            // reach more. `reached` marks v, its neighbours, and every
-            // second-hop node once counted.
-            let mut reached = vec![false; g.node_count()];
-            reached[v.index()] = true;
-            for &u in &ego_nodes {
-                reached[u.index()] = true;
-            }
-            let mut n2 = 0usize;
-            for &u in &ego_nodes {
-                for &(w, _) in g.neighbours(u) {
-                    if !reached[w.index()] {
-                        reached[w.index()] = true;
-                        n2 += 1;
-                    }
-                }
-            }
-            (mean, n2 as f64 / n1)
+            let n1 = nbs.len() as f64;
+            (degree_sum / n1, n2 as f64 / n1)
         };
 
         [
@@ -165,12 +210,7 @@ impl TermGraphContext {
 /// the co-occurrence signal). Terms absent from the graph get all-zero
 /// features. Features are memoized per head node in `ctx`.
 pub fn graph_features(ctx: &TermGraphContext, phrase: &[TokenId]) -> [f64; 12] {
-    // Representative node: component word with the highest degree.
-    phrase
-        .iter()
-        .filter_map(|&t| ctx.node(t))
-        .max_by_key(|&n| ctx.graph.degree(n))
-        .map_or([0.0; 12], |v| ctx.node_features(v))
+    ctx.head(phrase).map_or([0.0; 12], |v| ctx.node_features(v))
 }
 
 #[cfg(test)]

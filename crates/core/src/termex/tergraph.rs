@@ -20,10 +20,11 @@ use boe_graph::{Graph, NodeId};
 /// Each candidate's occurrences come from `index` (built over `corpus`),
 /// one `boe_par` task per candidate. Their `(doc, sentence, candidate)`
 /// triples, sorted and deduplicated, group into one run per sentence;
-/// every pair within a run counts that sentence once, and edges are
-/// added in sorted pair order. Edge weights are integer counts, so the
-/// result is bit-identical at any thread count (equality-tested against
-/// a sentence-scan reference in `tests/step1_parallel_equality.rs`).
+/// every pair within a run counts that sentence once, and the sorted
+/// pair list gives the graph's edges. Edge weights are integer counts,
+/// so the result is bit-identical at any thread count (equality-tested
+/// against a sentence-scan reference in
+/// `tests/step1_parallel_equality.rs`).
 pub fn term_cooccurrence_graph(
     corpus: &Corpus,
     index: &OccurrenceIndex,
@@ -50,12 +51,11 @@ pub fn term_cooccurrence_graph(
         }
     }
     pairs.sort_unstable();
-    let mut g = Graph::with_nodes(set.len());
-    for same in pairs.chunk_by(|x, y| x == y) {
-        let (a, b) = same[0];
-        g.add_edge(NodeId(a), NodeId(b), same.len() as f64);
-    }
-    g
+    let edges: Vec<_> = pairs
+        .chunk_by(|x, y| x == y)
+        .map(|same| (NodeId(same[0].0), NodeId(same[0].1), same.len() as f64))
+        .collect();
+    Graph::from_edges(set.len(), &edges)
 }
 
 /// TeRGraph scores for every candidate (index-aligned with the set).
@@ -170,10 +170,8 @@ mod tests {
         // A leaf's neighbourhood (just the hub, high degree) is less
         // specific than the hub's (all low-degree leaves): the hub scores
         // higher — and both beat nothing. Verify ordering holds.
-        let mut g = Graph::with_nodes(5);
-        for i in 1..5 {
-            g.add_edge(NodeId(0), NodeId(i), 1.0);
-        }
+        let edges: Vec<_> = (1..5).map(|i| (NodeId(0), NodeId(i), 1.0)).collect();
+        let g = Graph::from_edges(5, &edges);
         let scores = tergraph_scores(&g);
         // Hub: avg(1/1 ×4)/4 = 1 → log2(2.5). Leaf: (1/4)/1 → log2(1.75).
         assert!((scores[0] - 2.5f64.log2()).abs() < 1e-12);
@@ -183,7 +181,7 @@ mod tests {
 
     #[test]
     fn isolated_candidate_gets_floor_score() {
-        let g = Graph::with_nodes(1);
+        let g = Graph::from_edges(1, &[]);
         let scores = tergraph_scores(&g);
         assert!((scores[0] - 1.5f64.log2()).abs() < 1e-12);
     }

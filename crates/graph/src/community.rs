@@ -6,8 +6,6 @@
 //! one community per sense.
 
 use crate::graph::Graph;
-#[cfg(test)]
-use crate::graph::NodeId;
 
 /// Weighted label propagation with deterministic tie-breaking (lowest
 /// label wins; nodes scanned in id order). Returns dense community labels.
@@ -33,13 +31,14 @@ pub fn label_propagation(g: &Graph, max_rounds: usize) -> Vec<u32> {
                 }
                 *acc += w;
             }
-            // Deterministic argmax: heaviest label, lowest id on ties.
+            // Deterministic argmax: heaviest label, lowest id on ties
+            // (the weights are finite, so the order of `touched` does not
+            // matter).
             let mut best = labels[v.index()];
             let mut best_w = f64::NEG_INFINITY;
-            touched.sort_unstable();
             for &l in &touched {
                 let w = std::mem::take(&mut weight_by_label[l as usize]);
-                if w > best_w {
+                if w > best_w || (w == best_w && l < best) {
                     best_w = w;
                     best = l;
                 }
@@ -110,15 +109,22 @@ pub fn modularity(g: &Graph, labels: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::fixture;
 
     /// Two triangles joined by a single weak bridge.
     fn two_cliques() -> Graph {
-        let mut g = Graph::with_nodes(6);
-        for &(a, b) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
-            g.add_edge(NodeId(a), NodeId(b), 1.0);
-        }
-        g.add_edge(NodeId(2), NodeId(3), 0.1);
-        g
+        fixture(
+            6,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (0, 2, 1.0),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+                (3, 5, 1.0),
+                (2, 3, 0.1),
+            ],
+        )
     }
 
     #[test]
@@ -145,24 +151,21 @@ mod tests {
 
     #[test]
     fn modularity_of_single_community_is_near_zero() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        g.add_edge(NodeId(0), NodeId(2), 1.0);
+        let g = fixture(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
         let q = modularity(&g, &[0, 0, 0]);
         assert!(q.abs() < 1e-9, "q = {q}");
     }
 
     #[test]
     fn isolated_nodes_keep_own_labels() {
-        let g = Graph::with_nodes(3);
+        let g = fixture(3, &[]);
         let labels = label_propagation(&g, 10);
         assert_eq!(community_count(&labels), 3);
     }
 
     #[test]
     fn empty_graph_modularity() {
-        assert_eq!(modularity(&Graph::new(), &[]), 0.0);
+        assert_eq!(modularity(&fixture(0, &[]), &[]), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Connected components.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 
 /// Component label per node (labels are dense, assigned in discovery
 /// order) plus the number of components.
@@ -10,32 +10,6 @@ pub struct Components {
     pub labels: Vec<u32>,
     /// Number of components.
     pub count: usize,
-}
-
-impl Components {
-    /// Nodes of component `c`.
-    pub fn members(&self, c: u32) -> Vec<NodeId> {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == c)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
-    /// Sizes of all components, indexed by label.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.count];
-        for &l in &self.labels {
-            sizes[l as usize] += 1;
-        }
-        sizes
-    }
-
-    /// Size of the largest component (0 for the empty graph).
-    pub fn largest(&self) -> usize {
-        self.sizes().into_iter().max().unwrap_or(0)
-    }
 }
 
 /// Compute connected components by iterative DFS.
@@ -69,44 +43,36 @@ pub fn connected_components(g: &Graph) -> Components {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::fixture;
 
     #[test]
     fn two_components() {
-        let mut g = Graph::with_nodes(5);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        g.add_edge(NodeId(3), NodeId(4), 1.0);
+        let g = fixture(5, &[(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]);
         let c = connected_components(&g);
         assert_eq!(c.count, 2);
         assert_eq!(c.labels[0], c.labels[2]);
         assert_ne!(c.labels[0], c.labels[3]);
-        assert_eq!(c.sizes(), vec![3, 2]);
-        assert_eq!(c.largest(), 3);
-        assert_eq!(c.members(1), vec![NodeId(3), NodeId(4)]);
+        assert_eq!(c.labels, vec![0, 0, 0, 1, 1]);
     }
 
     #[test]
     fn isolated_nodes_are_singletons() {
-        let g = Graph::with_nodes(3);
+        let g = fixture(3, &[]);
         let c = connected_components(&g);
         assert_eq!(c.count, 3);
-        assert_eq!(c.sizes(), vec![1, 1, 1]);
+        assert_eq!(c.labels, vec![0, 1, 2]);
     }
 
     #[test]
     fn empty_graph() {
-        let c = connected_components(&Graph::new());
+        let c = connected_components(&fixture(0, &[]));
         assert_eq!(c.count, 0);
-        assert_eq!(c.largest(), 0);
         assert!(c.labels.is_empty());
     }
 
     #[test]
     fn single_component_labels_are_zero() {
-        let mut g = Graph::with_nodes(4);
-        for i in 0..3u32 {
-            g.add_edge(NodeId(i), NodeId(i + 1), 1.0);
-        }
+        let g = fixture(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
         let c = connected_components(&g);
         assert_eq!(c.count, 1);
         assert!(c.labels.iter().all(|&l| l == 0));

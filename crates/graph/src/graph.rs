@@ -19,107 +19,105 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// An undirected weighted graph stored as adjacency lists.
+/// An immutable undirected weighted graph in compressed sparse row
+/// form: node `a`'s neighbours are `adj[offsets[a]..offsets[a + 1]]`.
 ///
 /// Invariants:
-/// * no self-loops;
-/// * at most one edge per node pair (adding an existing edge accumulates
-///   its weight);
-/// * adjacency lists are kept sorted by neighbour id.
-#[derive(Debug, Clone, Default)]
+/// * no self-loops and at most one edge per node pair;
+/// * every edge is stored once in each endpoint's row, with the same
+///   weight;
+/// * each row is sorted by neighbour id.
+#[derive(Debug, Clone)]
 pub struct Graph {
-    adj: Vec<Vec<(NodeId, f64)>>,
-    n_edges: usize,
+    offsets: Vec<usize>,
+    adj: Vec<(NodeId, f64)>,
 }
 
 impl Graph {
-    /// Empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Graph with `n` isolated nodes.
-    pub fn with_nodes(n: usize) -> Self {
-        Graph {
-            adj: vec![Vec::new(); n],
-            n_edges: 0,
+    /// The graph on `node_count` nodes with the undirected edges
+    /// `(a, b, w)`, given once each, in any order and orientation.
+    ///
+    /// Rows are filled in edge order, so edges sorted by
+    /// `(min(a, b), max(a, b))` leave every row sorted; any other row is
+    /// sorted once here.
+    ///
+    /// # Panics
+    /// Panics on more than `u32::MAX` nodes, a self-loop, an
+    /// out-of-range node, a non-positive weight or a node pair given
+    /// twice.
+    pub fn from_edges(node_count: usize, edges: &[(NodeId, NodeId, f64)]) -> Graph {
+        assert!(
+            u32::try_from(node_count).is_ok(),
+            "more than u32::MAX nodes"
+        );
+        let mut offsets = vec![0usize; node_count + 1];
+        for &(a, b, w) in edges {
+            assert!(a != b, "self-loop {a}");
+            assert!(w > 0.0, "edge weight must be positive, got {w}");
+            assert!(
+                a.index() < node_count && b.index() < node_count,
+                "edge {a}—{b} out of range for {node_count} nodes"
+            );
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
         }
-    }
-
-    /// Add one node; returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(u32::try_from(self.adj.len()).expect("more than u32::MAX nodes"));
-        self.adj.push(Vec::new());
-        id
+        for i in 0..node_count {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut adj = vec![(NodeId(0), 0.0); offsets[node_count]];
+        let mut next = offsets.clone();
+        for &(a, b, w) in edges {
+            adj[next[a.index()]] = (b, w);
+            next[a.index()] += 1;
+            adj[next[b.index()]] = (a, w);
+            next[b.index()] += 1;
+        }
+        for r in offsets.windows(2) {
+            let row = &mut adj[r[0]..r[1]];
+            if !row.windows(2).all(|p| p[0].0 < p[1].0) {
+                row.sort_unstable_by_key(|&(n, _)| n);
+                assert!(
+                    row.windows(2).all(|p| p[0].0 != p[1].0),
+                    "node pair given twice"
+                );
+            }
+        }
+        Graph { offsets, adj }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.n_edges
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.adj.len() / 2
     }
 
     /// Iterate node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.adj.len() as u32).map(NodeId)
-    }
-
-    /// Add (or reinforce) the undirected edge `a—b` with weight `w`.
-    ///
-    /// # Panics
-    /// Panics on self-loops, out-of-range nodes, or non-positive weight.
-    pub fn add_edge(&mut self, a: NodeId, b: NodeId, w: f64) {
-        assert!(a != b, "self-loop {a}");
-        assert!(w > 0.0, "edge weight must be positive, got {w}");
-        assert!(a.index() < self.adj.len() && b.index() < self.adj.len());
-        let created = Self::insert_half(&mut self.adj[a.index()], b, w);
-        Self::insert_half(&mut self.adj[b.index()], a, w);
-        if created {
-            self.n_edges += 1;
-        }
-    }
-
-    /// Insert or accumulate; returns true if a new entry was created.
-    fn insert_half(list: &mut Vec<(NodeId, f64)>, to: NodeId, w: f64) -> bool {
-        match list.binary_search_by_key(&to, |(n, _)| *n) {
-            Ok(i) => {
-                list[i].1 += w;
-                false
-            }
-            Err(i) => {
-                list.insert(i, (to, w));
-                true
-            }
-        }
+        (0..self.node_count() as u32).map(NodeId)
     }
 
     /// Neighbours of `a` with edge weights, sorted by neighbour id.
     pub fn neighbours(&self, a: NodeId) -> &[(NodeId, f64)] {
-        &self.adj[a.index()]
+        &self.adj[self.offsets[a.index()]..self.offsets[a.index() + 1]]
     }
 
     /// Degree (number of incident edges).
     pub fn degree(&self, a: NodeId) -> usize {
-        self.adj[a.index()].len()
+        self.offsets[a.index() + 1] - self.offsets[a.index()]
     }
 
     /// Sum of incident edge weights.
     pub fn weighted_degree(&self, a: NodeId) -> f64 {
-        self.adj[a.index()].iter().map(|(_, w)| w).sum()
+        self.neighbours(a).iter().map(|(_, w)| w).sum()
     }
 
     /// Weight of edge `a—b`, or `None` if absent.
     pub fn edge_weight(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        let list = &self.adj[a.index()];
+        let list = self.neighbours(a);
         list.binary_search_by_key(&b, |(n, _)| *n)
             .ok()
             .map(|i| list[i].1)
@@ -132,50 +130,58 @@ impl Graph {
 
     /// Total edge weight (each edge counted once).
     pub fn total_weight(&self) -> f64 {
-        self.adj
-            .iter()
-            .flat_map(|l| l.iter().map(|(_, w)| w))
-            .sum::<f64>()
-            / 2.0
+        self.adj.iter().map(|(_, w)| w).sum::<f64>() / 2.0
     }
 
     /// Iterate edges `(a, b, w)` once each with `a < b`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(i, list)| {
-            let a = NodeId(i as u32);
-            list.iter()
+        self.nodes().flat_map(move |a| {
+            self.neighbours(a)
+                .iter()
                 .filter(move |(b, _)| a < *b)
                 .map(move |&(b, w)| (a, b, w))
         })
     }
 
     /// The subgraph induced by `nodes`; returns the subgraph and the
-    /// mapping from old ids to new ids (dense, in the order given).
+    /// mapping from new ids to old ids (new ids are dense, in the order
+    /// given).
     ///
     /// # Panics
     /// Panics if `nodes` contains duplicates or out-of-range ids.
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
-        let mut map = vec![None; self.adj.len()];
+        const OUT: u32 = u32::MAX;
+        let mut map = vec![OUT; self.node_count()];
         for (new, &old) in nodes.iter().enumerate() {
             assert!(
-                map[old.index()].is_none(),
+                map[old.index()] == OUT,
                 "duplicate node {old} in induced_subgraph"
             );
-            map[old.index()] = Some(NodeId(new as u32));
+            map[old.index()] = new as u32;
         }
-        let mut g = Graph::with_nodes(nodes.len());
-        for &old in nodes {
-            let a = map[old.index()].expect("mapped");
+        let mut edges = Vec::new();
+        for (a, &old) in nodes.iter().enumerate() {
+            let a = a as u32;
             for &(nb, w) in self.neighbours(old) {
-                if let Some(b) = map[nb.index()] {
-                    if a < b {
-                        g.add_edge(a, b, w);
-                    }
+                let b = map[nb.index()];
+                if b != OUT && a < b {
+                    edges.push((NodeId(a), NodeId(b), w));
                 }
             }
         }
-        (g, nodes.to_vec())
+        (Graph::from_edges(nodes.len(), &edges), nodes.to_vec())
     }
+}
+
+/// Fixture shorthand for the crate's unit tests: [`Graph::from_edges`]
+/// over plain `u32` ids.
+#[cfg(test)]
+pub(crate) fn fixture(node_count: usize, edges: &[(u32, u32, f64)]) -> Graph {
+    let edges: Vec<_> = edges
+        .iter()
+        .map(|&(a, b, w)| (NodeId(a), NodeId(b), w))
+        .collect();
+    Graph::from_edges(node_count, &edges)
 }
 
 #[cfg(test)]
@@ -183,11 +189,7 @@ mod tests {
     use super::*;
 
     fn triangle() -> Graph {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 2.0);
-        g.add_edge(NodeId(0), NodeId(2), 3.0);
-        g
+        fixture(3, &[(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
     }
 
     #[test]
@@ -209,26 +211,27 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_edge_accumulates() {
-        let mut g = Graph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(0), NodeId(1), 2.5);
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(3.5));
+    #[should_panic(expected = "given twice")]
+    fn repeated_pair_panics() {
+        fixture(2, &[(0, 1, 1.0), (1, 0, 2.5)]);
     }
 
     #[test]
     #[should_panic(expected = "self-loop")]
     fn self_loop_panics() {
-        let mut g = Graph::with_nodes(1);
-        g.add_edge(NodeId(0), NodeId(0), 1.0);
+        fixture(1, &[(0, 0, 1.0)]);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn nonpositive_weight_panics() {
-        let mut g = Graph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1), 0.0);
+        fixture(2, &[(0, 1, 0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_node_panics() {
+        fixture(2, &[(0, 2, 1.0)]);
     }
 
     #[test]
@@ -241,12 +244,18 @@ mod tests {
 
     #[test]
     fn adjacency_is_sorted() {
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(3), 1.0);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(0), NodeId(2), 1.0);
+        let g = fixture(4, &[(0, 3, 1.0), (0, 1, 1.0), (0, 2, 1.0)]);
         let nbs: Vec<u32> = g.neighbours(NodeId(0)).iter().map(|(n, _)| n.0).collect();
         assert_eq!(nbs, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn isolated_nodes_and_the_empty_graph() {
+        let g = fixture(2, &[]);
+        assert_eq!(g.node_count(), 2);
+        assert_eq!(g.edge_count(), 0);
+        assert!(g.neighbours(NodeId(1)).is_empty());
+        assert_eq!(fixture(0, &[]).node_count(), 0);
     }
 
     #[test]
@@ -257,15 +266,5 @@ mod tests {
         assert_eq!(sub.edge_count(), 1);
         assert_eq!(sub.edge_weight(NodeId(0), NodeId(1)), Some(3.0));
         assert_eq!(order, vec![NodeId(0), NodeId(2)]);
-    }
-
-    #[test]
-    fn add_node_grows() {
-        let mut g = Graph::new();
-        assert!(g.is_empty());
-        let a = g.add_node();
-        let b = g.add_node();
-        assert_eq!((a.0, b.0), (0, 1));
-        assert_eq!(g.node_count(), 2);
     }
 }

@@ -66,16 +66,12 @@ pub fn core_numbers(g: &Graph) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::NodeId;
+    use crate::graph::fixture;
 
     #[test]
     fn triangle_with_tail() {
         // Triangle 0-1-2 (core 2), tail 3 (core 1), isolated 4 (core 0).
-        let mut g = Graph::with_nodes(5);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        g.add_edge(NodeId(0), NodeId(2), 1.0);
-        g.add_edge(NodeId(2), NodeId(3), 1.0);
+        let g = fixture(5, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)]);
         let core = core_numbers(&g);
         assert_eq!(core, vec![2, 2, 2, 1, 0]);
     }
@@ -83,27 +79,24 @@ mod tests {
     #[test]
     fn clique_core_equals_size_minus_one() {
         let k = 5;
-        let mut g = Graph::with_nodes(k);
+        let mut edges = Vec::new();
         for i in 0..k as u32 {
             for j in (i + 1)..k as u32 {
-                g.add_edge(NodeId(i), NodeId(j), 1.0);
+                edges.push((i, j, 1.0));
             }
         }
-        let core = core_numbers(&g);
+        let core = core_numbers(&fixture(k, &edges));
         assert!(core.iter().all(|&c| c == (k as u32 - 1)));
     }
 
     #[test]
     fn path_has_core_one() {
-        let mut g = Graph::with_nodes(4);
-        for i in 0..3u32 {
-            g.add_edge(NodeId(i), NodeId(i + 1), 1.0);
-        }
+        let g = fixture(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
         assert!(core_numbers(&g).iter().all(|&c| c == 1));
     }
 
     #[test]
     fn empty_graph() {
-        assert!(core_numbers(&Graph::new()).is_empty());
+        assert!(core_numbers(&fixture(0, &[])).is_empty());
     }
 }

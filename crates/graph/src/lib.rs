@@ -6,9 +6,8 @@
 //! of a candidate term. This crate provides the graph structure and the
 //! analyses those steps need:
 //!
-//! * [`graph`] — compact undirected weighted graph (adjacency lists);
-//! * [`builder`] — keyed builder mapping external ids (interned tokens) to
-//!   node ids;
+//! * [`graph`] — immutable undirected weighted graph in compressed sparse
+//!   row (CSR) form, built once from its edge list;
 //! * [`metrics`] — degree statistics, density, clustering coefficients;
 //! * [`pagerank`] — weighted PageRank;
 //! * [`kcore`] — k-core decomposition;
@@ -18,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod community;
 pub mod components;
 pub mod graph;
@@ -26,5 +24,4 @@ pub mod kcore;
 pub mod metrics;
 pub mod pagerank;
 
-pub use builder::GraphBuilder;
 pub use graph::{Graph, NodeId};

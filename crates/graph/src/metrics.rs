@@ -16,79 +16,84 @@ pub fn density(g: &Graph) -> f64 {
     2.0 * g.edge_count() as f64 / (n * (n - 1.0))
 }
 
-/// Local clustering coefficient of one node: the fraction of its
-/// neighbour pairs that are themselves connected. 0 for degree < 2.
-///
-/// Bit-identical to [`density`] of the node's ego network (the subgraph
-/// induced by its neighbours): both put the same closed-pair count
-/// through the same formula.
-pub fn local_clustering(g: &Graph, v: NodeId) -> f64 {
-    let mut mark = vec![false; g.node_count()];
-    clustering_with(g, v, &mut mark)
-}
-
 /// Average local clustering coefficient over all nodes (0 for the empty
-/// graph).
+/// graph). Node `v`'s coefficient, the fraction of its neighbour pairs
+/// that are themselves connected, is `2 t(v) / (d (d - 1))` for the
+/// `t(v)` triangles through it (0 for degree `d < 2`); the coefficients
+/// are summed in node order.
 pub fn average_clustering(g: &Graph) -> f64 {
     if g.node_count() == 0 {
         return 0.0;
     }
-    let mut mark = vec![false; g.node_count()];
+    let triangles = triangle_counts(g);
     g.nodes()
-        .map(|v| clustering_with(g, v, &mut mark))
+        .map(|v| {
+            let d = g.degree(v);
+            if d < 2 {
+                0.0
+            } else {
+                2.0 * triangles[v.index()] as f64 / (d * (d - 1)) as f64
+            }
+        })
         .sum::<f64>()
         / g.node_count() as f64
 }
 
-/// [`local_clustering`] with a caller-owned all-`false` mark array,
-/// returned all-`false`. Counts each closed neighbour pair `{u, w}`
-/// once, from `u < w`, in O(Σ deg(u)) over the neighbours `u` of `v`.
-fn clustering_with(g: &Graph, v: NodeId, mark: &mut [bool]) -> f64 {
-    let nbs = g.neighbours(v);
-    let d = nbs.len();
-    if d < 2 {
-        return 0.0;
+/// The number of triangles through each node. Each triangle `u < w < x`
+/// is found once, from `u`: mark `u`'s higher neighbours, then scan the
+/// higher part of each marked `w`'s row for marked `x`.
+fn triangle_counts(g: &Graph) -> Vec<usize> {
+    // Where each (sorted) row's higher neighbours start.
+    let higher_from: Vec<usize> = g
+        .nodes()
+        .map(|a| g.neighbours(a).partition_point(|&(b, _)| b < a))
+        .collect();
+    let higher = |a: NodeId| &g.neighbours(a)[higher_from[a.index()]..];
+    let mut triangles = vec![0usize; g.node_count()];
+    let mut mark = vec![false; g.node_count()];
+    for u in g.nodes() {
+        for &(w, _) in higher(u) {
+            mark[w.index()] = true;
+        }
+        for &(w, _) in higher(u) {
+            for &(x, _) in higher(w) {
+                if mark[x.index()] {
+                    triangles[u.index()] += 1;
+                    triangles[w.index()] += 1;
+                    triangles[x.index()] += 1;
+                }
+            }
+        }
+        for &(w, _) in higher(u) {
+            mark[w.index()] = false;
+        }
     }
-    for &(u, _) in nbs {
-        mark[u.index()] = true;
-    }
-    let mut closed = 0usize;
-    for &(u, _) in nbs {
-        closed += g
-            .neighbours(u)
-            .iter()
-            .filter(|&&(w, _)| u < w && mark[w.index()])
-            .count();
-    }
-    for &(u, _) in nbs {
-        mark[u.index()] = false;
-    }
-    2.0 * closed as f64 / (d * (d - 1)) as f64
+    triangles
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::fixture;
 
     fn triangle_plus_tail() -> Graph {
         // 0-1-2 triangle, 3 hanging off 0.
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        g.add_edge(NodeId(0), NodeId(2), 1.0);
-        g.add_edge(NodeId(0), NodeId(3), 1.0);
-        g
+        fixture(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
+    }
+
+    /// The local clustering coefficient of `v`: the density of its ego
+    /// network.
+    fn local_clustering(g: &Graph, v: NodeId) -> f64 {
+        let ego: Vec<NodeId> = g.neighbours(v).iter().map(|&(u, _)| u).collect();
+        density(&g.induced_subgraph(&ego).0)
     }
 
     #[test]
     fn density_triangle() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        g.add_edge(NodeId(0), NodeId(2), 1.0);
+        let g = fixture(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
         assert!((density(&g) - 1.0).abs() < 1e-12);
-        assert_eq!(density(&Graph::with_nodes(1)), 0.0);
-        assert_eq!(density(&Graph::new()), 0.0);
+        assert_eq!(density(&fixture(1, &[])), 0.0);
+        assert_eq!(density(&fixture(0, &[])), 0.0);
     }
 
     #[test]
@@ -103,20 +108,35 @@ mod tests {
     }
 
     #[test]
+    fn triangles_through_each_node() {
+        let g = triangle_plus_tail();
+        assert_eq!(triangle_counts(&g), vec![1, 1, 1, 0]);
+        let k4 = fixture(
+            4,
+            &[
+                (0, 1, 1.0),
+                (0, 2, 1.0),
+                (0, 3, 1.0),
+                (1, 2, 1.0),
+                (1, 3, 1.0),
+                (2, 3, 1.0),
+            ],
+        );
+        assert_eq!(triangle_counts(&k4), vec![3; 4]);
+    }
+
+    #[test]
     fn average_clustering_mixes() {
         let g = triangle_plus_tail();
         let avg = average_clustering(&g);
         let expected = (1.0 / 3.0 + 1.0 + 1.0 + 0.0) / 4.0;
         assert!((avg - expected).abs() < 1e-12);
-        assert_eq!(average_clustering(&Graph::new()), 0.0);
+        assert_eq!(average_clustering(&fixture(0, &[])), 0.0);
     }
 
     #[test]
     fn star_has_zero_clustering() {
-        let mut g = Graph::with_nodes(5);
-        for i in 1..5 {
-            g.add_edge(NodeId(0), NodeId(i), 1.0);
-        }
+        let g = fixture(5, &[(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)]);
         assert_eq!(local_clustering(&g, NodeId(0)), 0.0);
         assert_eq!(average_clustering(&g), 0.0);
     }

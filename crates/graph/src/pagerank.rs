@@ -54,14 +54,11 @@ pub fn pagerank(g: &Graph) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::NodeId;
+    use crate::graph::fixture;
 
     #[test]
     fn sums_to_one() {
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        g.add_edge(NodeId(2), NodeId(3), 1.0);
+        let g = fixture(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
         let r = pagerank(&g);
         let sum: f64 = r.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
@@ -70,11 +67,8 @@ mod tests {
     #[test]
     fn hub_ranks_highest() {
         // Star: center 0 must dominate.
-        let mut g = Graph::with_nodes(6);
-        for i in 1..6 {
-            g.add_edge(NodeId(0), NodeId(i), 1.0);
-        }
-        let r = pagerank(&g);
+        let edges: Vec<_> = (1..6).map(|i| (0, i, 1.0)).collect();
+        let r = pagerank(&fixture(6, &edges));
         for i in 1..6 {
             assert!(r[0] > r[i], "center {} leaf {}", r[0], r[i]);
         }
@@ -83,11 +77,8 @@ mod tests {
     #[test]
     fn symmetric_graph_has_uniform_ranks() {
         // Cycle: all equal by symmetry.
-        let mut g = Graph::with_nodes(5);
-        for i in 0..5u32 {
-            g.add_edge(NodeId(i), NodeId((i + 1) % 5), 1.0);
-        }
-        let r = pagerank(&g);
+        let edges: Vec<_> = (0..5u32).map(|i| (i, (i + 1) % 5, 1.0)).collect();
+        let r = pagerank(&fixture(5, &edges));
         for w in r.windows(2) {
             assert!((w[0] - w[1]).abs() < 1e-9);
         }
@@ -96,17 +87,15 @@ mod tests {
     #[test]
     fn weights_bias_rank() {
         // Path 0-1, 1-2 where edge 1-2 is much heavier: 2 outranks 0.
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 10.0);
+        let g = fixture(3, &[(0, 1, 1.0), (1, 2, 10.0)]);
         let r = pagerank(&g);
         assert!(r[2] > r[0]);
     }
 
     #[test]
     fn empty_and_isolated() {
-        assert!(pagerank(&Graph::new()).is_empty());
-        let g = Graph::with_nodes(3);
+        assert!(pagerank(&fixture(0, &[])).is_empty());
+        let g = fixture(3, &[]);
         let r = pagerank(&g);
         let sum: f64 = r.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);

@@ -1,11 +1,35 @@
 //! Reference implementations the graph kernels must reproduce bit for
-//! bit: the straightforward pair-probing clustering coefficient and the
-//! `HashMap`-accumulating label propagation. Shared by the graph property
-//! tests and the root `graph_features_oracle` suite.
+//! bit: per-pair weight accumulation, the straightforward pair-probing
+//! clustering coefficient and the `HashMap`-accumulating label
+//! propagation. Shared by the graph property tests and the root
+//! `graph_features_oracle` suite.
 
 #![allow(dead_code)]
 
 use boe_graph::{Graph, NodeId};
+
+/// Accumulate-by-pair reference: drawn `(a, b, w)` edges merged per
+/// unordered node pair, each weight summed in draw order (`w1 + w2 +
+/// ...`); self-loops are dropped. Returns one `(min, max, weight)` edge
+/// per pair, in order of the pair's first draw.
+pub fn accumulate_by_pair(draws: &[(u32, u32, f64)]) -> Vec<(NodeId, NodeId, f64)> {
+    let mut slot: std::collections::HashMap<(u32, u32), usize> = std::collections::HashMap::new();
+    let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
+    for &(a, b, w) in draws {
+        if a == b {
+            continue;
+        }
+        let key = (a.min(b), a.max(b));
+        match slot.get(&key) {
+            Some(&i) => edges[i].2 += w,
+            None => {
+                slot.insert(key, edges.len());
+                edges.push((NodeId(key.0), NodeId(key.1), w));
+            }
+        }
+    }
+    edges
+}
 
 /// Local clustering coefficient by probing every neighbour pair.
 pub fn local_clustering(g: &Graph, v: NodeId) -> f64 {

@@ -6,7 +6,7 @@
 use boe_graph::community::{community_count, label_propagation, modularity};
 use boe_graph::components::connected_components;
 use boe_graph::kcore::core_numbers;
-use boe_graph::metrics::{average_clustering, density, local_clustering};
+use boe_graph::metrics::{average_clustering, density};
 use boe_graph::pagerank::pagerank;
 use boe_graph::{Graph, NodeId};
 use boe_rng::StdRng;
@@ -15,19 +15,76 @@ mod oracle;
 
 const CASES: usize = 80;
 
-fn rand_graph(rng: &mut StdRng) -> Graph {
+/// Random `(a, b, w)` draws on `n` nodes; repeated pairs and self-loops
+/// included.
+fn rand_draws(rng: &mut StdRng) -> (usize, Vec<(u32, u32, f64)>) {
     let n = rng.gen_range(2usize..14);
-    let mut g = Graph::with_nodes(n);
     let edges = rng.gen_range(0usize..40);
-    for _ in 0..edges {
-        let a = rng.gen_range(0u32..14) % n as u32;
-        let b = rng.gen_range(0u32..14) % n as u32;
-        let w = 0.1 + rng.gen::<f64>() * 2.9;
-        if a != b {
-            g.add_edge(NodeId(a), NodeId(b), w);
-        }
+    let draws = (0..edges)
+        .map(|_| {
+            let a = rng.gen_range(0u32..14) % n as u32;
+            let b = rng.gen_range(0u32..14) % n as u32;
+            (a, b, 0.1 + rng.gen::<f64>() * 2.9)
+        })
+        .collect();
+    (n, draws)
+}
+
+/// A random graph: the draws merged per pair by the oracle.
+fn rand_graph(rng: &mut StdRng) -> Graph {
+    let (n, draws) = rand_draws(rng);
+    Graph::from_edges(n, &oracle::accumulate_by_pair(&draws))
+}
+
+/// `items` in a random order (Fisher–Yates).
+fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
     }
-    g
+}
+
+/// Every row as `(neighbour, weight bits)`.
+fn rows(g: &Graph) -> Vec<Vec<(u32, u64)>> {
+    g.nodes()
+        .map(|v| {
+            g.neighbours(v)
+                .iter()
+                .map(|&(u, w)| (u.0, w.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn constructor_builds_sorted_symmetric_rows_from_any_edge_order() {
+    let mut rng = StdRng::seed_from_u64(19);
+    for _ in 0..CASES {
+        let (n, draws) = rand_draws(&mut rng);
+        let edges = oracle::accumulate_by_pair(&draws);
+        let g = Graph::from_edges(n, &edges);
+        assert_eq!(g.node_count(), n);
+        assert_eq!(g.edge_count(), edges.len());
+        for v in g.nodes() {
+            let row = g.neighbours(v);
+            assert!(row.windows(2).all(|p| p[0].0 < p[1].0), "row {v} unsorted");
+            for &(u, w) in row {
+                assert_eq!(g.edge_weight(u, v).map(f64::to_bits), Some(w.to_bits()));
+            }
+        }
+        for &(a, b, w) in &edges {
+            assert_eq!(g.edge_weight(a, b).map(f64::to_bits), Some(w.to_bits()));
+            assert_eq!(g.edge_weight(b, a).map(f64::to_bits), Some(w.to_bits()));
+        }
+        // Order and orientation of the input do not matter.
+        let mut scrambled = edges.clone();
+        shuffle(&mut rng, &mut scrambled);
+        for e in &mut scrambled {
+            if rng.gen_bool(0.5) {
+                *e = (e.1, e.0, e.2);
+            }
+        }
+        assert_eq!(rows(&Graph::from_edges(n, &scrambled)), rows(&g));
+    }
 }
 
 #[test]
@@ -72,7 +129,15 @@ fn components_agree_with_bfs() {
                 assert_eq!(reach[u.index()], same_component);
             }
         }
-        assert_eq!(comps.sizes().iter().sum::<usize>(), g.node_count());
+        // Labels are dense, in discovery order: node order.
+        assert_eq!(comps.labels.len(), g.node_count());
+        let mut first_seen = Vec::new();
+        for &l in &comps.labels {
+            if !first_seen.contains(&l) {
+                first_seen.push(l);
+            }
+        }
+        assert_eq!(first_seen, (0..comps.count as u32).collect::<Vec<_>>());
     }
 }
 
@@ -95,9 +160,10 @@ fn clustering_and_density_in_unit_interval() {
         let g = rand_graph(&mut rng);
         assert!((0.0..=1.0).contains(&density(&g)));
         for v in g.nodes() {
-            let c = local_clustering(&g, v);
+            let c = oracle::local_clustering(&g, v);
             assert!((0.0..=1.0 + 1e-12).contains(&c));
         }
+        assert!((0.0..=1.0 + 1e-12).contains(&average_clustering(&g)));
     }
 }
 
@@ -119,19 +185,37 @@ fn label_propagation_yields_valid_partition() {
 #[test]
 fn induced_subgraph_preserves_edge_weights() {
     let mut rng = StdRng::seed_from_u64(26);
-    for _ in 0..CASES {
+    for case in 0..2 * CASES {
         let g = rand_graph(&mut rng);
-        let keep: Vec<NodeId> = g.nodes().filter(|n| n.0 % 2 == 0).collect();
+        let mut keep: Vec<NodeId> = g.nodes().filter(|n| n.0 % 2 == 0).collect();
+        if case % 2 == 1 {
+            // New ids then follow a random order of the old ones.
+            keep = g.nodes().filter(|_| rng.gen_bool(0.6)).collect();
+            shuffle(&mut rng, &mut keep);
+        }
         let (sub, order) = g.induced_subgraph(&keep);
         assert_eq!(sub.node_count(), keep.len());
+        assert_eq!(order, keep);
+        let mut pairs = 0;
         for (new_a, &old_a) in order.iter().enumerate() {
-            for (new_b, &old_b) in order.iter().enumerate().skip(new_a + 1) {
-                assert_eq!(
-                    sub.edge_weight(NodeId(new_a as u32), NodeId(new_b as u32)),
+            for (new_b, &old_b) in order.iter().enumerate() {
+                let (a, b) = (NodeId(new_a as u32), NodeId(new_b as u32));
+                // Pair probing in the parent graph is the reference.
+                let want = if new_a == new_b {
+                    None
+                } else {
                     g.edge_weight(old_a, old_b)
+                };
+                assert_eq!(
+                    sub.edge_weight(a, b).map(f64::to_bits),
+                    want.map(f64::to_bits)
                 );
+                pairs += usize::from(want.is_some() && new_a < new_b);
             }
+            let row = sub.neighbours(NodeId(new_a as u32));
+            assert!(row.windows(2).all(|p| p[0].0 < p[1].0));
         }
+        assert_eq!(sub.edge_count(), pairs);
     }
 }
 
@@ -139,17 +223,16 @@ fn induced_subgraph_preserves_edge_weights() {
 /// propagation meets weight ties and multi-round relabelling.
 fn rand_tied_graph(rng: &mut StdRng) -> Graph {
     let n = rng.gen_range(1usize..60);
-    let mut g = Graph::with_nodes(n);
     let edges = rng.gen_range(0usize..(4 * n));
-    for _ in 0..edges {
-        let a = rng.gen_range(0..n as u32);
-        let b = rng.gen_range(0..n as u32);
-        let w = [0.5, 1.0, 1.0, 2.0, 0.1 + rng.gen::<f64>()][rng.gen_range(0usize..5)];
-        if a != b {
-            g.add_edge(NodeId(a), NodeId(b), w);
-        }
-    }
-    g
+    let draws: Vec<_> = (0..edges)
+        .map(|_| {
+            let a = rng.gen_range(0..n as u32);
+            let b = rng.gen_range(0..n as u32);
+            let w = [0.5, 1.0, 1.0, 2.0, 0.1 + rng.gen::<f64>()][rng.gen_range(0usize..5)];
+            (a, b, w)
+        })
+        .collect();
+    Graph::from_edges(n, &oracle::accumulate_by_pair(&draws))
 }
 
 #[test]
@@ -166,14 +249,14 @@ fn clustering_matches_the_pair_probing_oracle_bit_for_bit() {
             oracle::average_clustering(&g).to_bits()
         );
         for v in g.nodes() {
-            assert_eq!(
-                local_clustering(&g, v).to_bits(),
-                oracle::local_clustering(&g, v).to_bits()
-            );
-            // The clustering coefficient is the density of the ego network.
+            // The clustering coefficient is the density of the ego
+            // network: Step II reads it from there.
             let ego: Vec<NodeId> = g.neighbours(v).iter().map(|&(u, _)| u).collect();
             let (sub, _) = g.induced_subgraph(&ego);
-            assert_eq!(local_clustering(&g, v).to_bits(), density(&sub).to_bits());
+            assert_eq!(
+                density(&sub).to_bits(),
+                oracle::local_clustering(&g, v).to_bits()
+            );
         }
     }
 }

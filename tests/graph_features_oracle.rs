@@ -7,7 +7,12 @@
 //!   (first lookup of each node) and warm (every node already cached);
 //! * the full 23-feature row of every ontology term found in the corpus,
 //!   built on `boe-par` at 1 and 8 threads so the memo is filled
-//!   concurrently.
+//!   concurrently;
+//! * the word graph itself against the keyed-builder route it replaced
+//!   (`HashMap` interning, sorted-insert adjacency): same node per token,
+//!   same rows. The feature checks above read both sides off the same
+//!   graph, so a node renumbering would pass them while moving the
+//!   label-propagation and modularity bits.
 //!
 //! The thread-count override is process-global, so only one test here
 //! changes it; the other never runs parallel code.
@@ -25,6 +30,7 @@ use bio_onto_enrich::par as boe_par;
 use bio_onto_enrich::textkit::{Language, TokenId};
 use bio_onto_enrich::workflow::polysemy::detector::FeatureContext;
 use bio_onto_enrich::workflow::polysemy::{direct_features, graph_features, TermGraphContext};
+use std::collections::HashMap;
 
 #[path = "../crates/graph/tests/oracle/mod.rs"]
 mod oracle;
@@ -96,6 +102,39 @@ fn oracle_graph_features(
         mean_nb_deg,
         two_hop,
     ]
+}
+
+/// One adjacency list per node, sorted by neighbour id.
+type Adjacency = Vec<Vec<(NodeId, f64)>>;
+
+/// The word graph as the keyed builder made it: tokens interned through
+/// a `HashMap` on first appearance over `iter_pairs`, each kept pair
+/// sorted-inserted into both endpoints' adjacency lists.
+fn builder_route(cooc: &CoocCounts, min_cooc: u32) -> (HashMap<TokenId, NodeId>, Adjacency) {
+    let mut node_of: HashMap<TokenId, NodeId> = HashMap::new();
+    let mut adj: Adjacency = Vec::new();
+    for ((a, b), c) in cooc.iter_pairs() {
+        if c < min_cooc || a == b {
+            continue;
+        }
+        let [na, nb] = [a, b].map(|t| {
+            let fresh = NodeId(adj.len() as u32);
+            let n = *node_of.entry(t).or_insert(fresh);
+            if n == fresh {
+                adj.push(Vec::new());
+            }
+            n
+        });
+        let w = f64::from(c);
+        for (from, to) in [(na, nb), (nb, na)] {
+            let list = &mut adj[from.index()];
+            match list.binary_search_by_key(&to, |&(n, _)| n) {
+                Ok(i) => list[i].1 += w,
+                Err(i) => list.insert(i, (to, w)),
+            }
+        }
+    }
+    (node_of, adj)
 }
 
 fn world(lang: Language) -> World {
@@ -183,5 +222,37 @@ fn ontology_term_rows_match_the_oracle_at_1_and_8_threads() {
             }
         }
         boe_par::set_threads(None);
+    }
+}
+
+#[test]
+fn the_word_graph_matches_the_builder_route() {
+    for lang in [Language::English, Language::French, Language::Spanish] {
+        let w = world(lang);
+        let cooc = CoocCounts::from_corpus(&w.corpus, 5);
+        for min_cooc in [1, 2] {
+            let ctx = TermGraphContext::build(&w.corpus, &cooc, min_cooc);
+            let (node_of, adj) = builder_route(&cooc, min_cooc);
+            for (t, _) in w.corpus.vocab().iter() {
+                assert_eq!(
+                    ctx.node(t),
+                    node_of.get(&t).copied(),
+                    "{lang:?} min_cooc {min_cooc}: token {t:?}"
+                );
+            }
+            let g = ctx.graph();
+            assert_eq!(g.node_count(), adj.len(), "{lang:?} min_cooc {min_cooc}");
+            assert!(g.node_count() > 100, "{lang:?}: too few graph nodes");
+            for (v, want) in g.nodes().zip(&adj) {
+                let row = |r: &[(NodeId, f64)]| -> Vec<(NodeId, u64)> {
+                    r.iter().map(|&(n, w)| (n, w.to_bits())).collect()
+                };
+                assert_eq!(
+                    row(g.neighbours(v)),
+                    row(want),
+                    "{lang:?} min_cooc {min_cooc}: row of {v}"
+                );
+            }
+        }
     }
 }

@@ -7,11 +7,14 @@
 use bio_onto_enrich::cluster::Algorithm;
 use bio_onto_enrich::corpus::corpus::CorpusBuilder;
 use bio_onto_enrich::corpus::SparseVector;
-use bio_onto_enrich::graph::{Graph, NodeId};
+use bio_onto_enrich::graph::Graph;
 use bio_onto_enrich::textkit::normalize::match_key;
 use bio_onto_enrich::textkit::stem;
 use bio_onto_enrich::textkit::{Language, Tokenizer};
 use boe_rng::StdRng;
+
+#[path = "../crates/graph/tests/oracle/mod.rs"]
+mod oracle;
 
 const CASES: usize = 120;
 
@@ -191,15 +194,14 @@ fn cluster_solutions_partition_objects() {
 fn graph_edges_are_symmetric() {
     let mut rng = StdRng::seed_from_u64(60);
     for _ in 0..CASES {
-        let mut g = Graph::with_nodes(12);
-        for _ in 0..rng.gen_range(0usize..30) {
-            let a = rng.gen_range(0u32..12);
-            let b = rng.gen_range(0u32..12);
-            let w = 0.1 + rng.gen::<f64>() * 4.9;
-            if a != b {
-                g.add_edge(NodeId(a), NodeId(b), w);
-            }
-        }
+        let draws: Vec<_> = (0..rng.gen_range(0usize..30))
+            .map(|_| {
+                let a = rng.gen_range(0u32..12);
+                let b = rng.gen_range(0u32..12);
+                (a, b, 0.1 + rng.gen::<f64>() * 4.9)
+            })
+            .collect();
+        let g = Graph::from_edges(12, &oracle::accumulate_by_pair(&draws));
         for v in g.nodes() {
             for &(u, w) in g.neighbours(v) {
                 assert_eq!(g.edge_weight(u, v), Some(w));

@@ -211,7 +211,7 @@ fn extract_candidates_reference(corpus: &Corpus, opts: CandidateOptions) -> Vec<
 
 /// Reference co-occurrence graph: one serial pass over every sentence,
 /// testing every candidate at every start position; edge weight = number
-/// of sentences where both candidates occur, edges added in sorted pair
+/// of sentences where both candidates occur, edges listed in sorted pair
 /// order.
 fn cooccurrence_graph_reference(corpus: &Corpus, set: &CandidateSet) -> Graph {
     let mut pair_counts: BTreeMap<(usize, usize), u32> = BTreeMap::new();
@@ -230,11 +230,11 @@ fn cooccurrence_graph_reference(corpus: &Corpus, set: &CandidateSet) -> Graph {
             }
         }
     }
-    let mut g = Graph::with_nodes(set.len());
-    for ((a, b), w) in pair_counts {
-        g.add_edge(NodeId(a as u32), NodeId(b as u32), f64::from(w));
-    }
-    g
+    let edges: Vec<_> = pair_counts
+        .into_iter()
+        .map(|((a, b), w)| (NodeId(a as u32), NodeId(b as u32), f64::from(w)))
+        .collect();
+    Graph::from_edges(set.len(), &edges)
 }
 
 /// Reference TeRGraph scores, straight from the published formula
