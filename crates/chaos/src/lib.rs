@@ -38,9 +38,8 @@ pub mod sites {
     pub const VALIDATE: &str = "pipeline.validate";
     /// Before Step I term extraction.
     pub const STEP1_EXTRACT: &str = "pipeline.step1";
-    /// Inside Step I candidate extraction, at the entry of the
-    /// per-document pattern scan (hit by both the parallel and the
-    /// serial extraction path).
+    /// Inside Step I candidate extraction, at the entry of its one
+    /// serial pattern scan over the corpus.
     pub const TERMEX_CANDIDATES: &str = "termex.candidates";
     /// Before Step II detector training.
     pub const STEP2_TRAIN: &str = "pipeline.step2.train";

@@ -61,20 +61,7 @@ pub fn upgma(unit: &[SparseVector], k: usize) -> ClusterSolution {
         }
         clusters -= 1;
     }
-    // Densify representative labels.
-    let mut label_of = vec![usize::MAX; n];
-    let mut next = 0usize;
-    let assignments: Vec<usize> = rep
-        .iter()
-        .map(|&r| {
-            if label_of[r] == usize::MAX {
-                label_of[r] = next;
-                next += 1;
-            }
-            label_of[r]
-        })
-        .collect();
-    ClusterSolution::new(assignments, k)
+    ClusterSolution::densified(&rep)
 }
 
 #[cfg(test)]

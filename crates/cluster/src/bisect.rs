@@ -7,7 +7,7 @@
 //! the k-way result with spherical k-means iterations seeded from it.
 
 use crate::kmeans;
-use crate::solution::ClusterSolution;
+use crate::solution::{self, ClusterSolution};
 use boe_corpus::SparseVector;
 use boe_rng::StdRng;
 
@@ -28,12 +28,8 @@ pub fn repeated_bisection(
         // Pick the cluster to split: largest aggregate "looseness"
         // n_c × (1 − avg pairwise similarity); only clusters with ≥ 2
         // objects are splittable.
-        let mut comps = vec![SparseVector::new(); current_k];
-        let mut sizes = vec![0usize; current_k];
-        for (v, &a) in unit.iter().zip(&assignments) {
-            comps[a].add_assign(v);
-            sizes[a] += 1;
-        }
+        let comps = solution::composites(unit, &assignments, current_k);
+        let sizes = solution::sizes(&assignments, current_k);
         let mut target = None;
         let mut best_score = f64::NEG_INFINITY;
         for c in 0..current_k {
@@ -68,45 +64,18 @@ pub fn repeated_bisection(
     }
 }
 
-/// k-way refinement: spherical k-means iterations seeded from `start`.
+/// k-way refinement: spherical k-means iterations seeded from `start`,
+/// stopping at a fixed point or before a step that would empty a
+/// cluster (rbr must keep k).
 fn refine_kway(unit: &[SparseVector], start: ClusterSolution) -> ClusterSolution {
     let k = start.k();
-    let n = unit.len();
     let mut assignments = start.assignments().to_vec();
     for _ in 0..50 {
-        let mut comps = vec![SparseVector::new(); k];
-        for (v, &a) in unit.iter().zip(&assignments) {
-            comps[a].add_assign(v);
-        }
-        let centroids: Vec<SparseVector> = comps.into_iter().map(|c| c.normalized()).collect();
-        // Per-object re-assignment is independent → spread across
-        // threads for large collections, identical to the serial scan.
-        let next: Vec<usize> =
-            boe_par::par_map_indexed_min(n, crate::kmeans::PAR_ASSIGN_MIN, |i| {
-                let mut best = assignments[i];
-                let mut best_s = f64::NEG_INFINITY;
-                for (c, cent) in centroids.iter().enumerate() {
-                    let s = unit[i].dot(cent);
-                    if s > best_s {
-                        best_s = s;
-                        best = c;
-                    }
-                }
-                best
-            });
-        let changed = next != assignments;
-        // Reject refinement steps that empty a cluster (rbr must keep k).
-        let mut sizes = vec![0usize; k];
-        for &a in &next {
-            sizes[a] += 1;
-        }
-        if sizes.contains(&0) {
+        let next = kmeans::assign(unit, &solution::centroids(unit, &assignments, k));
+        if next == assignments || solution::sizes(&next, k).contains(&0) {
             break;
         }
         assignments = next;
-        if !changed {
-            break;
-        }
     }
     ClusterSolution::new(assignments, k)
 }
@@ -156,7 +125,13 @@ mod tests {
         let (vs, _) = blobs(6, 3);
         let rb = repeated_bisection(&vs, 3, 2, false);
         let rbr = repeated_bisection(&vs, 3, 2, true);
-        let i2 = |s: &ClusterSolution| crate::similarity::i2(&s.composites(&vs));
+        // CLUTO's I2 criterion, Σ ||composite||, which rb and rbr maximize.
+        let i2 = |s: &ClusterSolution| {
+            s.composites(&vs)
+                .iter()
+                .map(SparseVector::norm)
+                .sum::<f64>()
+        };
         assert!(i2(&rbr) >= i2(&rb) - 1e-9);
     }
 

@@ -93,20 +93,7 @@ pub fn knn_graph_partition(unit: &[SparseVector], k: usize, neighbours: usize) -
         }
         clusters -= 1;
     }
-    // Densify labels.
-    let mut map = std::collections::HashMap::new();
-    let mut next = 0usize;
-    let assignments: Vec<usize> = label
-        .iter()
-        .map(|&l| {
-            *map.entry(l).or_insert_with(|| {
-                let v = next;
-                next += 1;
-                v
-            })
-        })
-        .collect();
-    ClusterSolution::new(assignments, k)
+    ClusterSolution::densified(&label)
 }
 
 /// When the kNN graph leaves clusters disconnected, merge the pair with

@@ -4,14 +4,14 @@
 //! cosine assignment and centroid renormalization, with farthest-first
 //! seeding and deterministic tie-breaking.
 
-use crate::solution::ClusterSolution;
+use crate::solution::{self, ClusterSolution};
 use boe_corpus::SparseVector;
 use boe_rng::StdRng;
 
 const MAX_ITERS: usize = 100;
 
 /// Objects below which assignment stays serial (thread spawn ≫ work).
-pub(crate) const PAR_ASSIGN_MIN: usize = 512;
+const PAR_ASSIGN_MIN: usize = 512;
 
 /// Cluster unit-normalized `vectors` into `k` clusters.
 ///
@@ -37,7 +37,7 @@ pub fn spherical_kmeans(unit: &[SparseVector], k: usize, seed: u64) -> ClusterSo
             break;
         }
         assignments = new_assignments;
-        centroids = recompute_centroids(unit, &assignments, k);
+        centroids = solution::centroids(unit, &assignments, k);
         repair_empty_clusters(unit, &mut assignments, &mut centroids, k);
     }
     repair_empty_clusters(unit, &mut assignments, &mut centroids, k);
@@ -78,7 +78,7 @@ fn farthest_first_seeds(unit: &[SparseVector], k: usize, rng: &mut StdRng) -> Ve
 /// identical to the serial scan; below the threshold no threads spawn —
 /// Step-III context sets are usually small and a spawn would cost more
 /// than the dots).
-fn assign(unit: &[SparseVector], centroids: &[SparseVector]) -> Vec<usize> {
+pub(crate) fn assign(unit: &[SparseVector], centroids: &[SparseVector]) -> Vec<usize> {
     boe_par::par_map_min(unit, PAR_ASSIGN_MIN, |v| {
         let mut best = 0usize;
         let mut best_s = f64::NEG_INFINITY;
@@ -93,18 +93,6 @@ fn assign(unit: &[SparseVector], centroids: &[SparseVector]) -> Vec<usize> {
     })
 }
 
-fn recompute_centroids(
-    unit: &[SparseVector],
-    assignments: &[usize],
-    k: usize,
-) -> Vec<SparseVector> {
-    let mut comps = vec![SparseVector::new(); k];
-    for (v, &a) in unit.iter().zip(assignments) {
-        comps[a].add_assign(v);
-    }
-    comps.into_iter().map(|c| c.normalized()).collect()
-}
-
 /// Give each empty cluster the object least similar to its current
 /// centroid (stealing from clusters of size ≥ 2).
 fn repair_empty_clusters(
@@ -114,10 +102,7 @@ fn repair_empty_clusters(
     k: usize,
 ) {
     loop {
-        let mut sizes = vec![0usize; k];
-        for &a in assignments.iter() {
-            sizes[a] += 1;
-        }
+        let sizes = solution::sizes(assignments, k);
         let Some(empty) = sizes.iter().position(|&s| s == 0) else {
             return;
         };
@@ -139,8 +124,7 @@ fn repair_empty_clusters(
             return;
         };
         assignments[steal] = empty;
-        let new_cents = recompute_centroids(unit, assignments, k);
-        centroids.clone_from_slice(&new_cents);
+        centroids.clone_from_slice(&solution::centroids(unit, assignments, k));
     }
 }
 

@@ -3,138 +3,146 @@
 //! "The prediction of the sense number of a term falls directly in
 //! clustering-based issues": cluster the term's contexts for every k in
 //! [2, 5], score each solution with an internal index, keep the optimum.
+//!
+//! [`KSweep`] is the only loop over k: it clusters once per k, so any
+//! number of indexes can score the same solutions, and
+//! [`KSweep::predict`] holds the only best-k rule.
 
 use crate::indexes::InternalIndex;
 use crate::solution::ClusterSolution;
 use crate::Algorithm;
 use boe_corpus::SparseVector;
 
-/// Configuration for [`predict_k`].
-#[derive(Debug, Clone, Copy)]
-pub struct KPredictConfig {
-    /// Inclusive k range; the paper restricts to (2, 5) following the
-    /// UMLS polysemy statistics of Table 1.
-    pub k_range: (usize, usize),
-    /// Clustering method.
-    pub algorithm: Algorithm,
-    /// Scoring index.
-    pub index: InternalIndex,
-    /// Seed forwarded to the clustering method.
-    pub seed: u64,
-}
-
-impl Default for KPredictConfig {
-    fn default() -> Self {
-        KPredictConfig {
-            k_range: (2, 5),
-            algorithm: Algorithm::Direct,
-            index: InternalIndex::Fk,
-            seed: 0,
-        }
-    }
-}
-
-/// Result of a k sweep.
+/// The solutions of one k sweep, one per swept k in ascending order.
 #[derive(Debug, Clone)]
-pub struct KPrediction {
+pub struct KSweep {
+    solutions: Vec<ClusterSolution>,
+}
+
+/// One index's reading of a [`KSweep`].
+#[derive(Debug, Clone)]
+pub struct KPrediction<'s> {
     /// The chosen k.
     pub k: usize,
-    /// `(k, score)` for every candidate (in ascending k).
-    pub scores: Vec<(usize, f64)>,
-    /// The winning solution.
-    pub solution: ClusterSolution,
-    /// Whether the swept range was narrowed from the requested one
-    /// (because of a degenerate `k_range` or too few contexts) — callers
-    /// surface this as a clamped-k warning.
-    pub clamped: bool,
+    /// The index's score at every swept k, in ascending k.
+    pub scores: Vec<f64>,
+    /// The chosen solution.
+    pub solution: &'s ClusterSolution,
 }
 
-/// Predict the number of senses of a term from its context vectors.
-/// Returns `None` when there are fewer than 2 contexts (no clustering
-/// signal; the caller treats the term as monosemous).
-///
-/// A degenerate requested range (`lo < 2`, `lo > hi`) or a range wider
-/// than the context count is clamped rather than rejected; the
-/// prediction's `clamped` flag records that the sweep was narrowed.
-pub fn predict_k(contexts: &[SparseVector], cfg: KPredictConfig) -> Option<KPrediction> {
-    let (req_lo, req_hi) = cfg.k_range;
-    if contexts.len() < 2 {
-        return None;
+impl KSweep {
+    /// Cluster the unit vectors `unit` (see [`Algorithm::cluster`]) with
+    /// `algorithm` once per k in the inclusive `k_range`, seeding each
+    /// run with `seed ^ k`. Returns `None` when there are fewer than 2
+    /// contexts (no clustering signal; the caller treats the term as
+    /// monosemous).
+    ///
+    /// A degenerate requested range (`lo < 2`, `lo > hi`) or a range
+    /// wider than the context count is clamped rather than rejected:
+    /// the sweep covers `max(lo, 2) ..= min(max(hi, lo), n)`, and the
+    /// single k `n` when that is empty.
+    pub fn run(
+        unit: &[SparseVector],
+        algorithm: Algorithm,
+        k_range: (usize, usize),
+        seed: u64,
+    ) -> Option<KSweep> {
+        if unit.len() < 2 {
+            return None;
+        }
+        let lo = k_range.0.max(2);
+        let hi = k_range.1.max(lo).min(unit.len());
+        let solutions = (lo.min(hi)..=hi)
+            .map(|k| algorithm.cluster(unit, k, seed ^ k as u64))
+            .collect();
+        Some(KSweep { solutions })
     }
-    let lo = req_lo.max(2);
-    let hi = req_hi.max(lo).min(contexts.len());
-    let lo = lo.min(hi);
-    let clamped = (lo, hi) != (req_lo, req_hi);
-    let mut best: Option<(usize, f64, ClusterSolution)> = None;
-    let mut scores = Vec::with_capacity(hi - lo + 1);
-    for k in lo..=hi {
-        let sol = cfg.algorithm.cluster(contexts, k, cfg.seed ^ k as u64);
-        let unit: Vec<SparseVector> = contexts.iter().map(SparseVector::normalized).collect();
-        let s = cfg.index.score(&sol, &unit);
-        scores.push((k, s));
-        let better = match &best {
-            None => true,
-            Some((_, bs, _)) => {
-                if cfg.index.maximize() {
-                    s > *bs
-                } else {
-                    s < *bs
-                }
-            }
-        };
-        if better {
-            best = Some((k, s, sol));
+
+    /// Score every solution with `index` over the same `unit` vectors
+    /// the sweep clustered, and pick the best k. Only a strict
+    /// improvement replaces the running best, so the lowest k wins an
+    /// exact tie and a sweep that scores the worst value everywhere
+    /// picks the low end of the range.
+    pub fn predict(&self, index: InternalIndex, unit: &[SparseVector]) -> KPrediction<'_> {
+        let scores: Vec<f64> = self
+            .solutions
+            .iter()
+            .map(|s| index.score(s, unit))
+            .collect();
+        let best = best_position(&scores, index.maximize());
+        KPrediction {
+            k: self.solutions[best].k(),
+            scores,
+            solution: &self.solutions[best],
         }
     }
-    // `lo <= hi` by construction, so the loop ran at least once.
-    let (k, _, solution) = best?;
-    Some(KPrediction {
-        k,
-        scores,
-        solution,
-        clamped,
-    })
+}
+
+/// Position of the best of `scores` (non-empty): the first score no
+/// later one strictly improves on.
+fn best_position(scores: &[f64], maximize: bool) -> usize {
+    let mut best = 0;
+    for (i, &s) in scores.iter().enumerate().skip(1) {
+        let better = if maximize {
+            s > scores[best]
+        } else {
+            s < scores[best]
+        };
+        if better {
+            best = i;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `k` orthogonal context blobs of `per` vectors each.
+    /// `k` orthogonal context blobs of `per` unit vectors each.
     fn blobs(per: usize, k: usize) -> Vec<SparseVector> {
         let mut vs = Vec::new();
         for c in 0..k as u32 {
             for i in 0..per as u32 {
-                vs.push(SparseVector::from_pairs([
-                    (c * 1000, 10.0),
-                    (c * 1000 + 1 + i, 1.0),
-                ]));
+                vs.push(
+                    SparseVector::from_pairs([(c * 1000, 10.0), (c * 1000 + 1 + i, 1.0)])
+                        .normalized(),
+                );
             }
         }
         vs
+    }
+
+    /// The k predicted by `index` over a `(2, 5)` sweep of `algorithm`,
+    /// with the scores for failure messages.
+    fn predict(
+        vs: &[SparseVector],
+        algorithm: Algorithm,
+        index: InternalIndex,
+    ) -> (usize, Vec<f64>) {
+        let sweep = KSweep::run(vs, algorithm, (2, 5), 0).expect("enough contexts");
+        let pred = sweep.predict(index, vs);
+        (pred.k, pred.scores)
+    }
+
+    fn swept_ks(sweep: &KSweep) -> Vec<usize> {
+        sweep.solutions.iter().map(ClusterSolution::k).collect()
     }
 
     #[test]
     fn ek_recovers_true_k() {
         for true_k in 2..=5 {
             let vs = blobs(12, true_k);
-            let pred = predict_k(
-                &vs,
-                KPredictConfig {
-                    index: InternalIndex::Ek,
-                    ..Default::default()
-                },
-            )
-            .expect("enough contexts");
-            assert_eq!(pred.k, true_k, "scores: {:?}", pred.scores);
+            let (k, scores) = predict(&vs, Algorithm::Direct, InternalIndex::Ek);
+            assert_eq!(k, true_k, "scores: {scores:?}");
         }
     }
 
     #[test]
     fn fk_recovers_two_sense_terms() {
         let vs = blobs(12, 2);
-        let pred = predict_k(&vs, KPredictConfig::default()).expect("enough contexts");
-        assert_eq!(pred.k, 2, "scores: {:?}", pred.scores);
+        let (k, scores) = predict(&vs, Algorithm::Direct, InternalIndex::Fk);
+        assert_eq!(k, 2, "scores: {scores:?}");
     }
 
     /// The literal Table-2 `f_k = a_k / log10(k)` is biased toward k = 2:
@@ -146,78 +154,58 @@ mod tests {
     #[test]
     fn fk_is_biased_toward_two_on_balanced_senses() {
         let vs = blobs(12, 3);
-        let pred = predict_k(&vs, KPredictConfig::default()).expect("enough contexts");
-        assert_eq!(pred.k, 2, "scores: {:?}", pred.scores);
+        let (k, scores) = predict(&vs, Algorithm::Direct, InternalIndex::Fk);
+        assert_eq!(k, 2, "scores: {scores:?}");
     }
 
     #[test]
     fn ek_recovers_true_k_across_algorithms() {
         for alg in Algorithm::ALL {
             let vs = blobs(10, 3);
-            let pred = predict_k(
-                &vs,
-                KPredictConfig {
-                    algorithm: alg,
-                    index: InternalIndex::Ek,
-                    ..Default::default()
-                },
-            )
-            .expect("enough contexts");
-            assert_eq!(pred.k, 3, "{alg}: {:?}", pred.scores);
+            let (k, scores) = predict(&vs, alg, InternalIndex::Ek);
+            assert_eq!(k, 3, "{alg}: {scores:?}");
         }
     }
 
     #[test]
     fn bk_minimization_direction() {
         let vs = blobs(10, 2);
-        let pred = predict_k(
-            &vs,
-            KPredictConfig {
-                index: InternalIndex::Bk,
-                ..Default::default()
-            },
-        )
-        .expect("enough contexts");
         // b_k is minimized; for orthogonal 2-blob data every k isolates
         // the blobs so ESIM stays ~0 — prediction must still be valid.
-        assert!((2..=5).contains(&pred.k));
+        let (k, _) = predict(&vs, Algorithm::Direct, InternalIndex::Bk);
+        assert!((2..=5).contains(&k));
     }
 
     #[test]
     fn too_few_contexts_returns_none() {
-        assert!(predict_k(&[], KPredictConfig::default()).is_none());
+        assert!(KSweep::run(&[], Algorithm::Direct, (2, 5), 0).is_none());
         let one = vec![SparseVector::from_pairs([(0, 1.0)])];
-        assert!(predict_k(&one, KPredictConfig::default()).is_none());
+        assert!(KSweep::run(&one, Algorithm::Direct, (2, 5), 0).is_none());
     }
 
     #[test]
     fn k_range_clamps_to_object_count() {
         let vs = blobs(1, 3); // only 3 contexts
-        let pred = predict_k(&vs, KPredictConfig::default()).expect("3 contexts");
+        let sweep = KSweep::run(&vs, Algorithm::Direct, (2, 5), 0).expect("3 contexts");
+        assert_eq!(swept_ks(&sweep), vec![2, 3], "narrowed to the object count");
+        let pred = sweep.predict(InternalIndex::Fk, &vs);
         assert!(pred.k <= 3);
-        assert_eq!(pred.scores.len(), 2); // k ∈ {2, 3}
-        assert!(pred.clamped, "narrowed sweep must be flagged");
-    }
-
-    #[test]
-    fn full_range_sweep_is_not_flagged_as_clamped() {
-        let vs = blobs(10, 2);
-        let pred = predict_k(&vs, KPredictConfig::default()).expect("enough");
-        assert!(!pred.clamped);
+        assert_eq!(pred.scores.len(), 2);
     }
 
     #[test]
     fn degenerate_ranges_are_clamped_not_rejected() {
         let vs = blobs(10, 2);
-        for k_range in [(0, 0), (1, 1), (5, 2), (2, 2)] {
-            let pred = predict_k(
-                &vs,
-                KPredictConfig {
-                    k_range,
-                    ..Default::default()
-                },
-            )
-            .expect("enough contexts");
+        for (k_range, ks) in [
+            ((0, 0), vec![2]),
+            ((1, 1), vec![2]),
+            ((5, 2), vec![5]),
+            ((2, 2), vec![2]),
+            ((30, 40), vec![20]),
+        ] {
+            let sweep = KSweep::run(&vs, Algorithm::Direct, k_range, 0).expect("enough contexts");
+            assert_eq!(swept_ks(&sweep), ks, "{k_range:?}");
+            let pred = sweep.predict(InternalIndex::Fk, &vs);
             assert!(pred.k >= 2, "{k_range:?} gave k = {}", pred.k);
             assert!(!pred.scores.is_empty());
         }
@@ -226,8 +214,58 @@ mod tests {
     #[test]
     fn scores_cover_requested_range() {
         let vs = blobs(10, 2);
-        let pred = predict_k(&vs, KPredictConfig::default()).expect("enough");
-        let ks: Vec<usize> = pred.scores.iter().map(|(k, _)| *k).collect();
-        assert_eq!(ks, vec![2, 3, 4, 5]);
+        let sweep = KSweep::run(&vs, Algorithm::Direct, (2, 5), 0).expect("enough");
+        assert_eq!(
+            swept_ks(&sweep),
+            vec![2, 3, 4, 5],
+            "a full range is not narrowed"
+        );
+        assert_eq!(sweep.predict(InternalIndex::Fk, &vs).scores.len(), 4);
+    }
+
+    #[test]
+    fn lowest_k_wins_an_exact_tie() {
+        // Identical contexts: every cluster's ISIM and ESIM is exactly 1
+        // at every k, so a_k (maximized) and b_k (minimized) tie across
+        // the whole sweep.
+        let vs = vec![SparseVector::from_pairs([(0, 1.0)]); 8];
+        let sweep = KSweep::run(&vs, Algorithm::Direct, (2, 5), 0).expect("enough");
+        for index in [InternalIndex::Ak, InternalIndex::Bk] {
+            let pred = sweep.predict(index, &vs);
+            assert!(
+                pred.scores.iter().all(|&s| s == pred.scores[0]),
+                "{index}: {:?}",
+                pred.scores
+            );
+            assert_eq!(pred.k, 2, "{index}");
+        }
+        // A tie between two later ks goes to the lower one too.
+        assert_eq!(best_position(&[0.1, 0.7, 0.7, 0.2], true), 1);
+        assert_eq!(best_position(&[0.9, 0.3, 0.3, 0.5], false), 1);
+    }
+
+    #[test]
+    fn all_worst_scores_pick_the_low_end() {
+        assert_eq!(best_position(&[f64::NEG_INFINITY; 4], true), 0);
+        assert_eq!(best_position(&[f64::INFINITY; 4], false), 0);
+        assert_eq!(best_position(&[f64::NEG_INFINITY, 0.0], true), 1);
+    }
+
+    #[test]
+    fn sweep_solutions_equal_direct_clustering_bit_for_bit() {
+        let vs: Vec<SparseVector> = (0..17u32)
+            .map(|i| {
+                SparseVector::from_pairs([(i % 5, 1.0 + f64::from(i) * 0.3), (7 + i % 3, 0.4)])
+                    .normalized()
+            })
+            .collect();
+        for alg in Algorithm::ALL {
+            let sweep = KSweep::run(&vs, alg, (2, 5), 11).expect("enough");
+            assert_eq!(swept_ks(&sweep), vec![2, 3, 4, 5]);
+            for sol in &sweep.solutions {
+                let k = sol.k();
+                assert_eq!(*sol, alg.cluster(&vs, k, 11 ^ k as u64), "{alg} at k = {k}");
+            }
+        }
     }
 }

@@ -1,12 +1,18 @@
 //! # boe-cluster
 //!
 //! Clustering substrate — the from-scratch replacement for the CLUTO
-//! toolkit the paper uses in Step III (sense induction):
+//! toolkit the paper uses in Step III (sense induction). Every method
+//! clusters *unit-normalized* vectors: callers normalize a term's
+//! contexts once and hand the same unit vectors to every k and every
+//! index.
 //!
-//! * [`solution`] — cluster assignments with invariant checking;
+//! * [`solution`] — cluster assignments with invariant checking, and the
+//!   per-cluster sizes, composites, centroids and label densification
+//!   every method shares;
 //! * [`similarity`] — the cosine kernel over unit-normalized sparse
 //!   vectors and composite-vector identities;
-//! * [`kmeans`] — `direct`: spherical k-means on the I2 criterion;
+//! * [`kmeans`] — `direct`: spherical k-means on the I2 criterion (its
+//!   assignment step also refines `rbr`);
 //! * [`bisect`] — `rb` (repeated bisection) and `rbr` (rb + k-way
 //!   refinement);
 //! * [`agglo`] — `agglo`: UPGMA agglomerative clustering;
@@ -16,8 +22,8 @@
 //!   e_k, f_k (Table 2) plus silhouette / Calinski–Harabasz baselines;
 //! * [`external`] — external indexes (purity, NMI, adjusted Rand) for
 //!   gold-labelled sanity checks;
-//! * [`kpredict`] — sense-number prediction: sweep k ∈ \[2,5\], score with
-//!   an index, pick the optimum;
+//! * [`kpredict`] — sense-number prediction: the one k sweep (cluster
+//!   once per k ∈ \[2,5\]) and the one best-k rule every caller shares;
 //! * [`features`] — top features per cluster (concept labelling).
 
 #![forbid(unsafe_code)]
@@ -36,7 +42,7 @@ pub mod similarity;
 pub mod solution;
 
 pub use indexes::InternalIndex;
-pub use kpredict::{predict_k, KPredictConfig};
+pub use kpredict::KSweep;
 pub use solution::ClusterSolution;
 
 use boe_corpus::SparseVector;
@@ -77,8 +83,10 @@ impl Algorithm {
         }
     }
 
-    /// Cluster `vectors` into `k` clusters. Vectors need not be
-    /// normalized; every method works on the unit sphere internally.
+    /// Cluster `unit` into `k` clusters. Every method works on the unit
+    /// sphere, so each vector must have norm 1 (or be empty): normalize
+    /// once with [`SparseVector::normalized`] and reuse the unit vectors
+    /// for every k and every index. Debug builds check this.
     ///
     /// ```
     /// use boe_cluster::Algorithm;
@@ -90,27 +98,32 @@ impl Algorithm {
     ///     SparseVector::from_pairs([(9, 1.0)]),
     ///     SparseVector::from_pairs([(9, 1.0), (8, 0.1)]),
     /// ];
-    /// let solution = Algorithm::Direct.cluster(&docs, 2, 42);
+    /// let unit: Vec<SparseVector> = docs.iter().map(SparseVector::normalized).collect();
+    /// let solution = Algorithm::Direct.cluster(&unit, 2, 42);
     /// assert_eq!(solution.assignment(0), solution.assignment(1));
     /// assert_ne!(solution.assignment(0), solution.assignment(2));
     /// ```
     ///
     /// # Panics
-    /// Panics if `k == 0` or `k > vectors.len()`.
-    pub fn cluster(self, vectors: &[SparseVector], k: usize, seed: u64) -> ClusterSolution {
+    /// Panics if `k == 0` or `k > unit.len()`.
+    pub fn cluster(self, unit: &[SparseVector], k: usize, seed: u64) -> ClusterSolution {
         assert!(k >= 1, "k must be positive");
         assert!(
-            k <= vectors.len(),
+            k <= unit.len(),
             "k = {k} exceeds object count {}",
-            vectors.len()
+            unit.len()
         );
-        let unit: Vec<SparseVector> = vectors.iter().map(SparseVector::normalized).collect();
+        debug_assert!(
+            unit.iter()
+                .all(|v| v.is_empty() || (v.norm() - 1.0).abs() < 1e-9),
+            "Algorithm::cluster takes unit-normalized vectors"
+        );
         match self {
-            Algorithm::Rb => bisect::repeated_bisection(&unit, k, seed, false),
-            Algorithm::Rbr => bisect::repeated_bisection(&unit, k, seed, true),
-            Algorithm::Direct => kmeans::spherical_kmeans(&unit, k, seed),
-            Algorithm::Agglo => agglo::upgma(&unit, k),
-            Algorithm::Graph => graphc::knn_graph_partition(&unit, k, 10),
+            Algorithm::Rb => bisect::repeated_bisection(unit, k, seed, false),
+            Algorithm::Rbr => bisect::repeated_bisection(unit, k, seed, true),
+            Algorithm::Direct => kmeans::spherical_kmeans(unit, k, seed),
+            Algorithm::Agglo => agglo::upgma(unit, k),
+            Algorithm::Graph => graphc::knn_graph_partition(unit, k, 10),
         }
     }
 }
@@ -129,6 +142,14 @@ mod tests {
     fn names_are_cluto_names() {
         let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
         assert_eq!(names, vec!["rb", "rbr", "direct", "agglo", "graph"]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unit-normalized")]
+    fn non_unit_vectors_are_rejected_in_debug_builds() {
+        let v = vec![SparseVector::from_pairs([(0, 2.0)]); 2];
+        let _ = Algorithm::Direct.cluster(&v, 2, 0);
     }
 
     #[test]

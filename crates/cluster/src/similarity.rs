@@ -4,12 +4,12 @@
 //! pairwise similarities reduce to composite-vector norms:
 //! `Σ_{x,y ∈ S} x·y = ||Σ_{x∈S} x||²` — the identity CLUTO's criterion
 //! functions and ISIM/ESIM exploit. Every function here assumes unit
-//! inputs (the [`crate::Algorithm`] entry point normalizes once).
+//! inputs (callers of [`crate::Algorithm::cluster`] normalize once).
 
 use boe_corpus::SparseVector;
 
 /// A dense symmetric similarity matrix in one flat row-major buffer —
-/// one allocation instead of `n` heap rows, cache-friendly row scans.
+/// one allocation instead of `n` heap rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimMatrix {
     n: usize,
@@ -23,11 +23,6 @@ impl SimMatrix {
             n,
             data: vec![0.0; n * n],
         }
-    }
-
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Entry `(i, j)`.
@@ -48,11 +43,6 @@ impl SimMatrix {
     pub fn set_sym(&mut self, i: usize, j: usize, v: f64) {
         self.set(i, j, v);
         self.set(j, i, v);
-    }
-
-    /// Row `i` as a contiguous slice.
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.n..(i + 1) * self.n]
     }
 }
 
@@ -89,18 +79,18 @@ pub fn avg_pairwise_from_composite(composite: &SparseVector, n: usize) -> f64 {
     ((sq - n as f64) / (n as f64 * (n as f64 - 1.0))).clamp(-1.0, 1.0)
 }
 
-/// The I2 criterion value of a partition: `Σ_k ||composite_k||`
-/// (what `direct`, `rb` and `rbr` maximize).
-pub fn i2(composites: &[SparseVector]) -> f64 {
-    composites.iter().map(SparseVector::norm).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn unit(pairs: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_pairs(pairs.iter().copied()).normalized()
+    }
+
+    /// CLUTO's I2 criterion of a partition, `Σ_k ||composite_k||` (what
+    /// `direct`, `rb` and `rbr` maximize).
+    fn i2(composites: &[SparseVector]) -> f64 {
+        composites.iter().map(SparseVector::norm).sum()
     }
 
     #[test]
@@ -111,11 +101,10 @@ mod tests {
             unit(&[(1, 1.0)]),
         ];
         let m = similarity_matrix(&vs);
-        assert_eq!(m.n(), 3);
-        for i in 0..m.n() {
+        for i in 0..vs.len() {
             assert!((m.get(i, i) - 1.0).abs() < 1e-12);
-            for (j, &v) in m.row(i).iter().enumerate() {
-                assert!((v - m.get(j, i)).abs() < 1e-12);
+            for j in 0..vs.len() {
+                assert!((m.get(i, j) - m.get(j, i)).abs() < 1e-12);
             }
         }
         assert!(m.get(0, 1) > 0.0 && m.get(0, 2).abs() < 1e-12);

@@ -1,4 +1,7 @@
-//! Cluster solutions.
+//! Cluster solutions, and the per-cluster tallies every method and
+//! index shares: sizes, composites, centroids and first-appearance
+//! label densification. Each exists once here; the methods call these
+//! over labels that may not yet form a valid solution.
 
 use boe_corpus::SparseVector;
 
@@ -55,47 +58,88 @@ impl ClusterSolution {
         &self.assignments
     }
 
-    /// Object indices of cluster `c`.
-    pub fn members(&self, c: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a == c)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Cluster sizes, indexed by label.
     pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k];
-        for &a in &self.assignments {
-            sizes[a] += 1;
-        }
-        sizes
+        sizes(&self.assignments, self.k)
     }
 
     /// Composite (sum) vector per cluster.
     pub fn composites(&self, vectors: &[SparseVector]) -> Vec<SparseVector> {
         assert_eq!(vectors.len(), self.len(), "vector/assignment mismatch");
-        let mut comps = vec![SparseVector::new(); self.k];
-        for (v, &a) in vectors.iter().zip(&self.assignments) {
-            comps[a].add_assign(v);
-        }
-        comps
+        composites(vectors, &self.assignments, self.k)
     }
 
     /// Unit-normalized centroid per cluster.
     pub fn centroids(&self, vectors: &[SparseVector]) -> Vec<SparseVector> {
-        self.composites(vectors)
-            .into_iter()
-            .map(|c| c.normalized())
-            .collect()
+        assert_eq!(vectors.len(), self.len(), "vector/assignment mismatch");
+        centroids(vectors, &self.assignments, self.k)
     }
+
+    /// The solution whose labels number `labels`' distinct values in
+    /// order of first appearance. Every value must be below
+    /// `labels.len()`.
+    pub(crate) fn densified(labels: &[usize]) -> Self {
+        let mut label_of = vec![usize::MAX; labels.len()];
+        let mut k = 0usize;
+        let assignments = labels
+            .iter()
+            .map(|&l| {
+                if label_of[l] == usize::MAX {
+                    label_of[l] = k;
+                    k += 1;
+                }
+                label_of[l]
+            })
+            .collect();
+        ClusterSolution::new(assignments, k)
+    }
+}
+
+/// Size of each of `k` clusters under `assignments` (a cluster may be
+/// empty).
+pub(crate) fn sizes(assignments: &[usize], k: usize) -> Vec<usize> {
+    let mut sizes = vec![0usize; k];
+    for &a in assignments {
+        sizes[a] += 1;
+    }
+    sizes
+}
+
+/// Composite (sum) vector of each of `k` clusters under `assignments`,
+/// summed in object order.
+pub(crate) fn composites(
+    vectors: &[SparseVector],
+    assignments: &[usize],
+    k: usize,
+) -> Vec<SparseVector> {
+    let mut comps = vec![SparseVector::new(); k];
+    for (v, &a) in vectors.iter().zip(assignments) {
+        comps[a].add_assign(v);
+    }
+    comps
+}
+
+/// Unit-normalized centroid of each of `k` clusters under `assignments`
+/// (an empty cluster's centroid is the zero vector).
+pub(crate) fn centroids(
+    vectors: &[SparseVector],
+    assignments: &[usize],
+    k: usize,
+) -> Vec<SparseVector> {
+    composites(vectors, assignments, k)
+        .into_iter()
+        .map(|c| c.normalized())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Object indices of cluster `c`.
+    fn members(s: &ClusterSolution, c: usize) -> Vec<usize> {
+        (0..s.len()).filter(|&i| s.assignment(i) == c).collect()
+    }
 
     #[test]
     fn basic_accessors() {
@@ -103,7 +147,7 @@ mod tests {
         assert_eq!(s.k(), 2);
         assert_eq!(s.len(), 5);
         assert_eq!(s.sizes(), vec![2, 3]);
-        assert_eq!(s.members(0), vec![0, 2]);
+        assert_eq!(members(&s, 0), vec![0, 2]);
         assert_eq!(s.assignment(4), 1);
         assert!(!s.is_empty());
     }
@@ -134,6 +178,13 @@ mod tests {
         let cents = s.centroids(&vs);
         assert!((cents[0].norm() - 1.0).abs() < 1e-12);
         assert!((cents[1].norm() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn densified_numbers_labels_by_first_appearance() {
+        let s = ClusterSolution::densified(&[4, 4, 1, 0, 1, 4]);
+        assert_eq!(s.assignments(), &[0, 0, 1, 2, 1, 0]);
+        assert_eq!(s.k(), 3);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 
 use boe_cluster::external::{adjusted_rand, nmi, purity};
 use boe_cluster::isim::ClusterStats;
-use boe_cluster::kpredict::{predict_k, KPredictConfig};
+use boe_cluster::kpredict::KSweep;
 use boe_cluster::{Algorithm, ClusterSolution, InternalIndex};
 use boe_corpus::SparseVector;
 use boe_rng::StdRng;
 
 const CASES: usize = 50;
 
+/// Random sparse vectors, unit-normalized as the clustering methods
+/// take them.
 fn rand_vectors(rng: &mut StdRng) -> Vec<SparseVector> {
     let n = rng.gen_range(3usize..20);
     (0..n)
@@ -20,7 +22,7 @@ fn rand_vectors(rng: &mut StdRng) -> Vec<SparseVector> {
             let pairs: Vec<(u32, f64)> = (0..nnz)
                 .map(|_| (rng.gen_range(0u32..24), 0.1 + rng.gen::<f64>() * 2.9))
                 .collect();
-            SparseVector::from_pairs(pairs)
+            SparseVector::from_pairs(pairs).normalized()
         })
         .collect()
 }
@@ -48,9 +50,8 @@ fn isim_esim_are_bounded() {
         let vs = rand_vectors(&mut rng);
         let k = rng.gen_range(1usize..4).min(vs.len());
         let seed = rng.gen_range(0u64..10);
-        let unit: Vec<SparseVector> = vs.iter().map(SparseVector::normalized).collect();
         let sol = Algorithm::Direct.cluster(&vs, k, seed);
-        let st = ClusterStats::compute(&sol, &unit);
+        let st = ClusterStats::compute(&sol, &vs);
         for (&i, &e) in st.isim.iter().zip(&st.esim) {
             assert!((-1.0..=1.0).contains(&i), "ISIM {i}");
             assert!((-1.0..=1.0).contains(&e), "ESIM {e}");
@@ -68,10 +69,9 @@ fn internal_indexes_are_finite() {
             continue;
         }
         let seed = rng.gen_range(0u64..10);
-        let unit: Vec<SparseVector> = vs.iter().map(SparseVector::normalized).collect();
         let sol = Algorithm::Rbr.cluster(&vs, 2, seed);
         for index in InternalIndex::ALL {
-            let s = index.score(&sol, &unit);
+            let s = index.score(&sol, &vs);
             assert!(s.is_finite(), "{index}: {s}");
         }
     }
@@ -82,11 +82,9 @@ fn predict_k_respects_the_range() {
     let mut rng = StdRng::seed_from_u64(43);
     for _ in 0..CASES {
         let vs = rand_vectors(&mut rng);
-        let cfg = KPredictConfig {
-            seed: rng.gen_range(0u64..10),
-            ..Default::default()
-        };
-        if let Some(pred) = predict_k(&vs, cfg) {
+        let seed = rng.gen_range(0u64..10);
+        if let Some(sweep) = KSweep::run(&vs, Algorithm::Direct, (2, 5), seed) {
+            let pred = sweep.predict(InternalIndex::Fk, &vs);
             assert!((2..=5).contains(&pred.k));
             assert!(pred.k <= vs.len());
             assert!(!pred.scores.is_empty());

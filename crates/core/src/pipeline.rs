@@ -44,6 +44,8 @@ use crate::termex::{RankedTerm, TermExtractor, TermMeasure};
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::Corpus;
 use boe_ontology::Ontology;
+use boe_textkit::normalize::match_key;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -447,15 +449,26 @@ impl EnrichmentPipeline {
         stop: &(dyn Fn() -> bool + Sync),
         diag: &mut RunDiagnostics,
     ) -> Result<Option<(PolysemyDetector, FeatureContext<'c>)>, RowsInterrupted> {
+        // `Ontology::terms` is keyed by accent-folded match keys, but the
+        // corpus vocabulary keeps accents: a key's tokens come from its
+        // raw surfaces (concept order, preferred first), the first whose
+        // phrase occurs in the corpus. The key stays the row's surface.
+        let mut raw_surfaces: HashMap<String, Vec<&str>> = HashMap::new();
+        for raw in ontology.concepts().iter().flat_map(|c| c.terms()) {
+            raw_surfaces.entry(match_key(raw)).or_default().push(raw);
+        }
         let mut examples = Vec::new();
-        for (surface, concepts) in ontology.terms() {
-            let Some(tokens) = corpus.phrase_ids(surface) else {
+        for (key, concepts) in ontology.terms() {
+            let tokens = raw_surfaces
+                .get(key)
+                .into_iter()
+                .flatten()
+                .filter_map(|raw| corpus.phrase_ids(raw))
+                .find(|tokens| occ.contains(corpus, tokens));
+            let Some(tokens) = tokens else {
                 continue;
             };
-            if !occ.contains(corpus, &tokens) {
-                continue;
-            }
-            examples.push((surface, tokens, concepts.len() >= 2));
+            examples.push((key, tokens, concepts.len() >= 2));
         }
         let pos = examples.iter().filter(|e| e.2).count();
         if pos == 0 || pos == examples.len() || examples.len() < 4 {

@@ -2,8 +2,7 @@
 
 use crate::senses::representation::{build_representation, Representation};
 use boe_cluster::features::{induce_concepts, InducedConcept};
-use boe_cluster::kpredict::{predict_k, KPredictConfig};
-use boe_cluster::{Algorithm, ClusterSolution, InternalIndex};
+use boe_cluster::{Algorithm, ClusterSolution, InternalIndex, KSweep};
 use boe_corpus::context::ContextScope;
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
@@ -150,25 +149,17 @@ impl<'c> SenseInducer<'c> {
                 repaired,
             };
         }
-        let solution: ClusterSolution = if !is_polysemic || ctxs.len() < 2 {
-            ClusterSolution::new(vec![0; ctxs.len()], 1)
+        // A polysemic term's contexts are normalized once for the whole
+        // sweep; the raw contexts stay for concept labelling. Fewer than
+        // two contexts give no sweep and one sense.
+        let predicted = if is_polysemic {
+            let unit: Vec<SparseVector> = ctxs.iter().map(SparseVector::normalized).collect();
+            KSweep::run(&unit, self.config.algorithm, self.config.k_range, SEED)
+                .map(|sweep| sweep.predict(self.config.index, &unit).solution.clone())
         } else {
-            // `predict_k` only declines with < 2 contexts, which the
-            // branch above already handles — but fall back to a single
-            // sense rather than panicking if that ever changes.
-            match predict_k(
-                &ctxs,
-                KPredictConfig {
-                    k_range: self.config.k_range,
-                    algorithm: self.config.algorithm,
-                    index: self.config.index,
-                    seed: SEED,
-                },
-            ) {
-                Some(pred) => pred.solution,
-                None => ClusterSolution::new(vec![0; ctxs.len()], 1),
-            }
+            None
         };
+        let solution = predicted.unwrap_or_else(|| ClusterSolution::new(vec![0; ctxs.len()], 1));
         let concepts = induce_concepts(&solution, &ctxs, TOP_FEATURES);
         InducedSenses {
             k: solution.k(),

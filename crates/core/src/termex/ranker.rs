@@ -63,8 +63,6 @@ impl std::fmt::Display for TermMeasure {
 /// A scored candidate term.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedTerm {
-    /// Index into the extractor's [`CandidateSet`].
-    pub candidate: usize,
     /// Surface form.
     pub surface: String,
     /// The measure's score.
@@ -159,7 +157,6 @@ impl TermExtractor {
             .iter()
             .enumerate()
             .map(|(i, t)| RankedTerm {
-                candidate: i,
                 surface: t.surface.clone(),
                 score: scores[i],
             })

@@ -8,7 +8,7 @@
 //! baseline the skewed sense distribution implies.
 
 use crate::table::{pct, Table};
-use boe_cluster::{Algorithm, ClusterSolution, InternalIndex};
+use boe_cluster::{Algorithm, InternalIndex, KSweep};
 use boe_core::senses::{build_representation, Representation};
 use boe_corpus::context::ContextScope;
 use boe_corpus::occurrence::OccurrenceIndex;
@@ -137,46 +137,24 @@ pub fn run(config: &SenseNumberConfig) -> SenseNumberResult {
                 ContextScope::Document,
             );
             // Subsample with an even stride: contexts arrive grouped by
-            // sense, so plain truncation would drop whole senses.
-            let ctxs: Vec<SparseVector> = if all.len() > config.max_contexts {
+            // sense, so plain truncation would drop whole senses. The
+            // kept contexts are normalized once for every algorithm.
+            let unit: Vec<SparseVector> = if all.len() > config.max_contexts {
                 let stride = all.len() as f64 / config.max_contexts as f64;
                 (0..config.max_contexts)
-                    .map(|i| all[(i as f64 * stride) as usize].clone())
+                    .map(|i| all[(i as f64 * stride) as usize].normalized())
                     .collect()
             } else {
-                all
+                all.iter().map(SparseVector::normalized).collect()
             };
-            if ctxs.len() < 2 {
-                continue;
-            }
-            let unit: Vec<SparseVector> = ctxs.iter().map(SparseVector::normalized).collect();
             for (ai, &alg) in config.algorithms.iter().enumerate() {
                 // Cluster once per k; score every index on the same
                 // solutions.
-                let hi = 5usize.min(ctxs.len());
-                let solutions: Vec<(usize, ClusterSolution)> = (2..=hi)
-                    .map(|k| (k, alg.cluster(&ctxs, k, config.seed ^ k as u64)))
-                    .collect();
+                let Some(sweep) = KSweep::run(&unit, alg, (2, 5), config.seed) else {
+                    continue;
+                };
                 for (ii, &index) in config.indexes.iter().enumerate() {
-                    let mut best_k = 2;
-                    let mut best_s = if index.maximize() {
-                        f64::NEG_INFINITY
-                    } else {
-                        f64::INFINITY
-                    };
-                    for (k, sol) in &solutions {
-                        let s = index.score(sol, &unit);
-                        let better = if index.maximize() {
-                            s > best_s
-                        } else {
-                            s < best_s
-                        };
-                        if better {
-                            best_s = s;
-                            best_k = *k;
-                        }
-                    }
-                    if best_k == entity.k {
+                    if sweep.predict(index, &unit).k == entity.k {
                         *correct.entry((ai, ri, ii)).or_insert(0) += 1;
                     }
                 }
@@ -234,21 +212,21 @@ pub fn clustering_quality(
         // index-wise; subsample both with the same even stride.
         assert_eq!(all.len(), entity.snippets.len(), "one context per snippet");
         let gold_all: Vec<usize> = entity.snippets.iter().map(|&(_, s)| s).collect();
-        let (ctxs, gold): (Vec<SparseVector>, Vec<usize>) = if all.len() > config.max_contexts {
+        let (unit, gold): (Vec<SparseVector>, Vec<usize>) = if all.len() > config.max_contexts {
             let stride = all.len() as f64 / config.max_contexts as f64;
             (0..config.max_contexts)
                 .map(|i| {
                     let j = (i as f64 * stride) as usize;
-                    (all[j].clone(), gold_all[j])
+                    (all[j].normalized(), gold_all[j])
                 })
                 .unzip()
         } else {
-            (all, gold_all)
+            (all.iter().map(SparseVector::normalized).collect(), gold_all)
         };
-        if ctxs.len() < entity.k {
+        if unit.len() < entity.k {
             continue;
         }
-        let sol = algorithm.cluster(&ctxs, entity.k, config.seed);
+        let sol = algorithm.cluster(&unit, entity.k, config.seed);
         sums.0 += boe_cluster::external::purity(&sol, &gold);
         sums.1 += boe_cluster::external::nmi(&sol, &gold);
         sums.2 += boe_cluster::external::adjusted_rand(&sol, &gold);

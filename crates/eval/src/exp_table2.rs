@@ -8,7 +8,7 @@
 //! discusses.
 
 use crate::table::{f3, Table};
-use boe_cluster::{Algorithm, InternalIndex};
+use boe_cluster::{Algorithm, InternalIndex, KSweep};
 use boe_corpus::SparseVector;
 use boe_rng::StdRng;
 
@@ -40,7 +40,7 @@ impl Default for Table2Config {
 }
 
 /// Score curves: for each index, the score at every k in \[2,5\] plus the
-/// argmax.
+/// best k (the lowest k wins a tie).
 #[derive(Debug, Clone)]
 pub struct Table2Result {
     /// `(index, [score at k=2..=5], chosen k)`.
@@ -63,24 +63,14 @@ pub fn run(config: &Table2Config) -> Table2Result {
         }
     }
     let unit: Vec<SparseVector> = vs.iter().map(SparseVector::normalized).collect();
-    let solutions: Vec<_> = (2..=5)
-        .map(|k| Algorithm::Rbr.cluster(&vs, k, config.seed ^ k as u64))
-        .collect();
+    let sweep =
+        KSweep::run(&unit, Algorithm::Rbr, (2, 5), config.seed).expect("the fixture has contexts");
     let curves = InternalIndex::ALL
         .iter()
         .map(|&index| {
-            let mut scores = [0.0; 4];
-            for (i, sol) in solutions.iter().enumerate() {
-                scores[i] = index.score(sol, &unit);
-            }
-            let chosen = if index.maximize() {
-                (0..4).max_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite"))
-            } else {
-                (0..4).min_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite"))
-            }
-            .expect("nonempty")
-                + 2;
-            (index, scores, chosen)
+            let pred = sweep.predict(index, &unit);
+            let scores = pred.scores.try_into().expect("one score per k in [2, 5]");
+            (index, scores, pred.k)
         })
         .collect();
     Table2Result {

@@ -527,7 +527,7 @@ mod tests {
             .iter()
             .map(boe_corpus::SparseVector::normalized)
             .collect();
-        let two = Algorithm::Direct.cluster(&ctxs, 2, 1);
+        let two = Algorithm::Direct.cluster(&unit, 2, 1);
         let one = ClusterSolution::new(vec![0; ctxs.len()], 1);
         let ak2 = InternalIndex::Ak.score(&two, &unit);
         let ak1 = InternalIndex::Ak.score(&one, &unit);

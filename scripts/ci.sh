@@ -45,7 +45,16 @@ run cargo build --release --offline
 # * occurrence-index gate: the positional index reproduces an in-file
 #   naive scan, occurrences and contexts, cached document-scope contexts
 #   included (`occurrence_index_equality`); the corpus stem map matches
-#   an in-file reference (`stem_map`).
+#   an in-file reference (`stem_map`);
+# * Step III sweep gates (`boe-cluster` unit tests in `kpredict`): the
+#   lowest k wins an exact tie (`lowest_k_wins_an_exact_tie`), an
+#   all-worst sweep picks the low end (`all_worst_scores_pick_the_low_end`),
+#   degenerate ranges are clamped (`degenerate_ranges_are_clamped_not_rejected`)
+#   and the sweep's solutions equal `Algorithm::cluster` on the same unit
+#   vectors bit for bit (`sweep_solutions_equal_direct_clustering_bit_for_bit`);
+# * accented-term gate: Step II trains on every French and Spanish
+#   ontology term the corpus contains
+#   (`multilingual::detector_trains_on_every_ontology_term_in_the_corpus`).
 run timeout "$TEST_TIMEOUT" cargo test -q --offline
 # `perfbench/` is its own workspace (the end-to-end benchmark runner),
 # so the pass above never builds it. Its tests catch a library API break

@@ -175,7 +175,10 @@ fn cluster_solutions_partition_objects() {
         let k = rng.gen_range(1usize..5).min(n);
         let seed = rng.gen_range(0u64..50);
         let vs: Vec<SparseVector> = (0..n)
-            .map(|i| SparseVector::from_pairs([((i % 6) as u32, 1.0), ((i / 6) as u32 + 10, 0.5)]))
+            .map(|i| {
+                SparseVector::from_pairs([((i % 6) as u32, 1.0), ((i / 6) as u32 + 10, 0.5)])
+                    .normalized()
+            })
             .collect();
         for alg in Algorithm::ALL {
             let sol = alg.cluster(&vs, k, seed);
