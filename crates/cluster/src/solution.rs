@@ -106,17 +106,27 @@ pub(crate) fn sizes(assignments: &[usize], k: usize) -> Vec<usize> {
 }
 
 /// Composite (sum) vector of each of `k` clusters under `assignments`,
-/// summed in object order.
+/// summed in object order (an empty cluster's composite is the zero
+/// vector).
+///
+/// Each cluster is one [`SparseVector::from_pairs`] over its members'
+/// entries in object order, so every dimension adds its values in the
+/// order folding the members with [`SparseVector::add_assign`] would,
+/// and the composite is bit-identical to that fold (see
+/// [`SparseVector::sum_of`]) at linear rather than quadratic cost.
 pub(crate) fn composites(
     vectors: &[SparseVector],
     assignments: &[usize],
     k: usize,
 ) -> Vec<SparseVector> {
-    let mut comps = vec![SparseVector::new(); k];
-    for (v, &a) in vectors.iter().zip(assignments) {
-        comps[a].add_assign(v);
+    let mut members = vec![Vec::new(); k];
+    for (i, &a) in assignments.iter().enumerate() {
+        members[a].push(i);
     }
-    comps
+    members
+        .iter()
+        .map(|m| SparseVector::from_pairs(m.iter().flat_map(|&i| vectors[i].iter())))
+        .collect()
 }
 
 /// Unit-normalized centroid of each of `k` clusters under `assignments`
@@ -178,6 +188,26 @@ mod tests {
         let cents = s.centroids(&vs);
         assert!((cents[0].norm() - 1.0).abs() < 1e-12);
         assert!((cents[1].norm() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_clusters_have_zero_composites_and_centroids() {
+        let vs = vec![
+            SparseVector::from_pairs([(0, 1.0e16), (3, 1.0)]),
+            SparseVector::from_pairs([(0, -1.0e16)]),
+            SparseVector::from_pairs([(0, 1.0)]),
+        ];
+        let comps = composites(&vs, &[2, 2, 2], 4);
+        assert_eq!(comps.len(), 4);
+        for c in [0, 1, 3] {
+            assert!(comps[c].is_empty());
+            assert_eq!(comps[c].norm().to_bits(), 0.0f64.to_bits());
+        }
+        // Object order: 1e16 − 1e16 + 1, not 1e16 + 1 − 1e16.
+        assert_eq!(comps[2].entries(), &[(0, 1.0), (3, 1.0)]);
+        let cents = centroids(&vs, &[2, 2, 2], 4);
+        assert!(cents[0].is_empty() && cents[3].is_empty());
+        assert!((cents[2].norm() - 1.0).abs() < 1e-12);
     }
 
     #[test]

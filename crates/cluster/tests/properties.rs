@@ -121,3 +121,52 @@ fn external_indexes_bounds_and_identity() {
         assert!((0.0..=1.0).contains(&nmi_v));
     }
 }
+
+#[test]
+fn composites_match_the_add_assign_fold() {
+    // Raw (not unit) vectors whose per-dimension sums depend on the
+    // order they are added in: magnitudes that absorb small addends,
+    // exact cancellations, and empty members.
+    let value = |rng: &mut StdRng| match rng.gen_range(0u32..5) {
+        0 => 1.0e16,
+        1 => -1.0e16,
+        2 => 1.0,
+        3 => -1.0,
+        _ => (rng.gen::<f64>() - 0.5) * 4.0,
+    };
+    let mut rng = StdRng::seed_from_u64(45);
+    for case in 0..CASES * 4 {
+        let k = 1 + case % 5;
+        let n = k + rng.gen_range(0usize..12);
+        let vs: Vec<SparseVector> = (0..n)
+            .map(|_| {
+                let nnz = rng.gen_range(0usize..5);
+                SparseVector::from_pairs(
+                    (0..nnz)
+                        .map(|_| (rng.gen_range(0u32..8), value(&mut rng)))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        // Every label appears (the first k objects hold 0..k), the rest
+        // are random.
+        let labels: Vec<usize> = (0..n)
+            .map(|i| if i < k { i } else { rng.gen_range(0..k) })
+            .collect();
+        let sol = ClusterSolution::new(labels.clone(), k);
+        let got = sol.composites(&vs);
+        assert_eq!(got.len(), k);
+        for (c, comp) in got.iter().enumerate() {
+            let mut fold = SparseVector::new();
+            for (v, _) in vs.iter().zip(&labels).filter(|&(_, &l)| l == c) {
+                fold.add_assign(v);
+            }
+            assert_eq!(comp.entries().len(), fold.entries().len(), "case {case}");
+            for (a, b) in comp.iter().zip(fold.iter()) {
+                assert_eq!(a.0, b.0, "case {case}, cluster {c}: dimension");
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "case {case}, cluster {c}");
+            }
+            assert_eq!(comp.norm().to_bits(), fold.norm().to_bits(), "case {case}");
+        }
+    }
+}

@@ -41,11 +41,18 @@ pub struct OntologyTermInventory {
     concept_terms: Vec<Vec<usize>>,
     /// Normalized key → term index.
     by_key: HashMap<String, usize>,
-    /// Inverted index over context dimensions: dim → `(term index,
-    /// value)` posting list, term indices ascending. Lets Step IV score
-    /// a query context against many term contexts by walking only the
-    /// query's dimensions instead of merge-joining every pair.
-    postings: HashMap<u32, Vec<(u32, f64)>>,
+    /// Inverted index over context dimensions, one CSR array: the
+    /// `(term index, value)` postings of dimension `d` are
+    /// `postings[posting_start[d]..posting_start[d + 1]]`, term indices
+    /// ascending. `posting_start` has one entry per dimension up to the
+    /// largest one any term context holds, plus one; context dimensions
+    /// are corpus stem (or token) ids, so it is bounded by the corpus's
+    /// vocabulary. Lets Step IV score a query context against many term
+    /// contexts by walking only the query's dimensions instead of
+    /// merge-joining every pair.
+    posting_start: Vec<usize>,
+    /// Every dimension's postings, concatenated in dimension order.
+    postings: Vec<(u32, f64)>,
 }
 
 impl OntologyTermInventory {
@@ -133,10 +140,28 @@ impl OntologyTermInventory {
                     .collect()
             })
             .collect();
-        let mut postings: HashMap<u32, Vec<(u32, f64)>> = HashMap::new();
+        let dim_space = terms
+            .iter()
+            .filter_map(|t| t.context.entries().last())
+            .map(|&(d, _)| d as usize + 1)
+            .max()
+            .unwrap_or(0);
+        // Count per dimension, prefix-sum, then scatter in term order.
+        let mut posting_start = vec![0usize; dim_space + 1];
+        for t in &terms {
+            for (dim, _) in t.context.iter() {
+                posting_start[dim as usize + 1] += 1;
+            }
+        }
+        for d in 0..dim_space {
+            posting_start[d + 1] += posting_start[d];
+        }
+        let mut next = posting_start.clone();
+        let mut postings = vec![(0u32, 0.0f64); posting_start[dim_space]];
         for (i, t) in terms.iter().enumerate() {
             for (dim, v) in t.context.iter() {
-                postings.entry(dim).or_default().push((i as u32, v));
+                postings[next[dim as usize]] = (i as u32, v);
+                next[dim as usize] += 1;
             }
         }
         OntologyTermInventory {
@@ -144,6 +169,7 @@ impl OntologyTermInventory {
             sentence_terms,
             concept_terms,
             by_key,
+            posting_start,
             postings,
         }
     }
@@ -167,10 +193,10 @@ impl OntologyTermInventory {
         }
         let mut dots = vec![0.0f64; targets.len()];
         for (dim, qv) in query.iter() {
-            let Some(list) = self.postings.get(&dim) else {
+            let Some(&[lo, hi]) = self.posting_start.get(dim as usize..dim as usize + 2) else {
                 continue;
             };
-            for &(ti, tv) in list {
+            for &(ti, tv) in &self.postings[lo..hi] {
                 let s = slot[ti as usize];
                 if s != NO_SLOT {
                     dots[s as usize] += qv * tv;

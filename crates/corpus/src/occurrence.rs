@@ -50,7 +50,6 @@ use crate::corpus::Corpus;
 use crate::doc::DocId;
 use crate::vector::SparseVector;
 use boe_textkit::TokenId;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Where one sentence starts in the token stream.
@@ -355,6 +354,11 @@ struct DocContextCache {
     sentence_start: Vec<usize>,
     /// Per doc: index of its first sentence in `sentence_start`.
     doc_first_sentence: Vec<usize>,
+    /// One more than the largest unfiltered dimension in `dims` (0 when
+    /// every position is filtered): the size of [`Self::aggregate`]'s
+    /// dense accumulator. Dimensions are token or stem ids, so this is
+    /// bounded by the corpus's vocabulary.
+    dim_space: usize,
 }
 
 impl DocContextCache {
@@ -368,6 +372,7 @@ impl DocContextCache {
         let mut dims = Vec::new();
         let mut sentence_start = Vec::new();
         let mut doc_first_sentence = Vec::with_capacity(corpus.len());
+        let mut dim_space = 0usize;
         for doc in corpus.docs() {
             doc_first_sentence.push(sentence_start.len());
             let mut pairs = Vec::new();
@@ -381,6 +386,7 @@ impl DocContextCache {
                     debug_assert_ne!(dim, Self::FILTERED, "dimension collides with the sentinel");
                     dims.push(dim);
                     pairs.push((dim, 1.0));
+                    dim_space = dim_space.max(dim as usize + 1);
                 }
             }
             base.push(SparseVector::from_pairs(pairs));
@@ -391,6 +397,7 @@ impl DocContextCache {
             dims,
             sentence_start,
             doc_first_sentence,
+            dim_space,
         }
     }
 
@@ -426,8 +433,26 @@ impl DocContextCache {
     /// `k × base` in one pass; every value stays an exact integer count,
     /// so the grouped arithmetic reproduces the per-occurrence sum bit
     /// for bit.
+    ///
+    /// The sum runs in a dense accumulator over the cache's own dimension
+    /// space ([`Self::dim_space`], fixed when the cache is built), with
+    /// no hash map: per document, `k × base` then one `−1` per removed
+    /// dimension, each slot starting at `0.0`. The dimensions touched are
+    /// recorded when their slot is `0.0`, then sorted, and the nonzero
+    /// slots among them form the result.
     fn aggregate(&self, occs: &[Occurrence], phrase_len: usize) -> SparseVector {
-        let mut acc: HashMap<u32, f64> = HashMap::new();
+        if occs.is_empty() {
+            return SparseVector::new();
+        }
+        let mut acc = vec![0.0f64; self.dim_space];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut add = |dim: u32, v: f64| {
+            let slot = &mut acc[dim as usize];
+            if *slot == 0.0 {
+                touched.push(dim);
+            }
+            *slot += v;
+        };
         let mut i = 0;
         while i < occs.len() {
             let doc = occs[i].doc;
@@ -437,16 +462,26 @@ impl DocContextCache {
             }
             let k = (j - i) as f64;
             for (d, v) in self.base(doc).iter() {
-                *acc.entry(d).or_insert(0.0) += k * v;
+                add(d, k * v);
             }
             for &o in &occs[i..j] {
                 for dim in self.removed_dims(o, phrase_len) {
-                    *acc.entry(dim).or_insert(0.0) -= 1.0;
+                    add(dim, -1.0);
                 }
             }
             i = j;
         }
-        SparseVector::from_pairs(acc)
+        // A slot that returned to `0.0` and was touched again is listed
+        // twice.
+        touched.sort_unstable();
+        touched.dedup();
+        SparseVector::from_sorted(
+            touched
+                .into_iter()
+                .map(|d| (d, acc[d as usize]))
+                .filter(|&(_, v)| v != 0.0)
+                .collect(),
+        )
     }
 }
 

@@ -130,20 +130,23 @@ impl CoocCounts {
     }
 
     /// All pairs with their counts, in stable (sorted) order.
+    ///
+    /// Each row is visited in id order and contributes its higher-id
+    /// neighbours sorted by id, so the pairs come out sorted with one
+    /// short sort per row rather than one sort of every pair.
     pub fn iter_pairs(&self) -> Vec<((TokenId, TokenId), u32)> {
-        let mut v: Vec<_> = self
-            .offsets
-            .windows(2)
-            .enumerate()
-            .flat_map(|(a, w)| {
-                let a = TokenId(a as u32);
+        let mut v = Vec::with_capacity(self.adjacency.len() / 2);
+        for (a, w) in self.offsets.windows(2).enumerate() {
+            let a = TokenId(a as u32);
+            let row = v.len();
+            v.extend(
                 self.adjacency[w[0]..w[1]]
                     .iter()
-                    .filter(move |&&(b, _)| a < b)
-                    .map(move |&(b, c)| ((a, b), c))
-            })
-            .collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
+                    .filter(|&&(b, _)| a < b)
+                    .map(|&(b, c)| ((a, b), c)),
+            );
+            v[row..].sort_unstable_by_key(|&((_, b), _)| b);
+        }
         v
     }
 

@@ -4,8 +4,6 @@
 //! kept sorted by dimension, so dot products are linear merges — this is
 //! the hot kernel of Steps III and IV.
 
-use std::collections::HashMap;
-
 /// A sparse vector: sorted `(dimension, value)` pairs with no duplicate
 /// dimensions and no explicit zeros.
 ///
@@ -45,19 +43,52 @@ impl SparseVector {
 
     /// Build from unsorted `(dim, value)` pairs, summing duplicates and
     /// dropping zeros.
+    ///
+    /// Sort and merge, with no hash map and nothing sized by the dimension
+    /// values. The pairs are taken in blocks of 4 096 pairs, or
+    /// as many as the vector has entries so far if that is more. Each
+    /// block is sorted by `(dim, position in the block)` and merged into
+    /// the entries: a dimension's sum starts at `0.0`, adds the entry's
+    /// value if there is one, then the block's values in input order, and
+    /// is kept if nonzero. A sum kept between blocks is an exact value and
+    /// a dropped one is `+0.0`, so every dimension sees `0.0` plus its
+    /// values in the order they were given, whatever the blocking. Memory
+    /// stays within about one block plus twice the distinct dimensions.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, f64)>) -> Self {
-        let mut acc: HashMap<u32, f64> = HashMap::new();
-        for (d, v) in pairs {
-            *acc.entry(d).or_insert(0.0) += v;
+        let mut pairs = pairs.into_iter();
+        let mut entries: Vec<(u32, f64)> = Vec::new();
+        // `(dim, position, value)` is 16 bytes, the size of an entry, and
+        // the unstable sort needs no merge buffer.
+        let mut block: Vec<(u32, u32, f64)> = Vec::new();
+        loop {
+            let len = Self::BLOCK.max(entries.len());
+            block.clear();
+            block.extend(
+                pairs
+                    .by_ref()
+                    .take(len)
+                    .zip(0u32..)
+                    .map(|((d, v), i)| (d, i, v)),
+            );
+            if block.is_empty() {
+                break;
+            }
+            block.sort_unstable_by_key(|&(d, i, _)| (d, i));
+            entries = merge_block(&entries, &block);
+            if block.len() < len {
+                break;
+            }
         }
-        let mut entries: Vec<(u32, f64)> = acc.into_iter().filter(|(_, v)| *v != 0.0).collect();
-        entries.sort_unstable_by_key(|(d, _)| *d);
         Self::from_sorted(entries)
     }
 
+    /// How many pairs [`Self::from_pairs`] sorts at a time (64 KiB), at
+    /// least.
+    const BLOCK: usize = 4096;
+
     /// Build from already-sorted, deduplicated, zero-free entries,
     /// computing the cached norm once.
-    fn from_sorted(entries: Vec<(u32, f64)>) -> Self {
+    pub(crate) fn from_sorted(entries: Vec<(u32, f64)>) -> Self {
         let norm = compute_norm(&entries);
         SparseVector { entries, norm }
     }
@@ -252,10 +283,14 @@ impl SparseVector {
 
     /// Sum a slice of vectors (centroid numerator).
     ///
-    /// Accumulates every entry in a single hash map pass — per-dimension
-    /// addition order still follows the slice order, so the result is
-    /// identical to folding with [`SparseVector::add_assign`], without
-    /// that fold's quadratic re-merging of the growing accumulator.
+    /// One [`SparseVector::from_pairs`] over every entry in slice order:
+    /// each dimension's values are added in slice order, starting from
+    /// `0.0`, as folding with [`SparseVector::add_assign`] adds them. The
+    /// inputs hold no zeros, so where the fold drops an entry that
+    /// cancels to `0.0` and restarts from the next value, the sum adds
+    /// that value to `+0.0` and gets the same bits. The result is
+    /// bit-identical to the fold, without its quadratic re-merging of
+    /// the growing accumulator.
     pub fn sum_of(vectors: &[SparseVector]) -> SparseVector {
         match vectors {
             [] => SparseVector::new(),
@@ -279,10 +314,46 @@ impl SparseVector {
     }
 }
 
+/// `entries` (sorted, zero-free) plus `block` (sorted by dimension, then
+/// input position): per dimension, `0.0` plus the entry's value plus the
+/// block's values in order, kept if nonzero.
+fn merge_block(entries: &[(u32, f64)], block: &[(u32, u32, f64)]) -> Vec<(u32, f64)> {
+    let runs = 1 + block.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    let mut out = Vec::with_capacity(entries.len() + runs);
+    let mut e = 0usize;
+    let mut r = 0usize;
+    while r < block.len() {
+        let dim = block[r].0;
+        while e < entries.len() && entries[e].0 < dim {
+            out.push(entries[e]);
+            e += 1;
+        }
+        let mut sum = 0.0;
+        if e < entries.len() && entries[e].0 == dim {
+            sum += entries[e].1;
+            e += 1;
+        }
+        while r < block.len() && block[r].0 == dim {
+            sum += block[r].2;
+            r += 1;
+        }
+        if sum != 0.0 {
+            out.push((dim, sum));
+        }
+    }
+    out.extend_from_slice(&entries[e..]);
+    out
+}
+
 /// Euclidean norm of an entry list (the single source of truth for the
 /// cached field).
+///
+/// The squares are summed from `+0.0`, so every empty vector's norm is
+/// `+0.0`, as [`SparseVector::new`]'s is, however it was built (the
+/// standard `f64` sum starts from `-0.0`). A square is never `-0.0`, so
+/// for any other entry list the two starting values give the same bits.
 fn compute_norm(entries: &[(u32, f64)]) -> f64 {
-    entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt()
+    entries.iter().fold(0.0, |acc, (_, v)| acc + v * v).sqrt()
 }
 
 impl FromIterator<(u32, f64)> for SparseVector {

@@ -31,10 +31,12 @@ fn main() {
     } else {
         exp_sense_number::SenseNumberConfig::quick()
     };
-    let sn = exp_sense_number::run(&sn_cfg);
+    let sn_data = exp_sense_number::SenseNumberData::generate(&sn_cfg);
+    let sn = exp_sense_number::run(&sn_cfg, &sn_data);
     println!("{}", exp_sense_number::render(&sn_cfg, &sn));
     let (purity, nmi, ari) = exp_sense_number::clustering_quality(
         &sn_cfg,
+        &sn_data,
         boe_cluster::Algorithm::Rbr,
         boe_core::senses::Representation::BagOfWords,
     );

@@ -112,10 +112,26 @@ impl SenseNumberResult {
     }
 }
 
-/// Run the experiment.
-pub fn run(config: &SenseNumberConfig) -> SenseNumberResult {
-    let data = MshWsdDataset::generate(Language::English, &config.dataset);
-    let occ = OccurrenceIndex::build(&data.corpus);
+/// The MSH-WSD-like dataset of a configuration and its occurrence index,
+/// built once and shared by [`run`] and [`clustering_quality`].
+#[derive(Debug)]
+pub struct SenseNumberData {
+    data: MshWsdDataset,
+    occ: OccurrenceIndex,
+}
+
+impl SenseNumberData {
+    /// Generate `config.dataset` (in English) and index its corpus.
+    pub fn generate(config: &SenseNumberConfig) -> Self {
+        let data = MshWsdDataset::generate(Language::English, &config.dataset);
+        let occ = OccurrenceIndex::build(&data.corpus);
+        SenseNumberData { data, occ }
+    }
+}
+
+/// Run the experiment on `data`, generated from `config`.
+pub fn run(config: &SenseNumberConfig, data: &SenseNumberData) -> SenseNumberResult {
+    let SenseNumberData { data, occ } = data;
     let n = data.entities.len();
     let majority = data.entities.iter().filter(|e| e.k == 2).count() as f64 / n as f64;
 
@@ -131,7 +147,7 @@ pub fn run(config: &SenseNumberConfig) -> SenseNumberResult {
         for (ri, &repr) in config.representations.iter().enumerate() {
             let all = build_representation(
                 &data.corpus,
-                &occ,
+                occ,
                 &[surface_id],
                 repr,
                 ContextScope::Document,
@@ -185,14 +201,15 @@ pub fn run(config: &SenseNumberConfig) -> SenseNumberResult {
 /// External clustering quality at the *gold* k: how well do the produced
 /// clusters match the gold senses? Reports mean purity / NMI / adjusted
 /// Rand over all entities for one algorithm × representation (sanity
-/// check of the clustering substrate; uses `boe_cluster::external`).
+/// check of the clustering substrate; uses `boe_cluster::external`), on
+/// `data`, generated from `config`.
 pub fn clustering_quality(
     config: &SenseNumberConfig,
+    data: &SenseNumberData,
     algorithm: Algorithm,
     representation: Representation,
 ) -> (f64, f64, f64) {
-    let data = MshWsdDataset::generate(Language::English, &config.dataset);
-    let occ = OccurrenceIndex::build(&data.corpus);
+    let SenseNumberData { data, occ } = data;
     let mut sums = (0.0, 0.0, 0.0);
     let mut n = 0usize;
     for entity in &data.entities {
@@ -203,7 +220,7 @@ pub fn clustering_quality(
             .expect("entity surface interned");
         let all = build_representation(
             &data.corpus,
-            &occ,
+            occ,
             &[surface_id],
             representation,
             ContextScope::Document,
@@ -287,7 +304,7 @@ mod tests {
             indexes: vec![InternalIndex::Ek, InternalIndex::Fk],
             seed: 3,
         };
-        let res = run(&cfg);
+        let res = run(&cfg, &SenseNumberData::generate(&cfg));
         (cfg, res)
     }
 
@@ -331,8 +348,9 @@ mod tests {
             indexes: vec![InternalIndex::Ek],
             seed: 3,
         };
+        let data = SenseNumberData::generate(&cfg);
         let (purity, nmi, ari) =
-            clustering_quality(&cfg, Algorithm::Direct, Representation::BagOfWords);
+            clustering_quality(&cfg, &data, Algorithm::Direct, Representation::BagOfWords);
         assert!(purity > 0.85, "purity {purity}");
         assert!(nmi > 0.7, "nmi {nmi}");
         assert!(ari > 0.7, "ari {ari}");

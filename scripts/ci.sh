@@ -46,6 +46,12 @@ run cargo build --release --offline
 #   naive scan, occurrences and contexts, cached document-scope contexts
 #   included (`occurrence_index_equality`); the corpus stem map matches
 #   an in-file reference (`stem_map`);
+# * sparse-vector sum gates: `SparseVector::from_pairs` against an
+#   in-order accumulator (single and multi-block inputs), `sum_of`
+#   against the `add_assign` fold and the document-scope aggregate
+#   against per-occurrence contexts, bit for bit (`vector_oracle`);
+#   cluster composites against the fold for k = 1..5
+#   (`boe-cluster` `properties::composites_match_the_add_assign_fold`);
 # * Step III sweep gates (`boe-cluster` unit tests in `kpredict`): the
 #   lowest k wins an exact tie (`lowest_k_wins_an_exact_tie`), an
 #   all-worst sweep picks the low end (`all_worst_scores_pick_the_low_end`),
@@ -64,7 +70,9 @@ run timeout "$TEST_TIMEOUT" cargo test --offline -q --release --manifest-path pe
 # Its tests never run the benchmark itself. One short run per workload
 # of BENCHMARK.json (about 2 s each on 2 cores) must report a correct
 # result and no failed operation, so a library change that makes the
-# benchmark refuse to run, or fail operations, is caught here.
+# benchmark refuse to run, or fail operations, is caught here;
+# `fallback-wide-m` is the run whose Steps III-IV (cluster composites,
+# document-scope aggregates, inventory postings) weigh most.
 for workload in trained-s trained-s-1t fallback-wide-m; do
     echo "==> perfbench smoke run: $workload"
     result=$(cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \

@@ -21,7 +21,7 @@ fn table1_counts_match_calibration_exactly() {
 #[test]
 fn sense_number_best_index_beats_majority_baseline() {
     let cfg = exp_sense_number::SenseNumberConfig::quick();
-    let res = exp_sense_number::run(&cfg);
+    let res = exp_sense_number::run(&cfg, &exp_sense_number::SenseNumberData::generate(&cfg));
     let best = res.best();
     assert!(
         best.accuracy > res.majority_baseline,
