@@ -105,7 +105,7 @@ impl TermExtractor {
     /// count for a monotonic predicate.
     pub fn try_new<S>(corpus: &Corpus, opts: CandidateOptions, should_stop: &S) -> Option<Self>
     where
-        S: Fn() -> bool,
+        S: Fn() -> bool + Sync,
     {
         let candidates = try_extract_candidates(corpus, opts, should_stop)?;
         Some(TermExtractor {
@@ -131,10 +131,37 @@ impl TermExtractor {
     /// for determinism). `corpus` must be the corpus the extractor was
     /// built from (needed only by the graph-based measure).
     pub fn rank(&self, corpus: &Corpus, measure: TermMeasure) -> Vec<RankedTerm> {
+        self.top(corpus, measure, usize::MAX)
+    }
+
+    /// The top `n` terms under `measure`: the first `n` of
+    /// [`rank`](Self::rank), with a surface cloned only for those.
+    pub fn top(&self, corpus: &Corpus, measure: TermMeasure, n: usize) -> Vec<RankedTerm> {
+        let scores = self.scores(corpus, measure);
+        let terms = &self.candidates.terms;
+        let mut order: Vec<usize> = (0..terms.len()).collect();
+        order.sort_by(|&a, &b| {
+            scores[b]
+                .partial_cmp(&scores[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| terms[a].surface.as_str().cmp(terms[b].surface.as_str()))
+        });
+        order
+            .into_iter()
+            .take(n)
+            .map(|i| RankedTerm {
+                surface: terms[i].surface.clone(),
+                score: scores[i],
+            })
+            .collect()
+    }
+
+    /// Every candidate's score under `measure`, in candidate order.
+    fn scores(&self, corpus: &Corpus, measure: TermMeasure) -> Vec<f64> {
         // Each batch scorer fans its per-candidate loop out on `boe_par`
         // (independent read-only scores, in-order reassembly): scores are
         // bit-identical to the serial maps at any thread count.
-        let scores: Vec<f64> = match measure {
+        match measure {
             TermMeasure::CValue => c_values(&self.candidates),
             TermMeasure::TfIdf => phrase_tf_idfs(&self.index, &self.candidates),
             TermMeasure::Okapi => phrase_okapis(&self.index, &self.candidates),
@@ -150,31 +177,7 @@ impl TermExtractor {
                     .map(|(l, g)| l * g)
                     .collect()
             }
-        };
-        let mut ranked: Vec<RankedTerm> = self
-            .candidates
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| RankedTerm {
-                surface: t.surface.clone(),
-                score: scores[i],
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.surface.cmp(&b.surface))
-        });
-        ranked
-    }
-
-    /// The top `n` terms under `measure`.
-    pub fn top(&self, corpus: &Corpus, measure: TermMeasure, n: usize) -> Vec<RankedTerm> {
-        let mut r = self.rank(corpus, measure);
-        r.truncate(n);
-        r
+        }
     }
 }
 

@@ -52,6 +52,9 @@ pub struct PatternSet {
     lang: Language,
     patterns: Vec<TermPattern>,
     max_len: usize,
+    /// The indices of the patterns whose first tag is `tag`, ascending,
+    /// at `by_first_tag[tag as usize]`.
+    by_first_tag: [Vec<usize>; PosTag::ALL.len()],
 }
 
 /// A candidate-term occurrence found by pattern matching.
@@ -121,10 +124,15 @@ impl PatternSet {
             .map(|(codes, w)| TermPattern::parse(codes, *w))
             .collect();
         let max_len = patterns.iter().map(TermPattern::len).max().unwrap_or(0);
+        let mut by_first_tag: [Vec<usize>; PosTag::ALL.len()] = Default::default();
+        for (pi, pat) in patterns.iter().enumerate() {
+            by_first_tag[pat.tags[0] as usize].push(pi);
+        }
         PatternSet {
             lang,
             patterns,
             max_len,
+            by_first_tag,
         }
     }
 
@@ -154,16 +162,17 @@ impl PatternSet {
     ///
     /// All matches are reported, including nested ones ("corneal injury"
     /// inside "acute corneal injury") — BIOTEX needs nested counts for
-    /// C-value.
+    /// C-value. Each start tries only the patterns that begin with its
+    /// tag, in pattern order.
     pub fn matches(&self, tags: &[PosTag], out: &mut Vec<PatternMatch>) {
         out.clear();
-        for start in 0..tags.len() {
-            for (pi, pat) in self.patterns.iter().enumerate() {
-                let plen = pat.tags.len();
-                if start + plen <= tags.len() && tags[start..start + plen] == pat.tags[..] {
+        for (start, &first) in tags.iter().enumerate() {
+            for &pi in &self.by_first_tag[first as usize] {
+                let pat = &self.patterns[pi].tags;
+                if tags[start..].starts_with(pat) {
                     out.push(PatternMatch {
                         start,
-                        len: plen,
+                        len: pat.len(),
                         pattern: pi,
                     });
                 }

@@ -78,14 +78,43 @@ fn tagger_output_is_total_and_aligned() {
     }
 }
 
+/// Every `(start, len, pattern)` match of `set` over `tags`, trying
+/// every pattern at every start: by start, then pattern index.
+fn brute_force_matches(set: &PatternSet, tags: &[PosTag]) -> Vec<(usize, usize, usize)> {
+    let mut out = Vec::new();
+    for start in 0..tags.len() {
+        for (pi, p) in set.patterns().iter().enumerate() {
+            if tags[start..].starts_with(&p.tags) {
+                out.push((start, p.len(), pi));
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn pattern_matches_stay_in_bounds() {
     let mut rng = StdRng::seed_from_u64(4);
+    // Uniform tags rarely spell a long pattern; half the cases draw from
+    // the tags the patterns are made of.
+    let term_tags = [
+        PosTag::Noun,
+        PosTag::Adjective,
+        PosTag::Preposition,
+        PosTag::Determiner,
+    ];
     let mut ms = Vec::new();
-    for _ in 0..CASES {
+    let mut long_matches = 0;
+    for case in 0..CASES {
         let n = rng.gen_range(0usize..20);
         let tags: Vec<PosTag> = (0..n)
-            .map(|_| PosTag::ALL[rng.gen_range(0..11usize)])
+            .map(|_| {
+                if case % 2 == 0 {
+                    PosTag::ALL[rng.gen_range(0..11usize)]
+                } else {
+                    term_tags[rng.gen_range(0..term_tags.len())]
+                }
+            })
             .collect();
         for lang in Language::ALL {
             let set = PatternSet::for_language(lang);
@@ -98,8 +127,12 @@ fn pattern_matches_stay_in_bounds() {
                     &set.patterns()[m.pattern].tags[..]
                 );
             }
+            let got: Vec<_> = ms.iter().map(|m| (m.start, m.len, m.pattern)).collect();
+            assert_eq!(got, brute_force_matches(&set, &tags), "{lang}: {tags:?}");
+            long_matches += ms.iter().filter(|m| m.len >= 3).count();
         }
     }
+    assert!(long_matches > 0, "no case spelled a pattern of 3+ tags");
 }
 
 #[test]

@@ -24,8 +24,10 @@ run cargo build --release --offline
 #   (`parallel_determinism`), the randomized Step I sweep
 #   (`step1_parallel_equality`: batch ingestion, candidate extraction
 #   and the TeRGraph kernels against their in-file references, the
-#   candidate oracle checking order and every count at three
-#   `min_freq` values, and extraction at 1 vs 8 threads),
+#   candidate oracle, with its own brute-force pattern matcher, checking
+#   order and every count at three `min_freq` values and at 1, 2, 3 and
+#   8 threads, and extraction interrupted after k stop polls at 1 and 8
+#   threads),
 #   Step II graph features against their reference and the word graph
 #   against the keyed-builder route it replaced, node numbering and
 #   weight bits included (`graph_features_oracle`), Step II direct
@@ -86,21 +88,25 @@ for workload in trained-s trained-s-1t fallback-wide-m; do
             ;;
     esac
 done
-# One short traced run: besides timing the pipeline, it rebuilds Step II
-# from the public `TermGraphContext` / `graph_features` /
-# `FeatureContext` API and must reach the pipeline's report, so a drift
-# between that rebuild and the pipeline fails here.
-echo "==> perfbench traced smoke run: trained-s"
-result=$(cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
-    --workload trained-s --seed 1 --seconds 0.1 --trace 1 | tail -n 1)
-echo "$result"
-case "$result" in
-    *'"correct": true,'*'"failed": 0,'*) ;;
-    *)
-        echo "perfbench traced trained-s: incorrect result or failed operations" >&2
-        exit 1
-        ;;
-esac
+# Short traced runs: besides timing the pipeline, each rebuilds the
+# pipeline from the layers' public API (Step II from `TermGraphContext` /
+# `graph_features` / `FeatureContext`) and must reach the pipeline's
+# report, so a drift between that rebuild and the pipeline fails here.
+# `fallback-wide-m` is the run whose traced `termex.extract` (the
+# parallel candidate scan) weighs most.
+for workload in trained-s fallback-wide-m; do
+    echo "==> perfbench traced smoke run: $workload"
+    result=$(cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0.1 --trace 1 | tail -n 1)
+    echo "$result"
+    case "$result" in
+        *'"correct": true,'*'"failed": 0,'*) ;;
+        *)
+            echo "perfbench traced $workload: incorrect result or failed operations" >&2
+            exit 1
+            ;;
+    esac
+done
 # `cargo test` builds the examples but never runs them, and they are the
 # only shipping callers of some library items (`ontology::edit::apply`,
 # for one). Each must run to completion and exit 0.

@@ -4,26 +4,37 @@
 //! and TeRGraph kernels must reproduce the serial references kept in
 //! this file **byte for byte** — same interned vocabulary (ids and
 //! order), same documents, same co-occurrence graph, same TeRGraph score
-//! bits — at 1 and 8 threads; candidate extraction must give the same
-//! set at 1 and 8 threads, equal term for term (order, tokens, surface,
-//! pattern, `freq`, `nested_freq`, `containers`) to the per-sequence
-//! reference extractor kept in this file.
+//! bits — at 1 and 8 threads; candidate extraction must give, at 1, 2,
+//! 3 and 8 threads and `min_freq` 1, 2 and 3, the set of the reference
+//! extractor kept in this file (which has its own brute-force pattern
+//! matcher), equal term for term (order, tokens, surface, pattern,
+//! `freq`, `nested_freq`, `containers`). Each corpus also holds a
+//! sentence longer than 255 tokens and runs of one repeated noun.
 //!
-//! One `#[test]` because [`boe_par::set_threads`] is process-global and
-//! the harness runs `#[test]`s of one binary concurrently.
+//! A second test interrupts extraction after a fixed number of stop
+//! polls. Both tests hold [`THREADS`], because
+//! [`boe_par::set_threads`] is process-global and the harness runs the
+//! `#[test]`s of one binary concurrently.
 
 use bio_onto_enrich::corpus::corpus::{Corpus, CorpusBuilder};
 use bio_onto_enrich::corpus::OccurrenceIndex;
 use bio_onto_enrich::graph::{Graph, NodeId};
 use bio_onto_enrich::par as boe_par;
 use bio_onto_enrich::textkit::pattern::PatternSet;
+use bio_onto_enrich::textkit::pos::PosTag;
 use bio_onto_enrich::textkit::{Language, TokenId};
 use bio_onto_enrich::workflow::termex::candidates::{CandidateOptions, CandidateSet};
 use bio_onto_enrich::workflow::termex::{
-    extract_candidates, tergraph_scores, term_cooccurrence_graph, CandidateTerm,
+    extract_candidates, tergraph_scores, term_cooccurrence_graph, try_extract_candidates,
+    CandidateTerm,
 };
 use boe_rng::StdRng;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Held by each test while it sets the thread count.
+static THREADS: Mutex<()> = Mutex::new(());
 
 /// Word pools with the orthography that stresses the tokenizer: accents,
 /// elisions, hyphens, digits. Repetition is deliberate — candidates need
@@ -112,6 +123,43 @@ fn synth_doc(rng: &mut StdRng, words: &[&str]) -> String {
     doc
 }
 
+/// The raw texts of one language's corpus: 40 synthetic documents, one
+/// sentence of 300 pooled words (its matches start past any 8-bit
+/// offset), and twice a document with runs of one repeated noun (the
+/// same sequences nested in each other, many times per sentence).
+fn corpus_texts(rng: &mut StdRng, lang: Language) -> Vec<String> {
+    let words = pool(lang);
+    let mut texts: Vec<String> = (0..40).map(|_| synth_doc(rng, words)).collect();
+    let long: Vec<&str> = (0..300)
+        .map(|_| words[rng.gen_range(0..words.len())])
+        .collect();
+    texts.push(format!("{}.", long.join(" ")));
+    let noun = match lang {
+        Language::English => "biopsy",
+        Language::French => "greffe",
+        Language::Spanish => "biopsia",
+    };
+    let run = |n: usize| vec![noun; n].join(" ");
+    let repeated = format!("{} {}. {}.", run(7), words[0], run(3));
+    texts.push(repeated.clone());
+    texts.push(repeated);
+    texts
+}
+
+/// Every `(start, len, pattern)` match of `set` over `tags`, trying
+/// every pattern at every start: by start, then pattern index.
+fn brute_force_matches(set: &PatternSet, tags: &[PosTag]) -> Vec<(usize, usize, usize)> {
+    let mut out = Vec::new();
+    for start in 0..tags.len() {
+        for (pi, p) in set.patterns().iter().enumerate() {
+            if tags[start..].starts_with(&p.tags) {
+                out.push((start, p.len(), pi));
+            }
+        }
+    }
+    out
+}
+
 fn ingest_serial(lang: Language, texts: &[String]) -> Corpus {
     let mut b = CorpusBuilder::new(lang);
     for t in texts {
@@ -144,22 +192,20 @@ type SentenceOccs = Vec<(u32, u32, usize)>;
 fn extract_candidates_reference(corpus: &Corpus, opts: CandidateOptions) -> Vec<CandidateTerm> {
     let patterns = PatternSet::for_language(corpus.language());
     let mut raw: HashMap<Vec<TokenId>, RawCandidate> = HashMap::new();
-    let mut found = Vec::new();
     for doc in corpus.docs() {
         for (si, s) in doc.sentences.iter().enumerate() {
-            patterns.matches(&s.tags, &mut found);
-            for m in &found {
-                let tokens = &s.tokens[m.start..m.start + m.len];
-                if corpus.is_stopword(tokens[0]) || corpus.is_stopword(tokens[m.len - 1]) {
+            for (start, len, pattern) in brute_force_matches(&patterns, &s.tags) {
+                let tokens = &s.tokens[start..start + len];
+                if corpus.is_stopword(tokens[0]) || corpus.is_stopword(tokens[len - 1]) {
                     continue;
                 }
                 raw.entry(tokens.to_vec())
                     .or_insert_with(|| RawCandidate {
-                        pattern: m.pattern,
+                        pattern,
                         occs: Vec::new(),
                     })
                     .occs
-                    .push((doc.id.0, si as u32, m.start as u32, m.len as u32));
+                    .push((doc.id.0, si as u32, start as u32, len as u32));
             }
         }
     }
@@ -270,10 +316,10 @@ fn assert_corpora_identical(a: &Corpus, b: &Corpus, ctx: &str) {
 
 #[test]
 fn randomized_step1_is_bit_identical_across_paths_and_threads() {
+    let _threads = THREADS.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = StdRng::seed_from_u64(0x57E9_1EAF);
     for lang in [Language::English, Language::French, Language::Spanish] {
-        let words = pool(lang);
-        let texts: Vec<String> = (0..40).map(|_| synth_doc(&mut rng, words)).collect();
+        let texts = corpus_texts(&mut rng, lang);
 
         // Ingestion: serial add_text loop is the reference.
         boe_par::set_threads(Some(1));
@@ -283,37 +329,50 @@ fn randomized_step1_is_bit_identical_across_paths_and_threads() {
         let batch_8t = ingest_batch(lang, &texts);
         assert_corpora_identical(&reference, &batch_1t, &format!("{lang:?} 1t"));
         assert_corpora_identical(&reference, &batch_8t, &format!("{lang:?} 8t"));
+        assert!(
+            reference
+                .docs()
+                .iter()
+                .any(|d| d.sentences.iter().any(|s| s.len() > 255)),
+            "{lang:?}: no sentence longer than 255 tokens"
+        );
 
-        // Extraction: the same candidate set, byte for byte, at both
-        // thread counts.
-        let opts = CandidateOptions::default();
-        boe_par::set_threads(Some(1));
-        let set_ref = extract_candidates(&reference, opts);
-        boe_par::set_threads(Some(8));
-        let set_8t = extract_candidates(&reference, opts);
-        assert_eq!(set_ref.terms, set_8t.terms, "{lang:?}: candidates 8t");
-        assert!(
-            !set_ref.terms.is_empty(),
-            "{lang:?}: vacuous corpus — no candidates extracted"
-        );
-        assert_eq!(
-            set_ref.terms,
-            extract_candidates_reference(&reference, opts),
-            "{lang:?}: candidates vs the reference extractor"
-        );
-        assert!(
-            set_ref.terms.iter().any(|t| t.containers > 0),
-            "{lang:?}: vacuous corpus — no nested candidates"
-        );
-        // Other thresholds drop different containers.
-        for min_freq in [1, 3] {
+        // Extraction: the reference extractor's set, byte for byte, at
+        // every thread count (3 splits chunks and shards unevenly) and
+        // every threshold (each drops different containers).
+        for min_freq in [1, 2, 3] {
             let opts = CandidateOptions { min_freq };
-            assert_eq!(
-                extract_candidates(&reference, opts).terms,
-                extract_candidates_reference(&reference, opts),
-                "{lang:?}: candidates vs the reference extractor, min_freq {min_freq}"
+            let expected = extract_candidates_reference(&reference, opts);
+            assert!(
+                !expected.is_empty(),
+                "{lang:?}: vacuous corpus — no candidates extracted"
             );
+            assert!(
+                expected.iter().any(|t| t.containers > 0),
+                "{lang:?}: vacuous corpus — no nested candidates"
+            );
+            for threads in [1, 2, 3, 8] {
+                boe_par::set_threads(Some(threads));
+                assert_eq!(
+                    extract_candidates(&reference, opts).terms,
+                    expected,
+                    "{lang:?}: candidates vs the reference extractor, \
+                     min_freq {min_freq}, {threads}t"
+                );
+            }
         }
+        boe_par::set_threads(Some(1));
+        let set_ref = extract_candidates(&reference, CandidateOptions::default());
+        let repeated = |t: &&CandidateTerm| t.tokens.iter().all(|&x| x == t.tokens[0]);
+        assert!(
+            set_ref.terms.iter().filter(repeated).any(|t| t.len() >= 2)
+                && set_ref
+                    .terms
+                    .iter()
+                    .filter(repeated)
+                    .any(|t| t.nested_freq > 0),
+            "{lang:?}: no nested run of one repeated noun"
+        );
 
         // Graph + TeRGraph scores against the references above.
         let g_ref = cooccurrence_graph_reference(&reference, &set_ref);
@@ -336,6 +395,49 @@ fn randomized_step1_is_bit_identical_across_paths_and_threads() {
             let s: Vec<u64> = tergraph_scores(&g).iter().map(|v| v.to_bits()).collect();
             assert_eq!(s_ref, s, "{lang:?}: tergraph score bits {threads}t");
         }
+    }
+    boe_par::set_threads(None);
+}
+
+/// Interrupted extraction returns no set, wherever the stop predicate
+/// fires: before any document, mid-scan, at the last document, or at
+/// any kept candidate of the assembly. The predicate is polled exactly
+/// once per document and once per kept candidate, at every thread count.
+#[test]
+fn extraction_interrupted_after_k_polls_yields_none() {
+    let _threads = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(0x5709);
+    let corpus = ingest_serial(
+        Language::English,
+        &corpus_texts(&mut rng, Language::English),
+    );
+    let opts = CandidateOptions::default();
+    let docs = corpus.len();
+    for threads in [1, 8] {
+        boe_par::set_threads(Some(threads));
+        let full = extract_candidates(&corpus, opts);
+        let never = try_extract_candidates(&corpus, opts, &|| false).expect("never stops");
+        assert_eq!(never.terms, full.terms, "{threads}t");
+        let kept = full.len();
+        assert!(kept > 1, "vacuous corpus");
+        let polls = docs + kept;
+        for k in [0, 1, docs / 2, docs - 1, docs, docs + kept / 2, polls - 1] {
+            let seen = AtomicUsize::new(0);
+            let stop = || seen.fetch_add(1, Ordering::SeqCst) >= k;
+            assert!(
+                try_extract_candidates(&corpus, opts, &stop).is_none(),
+                "fired at poll {k} of {polls}, {threads}t"
+            );
+        }
+        let seen = AtomicUsize::new(0);
+        let stop = || seen.fetch_add(1, Ordering::SeqCst) >= polls;
+        let set = try_extract_candidates(&corpus, opts, &stop).expect("fires after the last poll");
+        assert_eq!(set.terms, full.terms, "{threads}t");
+        assert_eq!(
+            seen.load(Ordering::SeqCst),
+            polls,
+            "one poll per document and candidate"
+        );
     }
     boe_par::set_threads(None);
 }
