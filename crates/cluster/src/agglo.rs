@@ -1,22 +1,23 @@
 //! UPGMA agglomerative clustering — the `agglo` method.
 //!
-//! Average-linkage merging via Lance–Williams updates on a similarity
-//! matrix: start from singletons, repeatedly merge the most similar pair,
-//! stop at `k` clusters. O(n²) memory, O(n³) worst-case time — fine for
-//! the context-set sizes of Step III (hundreds of objects).
+//! Average-linkage merging via Lance–Williams updates on a working copy
+//! of the set's shared similarity matrix (the shared one stays intact
+//! for the other ks and indexes): start from singletons, repeatedly
+//! merge the most similar pair, stop at `k` clusters. O(n²) memory,
+//! O(n³) worst-case time — fine for the context-set sizes of Step III
+//! (hundreds of objects).
 
-use crate::similarity::similarity_matrix;
+use crate::similarity::UnitVectors;
 use crate::solution::ClusterSolution;
-use boe_corpus::SparseVector;
 
 /// Cluster unit vectors into `k` clusters by UPGMA.
-pub fn upgma(unit: &[SparseVector], k: usize) -> ClusterSolution {
+pub fn upgma(unit: &UnitVectors, k: usize) -> ClusterSolution {
     let n = unit.len();
     assert!(k >= 1 && k <= n);
     if k == n {
         return ClusterSolution::new((0..n).collect(), n);
     }
-    let mut sim = similarity_matrix(unit);
+    let mut sim = unit.similarities().clone();
     let mut active: Vec<bool> = vec![true; n];
     let mut size: Vec<usize> = vec![1; n];
     // Union-find-ish: representative per original object.
@@ -67,18 +68,21 @@ pub fn upgma(unit: &[SparseVector], k: usize) -> ClusterSolution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boe_corpus::SparseVector;
 
-    fn blobs(per: usize, k: usize) -> (Vec<SparseVector>, Vec<usize>) {
+    fn blobs(per: usize, k: usize) -> (UnitVectors, Vec<usize>) {
         let mut vs = Vec::new();
         let mut gold = Vec::new();
         for c in 0..k as u32 {
             for i in 0..per as u32 {
-                let v = SparseVector::from_pairs([(c * 100, 10.0), (c * 100 + 1 + i, 1.0)]);
-                vs.push(v.normalized());
+                vs.push(SparseVector::from_pairs([
+                    (c * 100, 10.0),
+                    (c * 100 + 1 + i, 1.0),
+                ]));
                 gold.push(c as usize);
             }
         }
-        (vs, gold)
+        (UnitVectors::new(&vs), gold)
     }
 
     fn rand_index(a: &[usize], b: &[usize]) -> f64 {
@@ -106,11 +110,11 @@ mod tests {
     fn merge_order_is_similarity_driven() {
         // Two near-identical vectors and one orthogonal: k=2 must pair the
         // similar ones.
-        let vs = vec![
-            SparseVector::from_pairs([(0, 1.0), (1, 0.1)]).normalized(),
-            SparseVector::from_pairs([(0, 1.0), (2, 0.1)]).normalized(),
-            SparseVector::from_pairs([(9, 1.0)]).normalized(),
-        ];
+        let vs = UnitVectors::new(&[
+            SparseVector::from_pairs([(0, 1.0), (1, 0.1)]),
+            SparseVector::from_pairs([(0, 1.0), (2, 0.1)]),
+            SparseVector::from_pairs([(9, 1.0)]),
+        ]);
         let sol = upgma(&vs, 2);
         assert_eq!(sol.assignment(0), sol.assignment(1));
         assert_ne!(sol.assignment(0), sol.assignment(2));

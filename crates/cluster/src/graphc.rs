@@ -2,27 +2,29 @@
 //!
 //! CLUTO's graph method clusters the kNN similarity graph of the objects
 //! rather than the objects directly. We build the mutual-kNN graph with
-//! cosine edge weights and agglomeratively merge the cluster pair with
-//! the highest *average connecting edge weight* until `k` clusters
-//! remain; disconnected leftovers merge last by composite similarity.
+//! cosine edge weights, read from the set's shared similarity matrix
+//! (built once per [`UnitVectors`], not once per k), and agglomeratively
+//! merge the cluster pair with the highest *average connecting edge
+//! weight* until `k` clusters remain; disconnected leftovers merge last
+//! by composite similarity.
 //! Inter-cluster edge totals are maintained incrementally, so the whole
 //! merge phase is O(n³) worst case (n ≤ a few hundred in Step III).
 
+use crate::similarity::UnitVectors;
 use crate::solution::ClusterSolution;
 use boe_corpus::SparseVector;
 
 /// Cluster unit vectors into `k` clusters via the kNN graph
 /// (`neighbours` = list size per object).
-pub fn knn_graph_partition(unit: &[SparseVector], k: usize, neighbours: usize) -> ClusterSolution {
+pub fn knn_graph_partition(unit: &UnitVectors, k: usize, neighbours: usize) -> ClusterSolution {
     let n = unit.len();
     assert!(k >= 1 && k <= n);
     if k == n {
         return ClusterSolution::new((0..n).collect(), n);
     }
     let m = neighbours.min(n.saturating_sub(1)).max(1);
-    // Pairwise similarities once (flat, parallel, each dot computed a
-    // single time), then per-object kNN lists in parallel.
-    let sim = crate::similarity::similarity_matrix(unit);
+    // Per-object kNN lists in parallel over the shared matrix.
+    let sim = unit.similarities();
     let knn: Vec<Vec<(usize, f64)>> = boe_par::par_map_indexed_min(n, 32, |i| {
         let mut sims: Vec<(usize, f64)> = (0..n)
             .filter(|&j| j != i)
@@ -50,7 +52,7 @@ pub fn knn_graph_partition(unit: &[SparseVector], k: usize, neighbours: usize) -
     // disconnected fallback.
     let mut active = vec![true; n];
     let mut label: Vec<usize> = (0..n).collect();
-    let mut composites: Vec<SparseVector> = unit.to_vec();
+    let mut composites: Vec<SparseVector> = unit.vectors().to_vec();
     let mut clusters = n;
     while clusters > k {
         // Best connected pair by average edge weight.
@@ -118,17 +120,19 @@ fn fallback_pair(composites: &[SparseVector], active: &[bool]) -> (usize, usize)
 mod tests {
     use super::*;
 
-    fn blobs(per: usize, k: usize) -> (Vec<SparseVector>, Vec<usize>) {
+    fn blobs(per: usize, k: usize) -> (UnitVectors, Vec<usize>) {
         let mut vs = Vec::new();
         let mut gold = Vec::new();
         for c in 0..k as u32 {
             for i in 0..per as u32 {
-                let v = SparseVector::from_pairs([(c * 100, 10.0), (c * 100 + 1 + i, 1.0)]);
-                vs.push(v.normalized());
+                vs.push(SparseVector::from_pairs([
+                    (c * 100, 10.0),
+                    (c * 100 + 1 + i, 1.0),
+                ]));
                 gold.push(c as usize);
             }
         }
-        (vs, gold)
+        (UnitVectors::new(&vs), gold)
     }
 
     fn rand_index(a: &[usize], b: &[usize]) -> f64 {
@@ -185,16 +189,14 @@ mod tests {
         let mut vs = Vec::new();
         for c in 0..3u32 {
             for i in 0..7u32 {
-                vs.push(
-                    SparseVector::from_pairs([
-                        (c * 10, 3.0),
-                        (c * 10 + 1 + (i % 3), 1.0),
-                        (99, 0.5), // shared background dimension
-                    ])
-                    .normalized(),
-                );
+                vs.push(SparseVector::from_pairs([
+                    (c * 10, 3.0),
+                    (c * 10 + 1 + (i % 3), 1.0),
+                    (99, 0.5), // shared background dimension
+                ]));
             }
         }
+        let vs = UnitVectors::new(&vs);
         for k in 1..=6 {
             let sol = knn_graph_partition(&vs, k, 6);
             assert_eq!(sol.k(), k);

@@ -18,6 +18,7 @@
 //! which the sums are well-typed.)
 
 use crate::isim::ClusterStats;
+use crate::similarity::UnitVectors;
 use crate::solution::ClusterSolution;
 use boe_corpus::SparseVector;
 
@@ -80,13 +81,13 @@ impl InternalIndex {
         !matches!(self, InternalIndex::Bk)
     }
 
-    /// Score `solution` over unit-normalized `unit` vectors.
+    /// Score `solution` over the `unit` set it clusters.
     ///
     /// Total over degenerate input: `f_k` at `k = 1` (where `log10(k)`
     /// vanishes) reports the worst possible score, and any NaN arising
     /// from degenerate similarities is mapped to the worst score for the
     /// index's direction, so argmax/argmin sweeps stay well-defined.
-    pub fn score(self, solution: &ClusterSolution, unit: &[SparseVector]) -> f64 {
+    pub fn score(self, solution: &ClusterSolution, unit: &UnitVectors) -> f64 {
         let s = self.raw_score(solution, unit);
         if s.is_nan() {
             if self.maximize() {
@@ -99,19 +100,19 @@ impl InternalIndex {
         }
     }
 
-    fn raw_score(self, solution: &ClusterSolution, unit: &[SparseVector]) -> f64 {
+    fn raw_score(self, solution: &ClusterSolution, unit: &UnitVectors) -> f64 {
         let k = solution.k() as f64;
         match self {
             InternalIndex::Ak => {
-                let st = ClusterStats::compute(solution, unit);
+                let st = ClusterStats::compute(solution, unit.vectors());
                 st.isim.iter().sum::<f64>() / k
             }
             InternalIndex::Bk => {
-                let st = ClusterStats::compute(solution, unit);
+                let st = ClusterStats::compute(solution, unit.vectors());
                 st.esim.iter().sum::<f64>() / k
             }
             InternalIndex::Ck => {
-                let st = ClusterStats::compute(solution, unit);
+                let st = ClusterStats::compute(solution, unit.vectors());
                 st.isim
                     .iter()
                     .zip(&st.esim)
@@ -121,7 +122,7 @@ impl InternalIndex {
                     / k
             }
             InternalIndex::Ek => {
-                let st = ClusterStats::compute(solution, unit);
+                let st = ClusterStats::compute(solution, unit.vectors());
                 let num: f64 = st
                     .isim
                     .iter()
@@ -152,7 +153,7 @@ impl InternalIndex {
                 ak / k.log10()
             }
             InternalIndex::Silhouette => silhouette(solution, unit),
-            InternalIndex::CalinskiHarabasz => calinski_harabasz(solution, unit),
+            InternalIndex::CalinskiHarabasz => calinski_harabasz(solution, unit.vectors()),
         }
     }
 }
@@ -167,16 +168,16 @@ impl std::fmt::Display for InternalIndex {
 /// Singleton clusters contribute 0 (standard convention).
 ///
 /// Per-object contributions are independent given the pairwise
-/// similarities, so they are computed in parallel over a shared
+/// similarities, so they are computed in parallel over the set's shared
 /// [`crate::similarity::SimMatrix`] and summed serially in index order —
 /// the result is bit-identical at any thread count.
-fn silhouette(solution: &ClusterSolution, unit: &[SparseVector]) -> f64 {
+fn silhouette(solution: &ClusterSolution, unit: &UnitVectors) -> f64 {
     let n = unit.len();
     if n == 0 || solution.k() < 2 {
         return 0.0;
     }
     let sizes = solution.sizes();
-    let sim = crate::similarity::similarity_matrix(unit);
+    let sim = unit.similarities();
     let contributions: Vec<f64> = boe_par::par_map_indexed_min(n, 64, |i| {
         let own = solution.assignment(i);
         if sizes[own] < 2 {
@@ -236,19 +237,19 @@ fn calinski_harabasz(solution: &ClusterSolution, unit: &[SparseVector]) -> f64 {
 mod tests {
     use super::*;
 
-    fn unit(pairs: &[(u32, f64)]) -> SparseVector {
-        SparseVector::from_pairs(pairs.iter().copied()).normalized()
+    fn raw(pairs: &[(u32, f64)]) -> SparseVector {
+        SparseVector::from_pairs(pairs.iter().copied())
     }
 
     /// Two clean blobs (4 + 4), plus helpers to build partitions.
-    fn two_blobs() -> Vec<SparseVector> {
+    fn two_blobs() -> UnitVectors {
         let mut vs = Vec::new();
         for c in 0..2u32 {
             for i in 0..4u32 {
-                vs.push(unit(&[(c * 100, 10.0), (c * 100 + 1 + i, 1.0)]));
+                vs.push(raw(&[(c * 100, 10.0), (c * 100 + 1 + i, 1.0)]));
             }
         }
-        vs
+        UnitVectors::new(&vs)
     }
 
     fn good_partition() -> ClusterSolution {
@@ -311,7 +312,7 @@ mod tests {
     fn scores_are_never_nan_on_zero_vectors() {
         // All-zero context vectors drive every similarity to 0/0 territory;
         // scores must stay comparable (non-NaN) for argmax sweeps.
-        let vs = vec![SparseVector::new(); 4];
+        let vs = UnitVectors::new(&vec![SparseVector::new(); 4]);
         let sol = ClusterSolution::new(vec![0, 0, 1, 1], 2);
         for index in InternalIndex::ALL {
             let s = index.score(&sol, &vs);
@@ -329,6 +330,67 @@ mod tests {
         assert!(g > 0.5, "clean blobs should have high silhouette: {g}");
     }
 
+    /// The textbook mean silhouette with cosine distance, from the
+    /// test's own dot products (each pair taken as the matrix's upper
+    /// triangle holds it: lower index first).
+    fn silhouette_oracle(sol: &ClusterSolution, vs: &[SparseVector]) -> f64 {
+        let n = vs.len();
+        let dist = |i: usize, j: usize| 1.0 - vs[i.min(j)].dot(&vs[i.max(j)]);
+        let mean_to = |i: usize, c: usize| {
+            let (mut sum, mut count) = (0.0, 0usize);
+            for j in (0..n).filter(|&j| j != i && sol.assignment(j) == c) {
+                sum += dist(i, j);
+                count += 1;
+            }
+            sum / count as f64
+        };
+        let total: f64 = (0..n)
+            .map(|i| {
+                let own = sol.assignment(i);
+                if sol.sizes()[own] < 2 {
+                    return 0.0;
+                }
+                let a = mean_to(i, own);
+                let b = (0..sol.k())
+                    .filter(|&c| c != own)
+                    .map(|c| mean_to(i, c))
+                    .fold(f64::INFINITY, f64::min);
+                (b - a) / a.max(b)
+            })
+            .sum();
+        total / n as f64
+    }
+
+    #[test]
+    fn silhouette_equals_its_oracle_bit_for_bit() {
+        let contexts: Vec<SparseVector> = (0..11u32)
+            .map(|i| {
+                raw(&[
+                    (i % 3, 2.0 + f64::from(i) * 0.3),
+                    (5 + i % 4, 1.0),
+                    (9, 0.2),
+                ])
+            })
+            .collect();
+        let unit = UnitVectors::new(&contexts);
+        let partitions = [
+            ClusterSolution::new((0..11).map(|i| i % 3).collect(), 3),
+            ClusterSolution::new((0..11).map(|i| usize::from(i >= 5)).collect(), 2),
+            // A singleton cluster contributes 0.
+            ClusterSolution::new(
+                (0..11)
+                    .map(|i| usize::from(i == 4) + 2 * usize::from(i > 7))
+                    .collect(),
+                3,
+            ),
+        ];
+        for sol in &partitions {
+            let got = InternalIndex::Silhouette.score(sol, &unit);
+            let want = silhouette_oracle(sol, unit.vectors());
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        }
+    }
+
     #[test]
     fn calinski_harabasz_prefers_good() {
         let vs = two_blobs();
@@ -341,12 +403,12 @@ mod tests {
     #[test]
     fn ek_handles_perfect_separation() {
         // Orthogonal blobs ⇒ ESIM sums to 0 ⇒ huge but finite score.
-        let vs = vec![
-            unit(&[(0, 1.0)]),
-            unit(&[(0, 1.0)]),
-            unit(&[(5, 1.0)]),
-            unit(&[(5, 1.0)]),
-        ];
+        let vs = UnitVectors::new(&[
+            raw(&[(0, 1.0)]),
+            raw(&[(0, 1.0)]),
+            raw(&[(5, 1.0)]),
+            raw(&[(5, 1.0)]),
+        ]);
         let sol = ClusterSolution::new(vec![0, 0, 1, 1], 2);
         let s = InternalIndex::Ek.score(&sol, &vs);
         assert!(s.is_finite());

@@ -5,17 +5,20 @@
 //! [2, 5], score each solution with an internal index, keep the optimum.
 //!
 //! [`KSweep`] is the only loop over k: it clusters once per k, so any
-//! number of indexes can score the same solutions, and
+//! number of indexes can score the same solutions over the same
+//! [`UnitVectors`] (and its one similarity matrix), and
 //! [`KSweep::predict`] holds the only best-k rule.
 
 use crate::indexes::InternalIndex;
+use crate::similarity::UnitVectors;
 use crate::solution::ClusterSolution;
 use crate::Algorithm;
-use boe_corpus::SparseVector;
 
-/// The solutions of one k sweep, one per swept k in ascending order.
+/// The solutions of one k sweep, one per swept k in ascending order,
+/// with the unit vectors they cluster.
 #[derive(Debug, Clone)]
-pub struct KSweep {
+pub struct KSweep<'u> {
+    unit: &'u UnitVectors,
     solutions: Vec<ClusterSolution>,
 }
 
@@ -30,7 +33,7 @@ pub struct KPrediction<'s> {
     pub solution: &'s ClusterSolution,
 }
 
-impl KSweep {
+impl<'u> KSweep<'u> {
     /// Cluster the unit vectors `unit` (see [`Algorithm::cluster`]) with
     /// `algorithm` once per k in the inclusive `k_range`, seeding each
     /// run with `seed ^ k`. Returns `None` when there are fewer than 2
@@ -42,11 +45,11 @@ impl KSweep {
     /// the sweep covers `max(lo, 2) ..= min(max(hi, lo), n)`, and the
     /// single k `n` when that is empty.
     pub fn run(
-        unit: &[SparseVector],
+        unit: &'u UnitVectors,
         algorithm: Algorithm,
         k_range: (usize, usize),
         seed: u64,
-    ) -> Option<KSweep> {
+    ) -> Option<KSweep<'u>> {
         if unit.len() < 2 {
             return None;
         }
@@ -55,19 +58,19 @@ impl KSweep {
         let solutions = (lo.min(hi)..=hi)
             .map(|k| algorithm.cluster(unit, k, seed ^ k as u64))
             .collect();
-        Some(KSweep { solutions })
+        Some(KSweep { unit, solutions })
     }
 
-    /// Score every solution with `index` over the same `unit` vectors
-    /// the sweep clustered, and pick the best k. Only a strict
+    /// Score every solution with `index` over the unit vectors the
+    /// sweep clustered, and pick the best k. Only a strict
     /// improvement replaces the running best, so the lowest k wins an
     /// exact tie and a sweep that scores the worst value everywhere
     /// picks the low end of the range.
-    pub fn predict(&self, index: InternalIndex, unit: &[SparseVector]) -> KPrediction<'_> {
+    pub fn predict(&self, index: InternalIndex) -> KPrediction<'_> {
         let scores: Vec<f64> = self
             .solutions
             .iter()
-            .map(|s| index.score(s, unit))
+            .map(|s| index.score(s, self.unit))
             .collect();
         let best = best_position(&scores, index.maximize());
         KPrediction {
@@ -98,30 +101,27 @@ fn best_position(scores: &[f64], maximize: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boe_corpus::SparseVector;
 
-    /// `k` orthogonal context blobs of `per` unit vectors each.
-    fn blobs(per: usize, k: usize) -> Vec<SparseVector> {
+    /// `k` orthogonal context blobs of `per` contexts each.
+    fn blobs(per: usize, k: usize) -> UnitVectors {
         let mut vs = Vec::new();
         for c in 0..k as u32 {
             for i in 0..per as u32 {
-                vs.push(
-                    SparseVector::from_pairs([(c * 1000, 10.0), (c * 1000 + 1 + i, 1.0)])
-                        .normalized(),
-                );
+                vs.push(SparseVector::from_pairs([
+                    (c * 1000, 10.0),
+                    (c * 1000 + 1 + i, 1.0),
+                ]));
             }
         }
-        vs
+        UnitVectors::new(&vs)
     }
 
     /// The k predicted by `index` over a `(2, 5)` sweep of `algorithm`,
     /// with the scores for failure messages.
-    fn predict(
-        vs: &[SparseVector],
-        algorithm: Algorithm,
-        index: InternalIndex,
-    ) -> (usize, Vec<f64>) {
+    fn predict(vs: &UnitVectors, algorithm: Algorithm, index: InternalIndex) -> (usize, Vec<f64>) {
         let sweep = KSweep::run(vs, algorithm, (2, 5), 0).expect("enough contexts");
-        let pred = sweep.predict(index, vs);
+        let pred = sweep.predict(index);
         (pred.k, pred.scores)
     }
 
@@ -178,8 +178,9 @@ mod tests {
 
     #[test]
     fn too_few_contexts_returns_none() {
-        assert!(KSweep::run(&[], Algorithm::Direct, (2, 5), 0).is_none());
-        let one = vec![SparseVector::from_pairs([(0, 1.0)])];
+        let none = UnitVectors::new(&[]);
+        assert!(KSweep::run(&none, Algorithm::Direct, (2, 5), 0).is_none());
+        let one = UnitVectors::new(&[SparseVector::from_pairs([(0, 1.0)])]);
         assert!(KSweep::run(&one, Algorithm::Direct, (2, 5), 0).is_none());
     }
 
@@ -188,7 +189,7 @@ mod tests {
         let vs = blobs(1, 3); // only 3 contexts
         let sweep = KSweep::run(&vs, Algorithm::Direct, (2, 5), 0).expect("3 contexts");
         assert_eq!(swept_ks(&sweep), vec![2, 3], "narrowed to the object count");
-        let pred = sweep.predict(InternalIndex::Fk, &vs);
+        let pred = sweep.predict(InternalIndex::Fk);
         assert!(pred.k <= 3);
         assert_eq!(pred.scores.len(), 2);
     }
@@ -205,7 +206,7 @@ mod tests {
         ] {
             let sweep = KSweep::run(&vs, Algorithm::Direct, k_range, 0).expect("enough contexts");
             assert_eq!(swept_ks(&sweep), ks, "{k_range:?}");
-            let pred = sweep.predict(InternalIndex::Fk, &vs);
+            let pred = sweep.predict(InternalIndex::Fk);
             assert!(pred.k >= 2, "{k_range:?} gave k = {}", pred.k);
             assert!(!pred.scores.is_empty());
         }
@@ -220,7 +221,7 @@ mod tests {
             vec![2, 3, 4, 5],
             "a full range is not narrowed"
         );
-        assert_eq!(sweep.predict(InternalIndex::Fk, &vs).scores.len(), 4);
+        assert_eq!(sweep.predict(InternalIndex::Fk).scores.len(), 4);
     }
 
     #[test]
@@ -228,10 +229,10 @@ mod tests {
         // Identical contexts: every cluster's ISIM and ESIM is exactly 1
         // at every k, so a_k (maximized) and b_k (minimized) tie across
         // the whole sweep.
-        let vs = vec![SparseVector::from_pairs([(0, 1.0)]); 8];
+        let vs = UnitVectors::new(&vec![SparseVector::from_pairs([(0, 1.0)]); 8]);
         let sweep = KSweep::run(&vs, Algorithm::Direct, (2, 5), 0).expect("enough");
         for index in [InternalIndex::Ak, InternalIndex::Bk] {
-            let pred = sweep.predict(index, &vs);
+            let pred = sweep.predict(index);
             assert!(
                 pred.scores.iter().all(|&s| s == pred.scores[0]),
                 "{index}: {:?}",
@@ -251,20 +252,34 @@ mod tests {
         assert_eq!(best_position(&[f64::NEG_INFINITY, 0.0], true), 1);
     }
 
+    /// One shared set, one sweep per algorithm, against a fresh set
+    /// (and so a fresh similarity matrix) for every call: the same
+    /// solutions and every index's scores, bit for bit.
     #[test]
     fn sweep_solutions_equal_direct_clustering_bit_for_bit() {
-        let vs: Vec<SparseVector> = (0..17u32)
+        let contexts: Vec<SparseVector> = (0..17u32)
             .map(|i| {
                 SparseVector::from_pairs([(i % 5, 1.0 + f64::from(i) * 0.3), (7 + i % 3, 0.4)])
-                    .normalized()
             })
             .collect();
+        let shared = UnitVectors::new(&contexts);
         for alg in Algorithm::ALL {
-            let sweep = KSweep::run(&vs, alg, (2, 5), 11).expect("enough");
+            let sweep = KSweep::run(&shared, alg, (2, 5), 11).expect("enough");
             assert_eq!(swept_ks(&sweep), vec![2, 3, 4, 5]);
             for sol in &sweep.solutions {
                 let k = sol.k();
-                assert_eq!(*sol, alg.cluster(&vs, k, 11 ^ k as u64), "{alg} at k = {k}");
+                let fresh = alg.cluster(&UnitVectors::new(&contexts), k, 11 ^ k as u64);
+                assert_eq!(*sol, fresh, "{alg} at k = {k}");
+            }
+            for index in InternalIndex::ALL {
+                let pred = sweep.predict(index);
+                let fresh: Vec<u64> = sweep
+                    .solutions
+                    .iter()
+                    .map(|sol| index.score(sol, &UnitVectors::new(&contexts)).to_bits())
+                    .collect();
+                let shared: Vec<u64> = pred.scores.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(shared, fresh, "{alg}, {index}");
             }
         }
     }

@@ -2,15 +2,15 @@
 //!
 //! Clustering substrate — the from-scratch replacement for the CLUTO
 //! toolkit the paper uses in Step III (sense induction). Every method
-//! clusters *unit-normalized* vectors: callers normalize a term's
-//! contexts once and hand the same unit vectors to every k and every
-//! index.
+//! and index takes one [`UnitVectors`] set: a term's contexts,
+//! normalized when the set is built, whose similarity matrix is built at
+//! most once however many ks, methods and indexes read it.
 //!
 //! * [`solution`] — cluster assignments with invariant checking, and the
 //!   per-cluster sizes, composites, centroids and label densification
 //!   every method shares;
-//! * [`similarity`] — the cosine kernel over unit-normalized sparse
-//!   vectors and composite-vector identities;
+//! * [`similarity`] — [`UnitVectors`], its lazily built cosine matrix,
+//!   and composite-vector identities;
 //! * [`kmeans`] — `direct`: spherical k-means on the I2 criterion (its
 //!   assignment step also refines `rbr`);
 //! * [`bisect`] — `rb` (repeated bisection) and `rbr` (rb + k-way
@@ -43,9 +43,8 @@ pub mod solution;
 
 pub use indexes::InternalIndex;
 pub use kpredict::KSweep;
+pub use similarity::UnitVectors;
 pub use solution::ClusterSolution;
-
-use boe_corpus::SparseVector;
 
 /// The five clustering methods the paper selects by their CLUTO names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,13 +82,13 @@ impl Algorithm {
         }
     }
 
-    /// Cluster `unit` into `k` clusters. Every method works on the unit
-    /// sphere, so each vector must have norm 1 (or be empty): normalize
-    /// once with [`SparseVector::normalized`] and reuse the unit vectors
-    /// for every k and every index. Debug builds check this.
+    /// Cluster `unit` into `k` clusters. Build the [`UnitVectors`] once
+    /// per set of contexts and reuse it for every k, every method and
+    /// every index: `agglo` and `graph` read its similarity matrix,
+    /// which is built on first use only.
     ///
     /// ```
-    /// use boe_cluster::Algorithm;
+    /// use boe_cluster::{Algorithm, UnitVectors};
     /// use boe_corpus::SparseVector;
     ///
     /// let docs = vec![
@@ -98,7 +97,7 @@ impl Algorithm {
     ///     SparseVector::from_pairs([(9, 1.0)]),
     ///     SparseVector::from_pairs([(9, 1.0), (8, 0.1)]),
     /// ];
-    /// let unit: Vec<SparseVector> = docs.iter().map(SparseVector::normalized).collect();
+    /// let unit = UnitVectors::new(&docs);
     /// let solution = Algorithm::Direct.cluster(&unit, 2, 42);
     /// assert_eq!(solution.assignment(0), solution.assignment(1));
     /// assert_ne!(solution.assignment(0), solution.assignment(2));
@@ -106,22 +105,18 @@ impl Algorithm {
     ///
     /// # Panics
     /// Panics if `k == 0` or `k > unit.len()`.
-    pub fn cluster(self, unit: &[SparseVector], k: usize, seed: u64) -> ClusterSolution {
+    pub fn cluster(self, unit: &UnitVectors, k: usize, seed: u64) -> ClusterSolution {
         assert!(k >= 1, "k must be positive");
         assert!(
             k <= unit.len(),
             "k = {k} exceeds object count {}",
             unit.len()
         );
-        debug_assert!(
-            unit.iter()
-                .all(|v| v.is_empty() || (v.norm() - 1.0).abs() < 1e-9),
-            "Algorithm::cluster takes unit-normalized vectors"
-        );
+        let vectors = unit.vectors();
         match self {
-            Algorithm::Rb => bisect::repeated_bisection(unit, k, seed, false),
-            Algorithm::Rbr => bisect::repeated_bisection(unit, k, seed, true),
-            Algorithm::Direct => kmeans::spherical_kmeans(unit, k, seed),
+            Algorithm::Rb => bisect::repeated_bisection(vectors, k, seed, false),
+            Algorithm::Rbr => bisect::repeated_bisection(vectors, k, seed, true),
+            Algorithm::Direct => kmeans::spherical_kmeans(vectors, k, seed),
             Algorithm::Agglo => agglo::upgma(unit, k),
             Algorithm::Graph => graphc::knn_graph_partition(unit, k, 10),
         }
@@ -145,17 +140,9 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "unit-normalized")]
-    fn non_unit_vectors_are_rejected_in_debug_builds() {
-        let v = vec![SparseVector::from_pairs([(0, 2.0)]); 2];
-        let _ = Algorithm::Direct.cluster(&v, 2, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds object count")]
     fn k_larger_than_n_panics() {
-        let v = vec![SparseVector::from_pairs([(0, 1.0)])];
+        let v = UnitVectors::new(&[boe_corpus::SparseVector::from_pairs([(0, 1.0)])]);
         let _ = Algorithm::Direct.cluster(&v, 2, 0);
     }
 }

@@ -1,15 +1,63 @@
-//! Similarity helpers over unit-normalized vectors.
+//! Unit vectors and the similarity helpers over them.
+//!
+//! [`UnitVectors`] is the one input every clustering method and index
+//! takes: a term's contexts, normalized when the set is built, with
+//! their pairwise similarity matrix built lazily, at most once per set,
+//! the first time `agglo`, `graph` or silhouette asks for it. Every k of
+//! a [`crate::KSweep`] and every index reads the same matrix.
 //!
 //! For unit vectors, cosine reduces to the dot product, and sums of
 //! pairwise similarities reduce to composite-vector norms:
 //! `Σ_{x,y ∈ S} x·y = ||Σ_{x∈S} x||²` — the identity CLUTO's criterion
 //! functions and ISIM/ESIM exploit. Every function here assumes unit
-//! inputs (callers of [`crate::Algorithm::cluster`] normalize once).
+//! inputs.
 
 use boe_corpus::SparseVector;
+use std::sync::OnceLock;
+
+/// A set of contexts on the unit sphere, normalized once when built,
+/// with its similarity matrix built on first use and shared after.
+#[derive(Debug)]
+pub struct UnitVectors {
+    vectors: Vec<SparseVector>,
+    sim: OnceLock<SimMatrix>,
+}
+
+impl UnitVectors {
+    /// Normalize each of `contexts` (an empty vector stays empty).
+    pub fn new<'a>(contexts: impl IntoIterator<Item = &'a SparseVector>) -> Self {
+        UnitVectors {
+            vectors: contexts.into_iter().map(SparseVector::normalized).collect(),
+            sim: OnceLock::new(),
+        }
+    }
+
+    /// The unit vectors, in the order they were given.
+    pub fn vectors(&self) -> &[SparseVector] {
+        &self.vectors
+    }
+
+    /// Number of vectors.
+    pub fn len(&self) -> usize {
+        self.vectors.len()
+    }
+
+    /// Whether the set holds no vectors.
+    pub fn is_empty(&self) -> bool {
+        self.vectors.is_empty()
+    }
+
+    /// The pairwise cosine matrix (see [`SimMatrix`]), built on the
+    /// first call and returned from then on.
+    pub fn similarities(&self) -> &SimMatrix {
+        self.sim.get_or_init(|| similarity_matrix(&self.vectors))
+    }
+}
 
 /// A dense symmetric similarity matrix in one flat row-major buffer —
-/// one allocation instead of `n` heap rows.
+/// one allocation instead of `n` heap rows. Built only by
+/// [`UnitVectors::similarities`]: n×n, symmetric, diagonal 1 for nonzero
+/// vectors and 0 for empty ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimMatrix {
     n: usize,
@@ -17,48 +65,35 @@ pub struct SimMatrix {
 }
 
 impl SimMatrix {
-    /// An n×n matrix of zeros.
-    pub fn zeros(n: usize) -> Self {
-        SimMatrix {
-            n,
-            data: vec![0.0; n * n],
-        }
-    }
-
     /// Entry `(i, j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.n + j]
     }
 
-    /// Set entry `(i, j)` (one triangle only; use [`Self::set_sym`] to
-    /// keep the matrix symmetric).
+    /// Set entries `(i, j)` and `(j, i)` (UPGMA's working copy).
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set_sym(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.n + j] = v;
-    }
-
-    /// Set entries `(i, j)` and `(j, i)`.
-    #[inline]
-    pub fn set_sym(&mut self, i: usize, j: usize, v: f64) {
-        self.set(i, j, v);
-        self.set(j, i, v);
+        self.data[j * self.n + i] = v;
     }
 }
 
-/// Full pairwise cosine matrix (n×n, symmetric, diagonal = 1 for nonzero
-/// vectors). The upper triangle is computed in parallel with one item
-/// per row: row `i` holds `n-1-i` cells, so the heavy rows come first in
-/// `boe-par`'s in-order claims and the light tail balances the workers.
-/// Every entry is an independent dot product, so the matrix is
-/// bit-identical at any thread count.
-pub fn similarity_matrix(unit: &[SparseVector]) -> SimMatrix {
+/// Full pairwise cosine matrix. The upper triangle is computed in
+/// parallel with one item per row: row `i` holds `n-1-i` cells, so the
+/// heavy rows come first in `boe-par`'s in-order claims and the light
+/// tail balances the workers. Every entry is an independent dot
+/// product, so the matrix is bit-identical at any thread count.
+fn similarity_matrix(unit: &[SparseVector]) -> SimMatrix {
     let n = unit.len();
     let rows: Vec<Vec<f64>> =
         boe_par::par_map_indexed(n, |i| ((i + 1)..n).map(|j| unit[i].dot(&unit[j])).collect());
-    let mut m = SimMatrix::zeros(n);
+    let mut m = SimMatrix {
+        n,
+        data: vec![0.0; n * n],
+    };
     for (i, (u, row)) in unit.iter().zip(&rows).enumerate() {
-        m.set(i, i, if u.is_empty() { 0.0 } else { 1.0 });
+        m.data[i * n + i] = if u.is_empty() { 0.0 } else { 1.0 };
         for (j, &v) in ((i + 1)..n).zip(row) {
             m.set_sym(i, j, v);
         }
@@ -93,18 +128,47 @@ mod tests {
         composites.iter().map(SparseVector::norm).sum()
     }
 
+    fn raw(pairs: &[(u32, f64)]) -> SparseVector {
+        SparseVector::from_pairs(pairs.iter().copied())
+    }
+
+    #[test]
+    fn vectors_are_normalized_once_when_built() {
+        let contexts = vec![raw(&[(0, 3.0), (1, 4.0)]), SparseVector::new()];
+        let unit = UnitVectors::new(&contexts);
+        assert_eq!(unit.len(), 2);
+        assert_eq!(unit.vectors()[0], contexts[0].normalized());
+        assert!(unit.vectors()[1].is_empty(), "an empty context stays empty");
+    }
+
+    #[test]
+    fn matrix_is_built_at_most_once() {
+        let unit = UnitVectors::new(&[raw(&[(0, 1.0)]), raw(&[(0, 1.0), (1, 1.0)])]);
+        assert!(unit.sim.get().is_none(), "not built until asked for");
+        let first: *const SimMatrix = unit.similarities();
+        assert!(
+            std::ptr::eq(first, unit.similarities()),
+            "built once, then shared"
+        );
+    }
+
     #[test]
     fn matrix_is_symmetric_with_unit_diagonal() {
-        let vs = vec![
-            unit(&[(0, 1.0)]),
-            unit(&[(0, 1.0), (1, 1.0)]),
-            unit(&[(1, 1.0)]),
+        let contexts = [
+            raw(&[(0, 1.0)]),
+            raw(&[(0, 1.0), (1, 1.0)]),
+            raw(&[(1, 1.0)]),
         ];
-        let m = similarity_matrix(&vs);
-        for i in 0..vs.len() {
+        let unit = UnitVectors::new(&contexts);
+        let m = unit.similarities();
+        for i in 0..unit.len() {
             assert!((m.get(i, i) - 1.0).abs() < 1e-12);
-            for j in 0..vs.len() {
+            for j in 0..unit.len() {
                 assert!((m.get(i, j) - m.get(j, i)).abs() < 1e-12);
+            }
+            for j in (i + 1)..unit.len() {
+                let dot = unit.vectors()[i].dot(&unit.vectors()[j]);
+                assert_eq!(m.get(i, j).to_bits(), dot.to_bits(), "({i}, {j})");
             }
         }
         assert!(m.get(0, 1) > 0.0 && m.get(0, 2).abs() < 1e-12);
@@ -112,21 +176,21 @@ mod tests {
 
     #[test]
     fn matrix_is_identical_at_any_thread_count() {
-        let vs: Vec<SparseVector> = (0..40u32)
-            .map(|i| unit(&[(i % 7, 1.0 + f64::from(i)), (i % 3, 0.5)]))
+        let contexts: Vec<SparseVector> = (0..40u32)
+            .map(|i| raw(&[(i % 7, 1.0 + f64::from(i)), (i % 3, 0.5)]))
             .collect();
         boe_par::set_threads(Some(1));
-        let serial = similarity_matrix(&vs);
+        let serial = UnitVectors::new(&contexts).similarities().clone();
         boe_par::set_threads(Some(8));
-        let parallel = similarity_matrix(&vs);
+        let parallel = UnitVectors::new(&contexts).similarities().clone();
         boe_par::set_threads(None);
         assert_eq!(serial, parallel, "bit-identical across thread counts");
     }
 
     #[test]
     fn zero_vector_has_zero_diagonal() {
-        let vs = vec![unit(&[(0, 1.0)]), SparseVector::new()];
-        let m = similarity_matrix(&vs);
+        let unit = UnitVectors::new(&[raw(&[(0, 1.0)]), SparseVector::new()]);
+        let m = unit.similarities();
         assert_eq!(m.get(1, 1), 0.0);
         assert_eq!(m.get(0, 1), 0.0);
     }

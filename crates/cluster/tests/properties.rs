@@ -6,25 +6,25 @@
 use boe_cluster::external::{adjusted_rand, nmi, purity};
 use boe_cluster::isim::ClusterStats;
 use boe_cluster::kpredict::KSweep;
-use boe_cluster::{Algorithm, ClusterSolution, InternalIndex};
+use boe_cluster::{Algorithm, ClusterSolution, InternalIndex, UnitVectors};
 use boe_corpus::SparseVector;
 use boe_rng::StdRng;
 
 const CASES: usize = 50;
 
-/// Random sparse vectors, unit-normalized as the clustering methods
-/// take them.
-fn rand_vectors(rng: &mut StdRng) -> Vec<SparseVector> {
+/// Random sparse vectors, as the unit set the clustering methods take.
+fn rand_vectors(rng: &mut StdRng) -> UnitVectors {
     let n = rng.gen_range(3usize..20);
-    (0..n)
+    let raw: Vec<SparseVector> = (0..n)
         .map(|_| {
             let nnz = rng.gen_range(1usize..6);
             let pairs: Vec<(u32, f64)> = (0..nnz)
                 .map(|_| (rng.gen_range(0u32..24), 0.1 + rng.gen::<f64>() * 2.9))
                 .collect();
-            SparseVector::from_pairs(pairs).normalized()
+            SparseVector::from_pairs(pairs)
         })
-        .collect()
+        .collect();
+    UnitVectors::new(&raw)
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn isim_esim_are_bounded() {
         let k = rng.gen_range(1usize..4).min(vs.len());
         let seed = rng.gen_range(0u64..10);
         let sol = Algorithm::Direct.cluster(&vs, k, seed);
-        let st = ClusterStats::compute(&sol, &vs);
+        let st = ClusterStats::compute(&sol, vs.vectors());
         for (&i, &e) in st.isim.iter().zip(&st.esim) {
             assert!((-1.0..=1.0).contains(&i), "ISIM {i}");
             assert!((-1.0..=1.0).contains(&e), "ESIM {e}");
@@ -84,7 +84,7 @@ fn predict_k_respects_the_range() {
         let vs = rand_vectors(&mut rng);
         let seed = rng.gen_range(0u64..10);
         if let Some(sweep) = KSweep::run(&vs, Algorithm::Direct, (2, 5), seed) {
-            let pred = sweep.predict(InternalIndex::Fk, &vs);
+            let pred = sweep.predict(InternalIndex::Fk);
             assert!((2..=5).contains(&pred.k));
             assert!(pred.k <= vs.len());
             assert!(!pred.scores.is_empty());

@@ -2,7 +2,7 @@
 
 use crate::senses::representation::{build_representation, Representation};
 use boe_cluster::features::{induce_concepts, InducedConcept};
-use boe_cluster::{Algorithm, ClusterSolution, InternalIndex, KSweep};
+use boe_cluster::{Algorithm, ClusterSolution, InternalIndex, KSweep, UnitVectors};
 use boe_corpus::context::ContextScope;
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
@@ -149,13 +149,13 @@ impl<'c> SenseInducer<'c> {
                 repaired,
             };
         }
-        // A polysemic term's contexts are normalized once for the whole
+        // A polysemic term's contexts become one unit set for the whole
         // sweep; the raw contexts stay for concept labelling. Fewer than
         // two contexts give no sweep and one sense.
         let predicted = if is_polysemic {
-            let unit: Vec<SparseVector> = ctxs.iter().map(SparseVector::normalized).collect();
+            let unit = UnitVectors::new(&ctxs);
             KSweep::run(&unit, self.config.algorithm, self.config.k_range, SEED)
-                .map(|sweep| sweep.predict(self.config.index, &unit).solution.clone())
+                .map(|sweep| sweep.predict(self.config.index).solution.clone())
         } else {
             None
         };

@@ -8,12 +8,11 @@
 //! baseline the skewed sense distribution implies.
 
 use crate::table::{pct, Table};
-use boe_cluster::{Algorithm, InternalIndex, KSweep};
+use boe_cluster::{Algorithm, InternalIndex, KSweep, UnitVectors};
 use boe_core::senses::{build_representation, Representation};
 use boe_corpus::context::ContextScope;
 use boe_corpus::occurrence::OccurrenceIndex;
-use boe_corpus::synth::mshwsd::{MshWsdConfig, MshWsdDataset};
-use boe_corpus::SparseVector;
+use boe_corpus::synth::mshwsd::{AmbiguousEntity, MshWsdConfig, MshWsdDataset};
 use boe_textkit::Language;
 
 /// Experiment parameters.
@@ -127,42 +126,45 @@ impl SenseNumberData {
         let occ = OccurrenceIndex::build(&data.corpus);
         SenseNumberData { data, occ }
     }
+
+    /// `entity`'s contexts under `repr` as one unit set for every
+    /// algorithm and index, and the gold sense of each. Contexts arrive
+    /// in snippet order, grouped by sense, so plain truncation would
+    /// drop whole senses: above `max_contexts` both are subsampled with
+    /// one even stride.
+    fn contexts(
+        &self,
+        entity: &AmbiguousEntity,
+        repr: Representation,
+        max_contexts: usize,
+    ) -> (UnitVectors, Vec<usize>) {
+        let corpus = &self.data.corpus;
+        let surface = corpus.vocab().get(entity.surface_text());
+        let surface = surface.expect("entity surface interned");
+        let all = build_representation(corpus, &self.occ, &[surface], repr, ContextScope::Document);
+        assert_eq!(all.len(), entity.snippets.len(), "one context per snippet");
+        let stride = (all.len() as f64 / max_contexts as f64).max(1.0);
+        let kept: Vec<usize> = (0..all.len().min(max_contexts))
+            .map(|i| (i as f64 * stride) as usize)
+            .collect();
+        let gold = kept.iter().map(|&j| entity.snippets[j].1).collect();
+        (UnitVectors::new(kept.iter().map(|&j| &all[j])), gold)
+    }
 }
 
 /// Run the experiment on `data`, generated from `config`.
 pub fn run(config: &SenseNumberConfig, data: &SenseNumberData) -> SenseNumberResult {
-    let SenseNumberData { data, occ } = data;
-    let n = data.entities.len();
-    let majority = data.entities.iter().filter(|e| e.k == 2).count() as f64 / n as f64;
+    let entities = &data.data.entities;
+    let n = entities.len();
+    let majority = entities.iter().filter(|e| e.k == 2).count() as f64 / n as f64;
 
-    // Per entity × representation: context vectors (built once).
+    // Per entity × representation: one unit set, one similarity matrix
+    // at most, shared by every algorithm and index.
     let mut correct: std::collections::HashMap<(usize, usize, usize), usize> =
         std::collections::HashMap::new();
-    for entity in &data.entities {
-        let surface_id = data
-            .corpus
-            .vocab()
-            .get(entity.surface_text())
-            .expect("entity surface interned");
+    for entity in entities {
         for (ri, &repr) in config.representations.iter().enumerate() {
-            let all = build_representation(
-                &data.corpus,
-                occ,
-                &[surface_id],
-                repr,
-                ContextScope::Document,
-            );
-            // Subsample with an even stride: contexts arrive grouped by
-            // sense, so plain truncation would drop whole senses. The
-            // kept contexts are normalized once for every algorithm.
-            let unit: Vec<SparseVector> = if all.len() > config.max_contexts {
-                let stride = all.len() as f64 / config.max_contexts as f64;
-                (0..config.max_contexts)
-                    .map(|i| all[(i as f64 * stride) as usize].normalized())
-                    .collect()
-            } else {
-                all.iter().map(SparseVector::normalized).collect()
-            };
+            let (unit, _) = data.contexts(entity, repr, config.max_contexts);
             for (ai, &alg) in config.algorithms.iter().enumerate() {
                 // Cluster once per k; score every index on the same
                 // solutions.
@@ -170,7 +172,7 @@ pub fn run(config: &SenseNumberConfig, data: &SenseNumberData) -> SenseNumberRes
                     continue;
                 };
                 for (ii, &index) in config.indexes.iter().enumerate() {
-                    if sweep.predict(index, &unit).k == entity.k {
+                    if sweep.predict(index).k == entity.k {
                         *correct.entry((ai, ri, ii)).or_insert(0) += 1;
                     }
                 }
@@ -209,37 +211,10 @@ pub fn clustering_quality(
     algorithm: Algorithm,
     representation: Representation,
 ) -> (f64, f64, f64) {
-    let SenseNumberData { data, occ } = data;
     let mut sums = (0.0, 0.0, 0.0);
     let mut n = 0usize;
-    for entity in &data.entities {
-        let surface_id = data
-            .corpus
-            .vocab()
-            .get(entity.surface_text())
-            .expect("entity surface interned");
-        let all = build_representation(
-            &data.corpus,
-            occ,
-            &[surface_id],
-            representation,
-            ContextScope::Document,
-        );
-        // Contexts arrive in snippet order, so gold sense labels align
-        // index-wise; subsample both with the same even stride.
-        assert_eq!(all.len(), entity.snippets.len(), "one context per snippet");
-        let gold_all: Vec<usize> = entity.snippets.iter().map(|&(_, s)| s).collect();
-        let (unit, gold): (Vec<SparseVector>, Vec<usize>) = if all.len() > config.max_contexts {
-            let stride = all.len() as f64 / config.max_contexts as f64;
-            (0..config.max_contexts)
-                .map(|i| {
-                    let j = (i as f64 * stride) as usize;
-                    (all[j].normalized(), gold_all[j])
-                })
-                .unzip()
-        } else {
-            (all.iter().map(SparseVector::normalized).collect(), gold_all)
-        };
+    for entity in &data.data.entities {
+        let (unit, gold) = data.contexts(entity, representation, config.max_contexts);
         if unit.len() < entity.k {
             continue;
         }

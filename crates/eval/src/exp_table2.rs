@@ -8,7 +8,7 @@
 //! discusses.
 
 use crate::table::{f3, Table};
-use boe_cluster::{Algorithm, InternalIndex, KSweep};
+use boe_cluster::{Algorithm, InternalIndex, KSweep, UnitVectors};
 use boe_corpus::SparseVector;
 use boe_rng::StdRng;
 
@@ -62,13 +62,13 @@ pub fn run(config: &Table2Config) -> Table2Result {
             vs.push(SparseVector::from_pairs(pairs));
         }
     }
-    let unit: Vec<SparseVector> = vs.iter().map(SparseVector::normalized).collect();
+    let unit = UnitVectors::new(&vs);
     let sweep =
         KSweep::run(&unit, Algorithm::Rbr, (2, 5), config.seed).expect("the fixture has contexts");
     let curves = InternalIndex::ALL
         .iter()
         .map(|&index| {
-            let pred = sweep.predict(index, &unit);
+            let pred = sweep.predict(index);
             let scores = pred.scores.try_into().expect("one score per k in [2, 5]");
             (index, scores, pred.k)
         })

@@ -522,11 +522,8 @@ mod tests {
         // cannot be computed without doc→concept labels, but the two
         // concept profiles are topically distinct, so a 2-way clustering
         // should have much higher ISIM than a 1-way.
-        use boe_cluster::{Algorithm, ClusterSolution, InternalIndex};
-        let unit: Vec<boe_corpus::SparseVector> = ctxs
-            .iter()
-            .map(boe_corpus::SparseVector::normalized)
-            .collect();
+        use boe_cluster::{Algorithm, ClusterSolution, InternalIndex, UnitVectors};
+        let unit = UnitVectors::new(&ctxs);
         let two = Algorithm::Direct.cluster(&unit, 2, 1);
         let one = ClusterSolution::new(vec![0; ctxs.len()], 1);
         let ak2 = InternalIndex::Ak.score(&two, &unit);

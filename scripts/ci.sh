@@ -54,12 +54,17 @@ run cargo build --release --offline
 #   against per-occurrence contexts, bit for bit (`vector_oracle`);
 #   cluster composites against the fold for k = 1..5
 #   (`boe-cluster` `properties::composites_match_the_add_assign_fold`);
-# * Step III sweep gates (`boe-cluster` unit tests in `kpredict`): the
-#   lowest k wins an exact tie (`lowest_k_wins_an_exact_tie`), an
-#   all-worst sweep picks the low end (`all_worst_scores_pick_the_low_end`),
-#   degenerate ranges are clamped (`degenerate_ranges_are_clamped_not_rejected`)
-#   and the sweep's solutions equal `Algorithm::cluster` on the same unit
-#   vectors bit for bit (`sweep_solutions_equal_direct_clustering_bit_for_bit`);
+# * Step III sweep gates (`boe-cluster` unit tests in `kpredict`,
+#   `similarity` and `indexes`): the lowest k wins an exact tie
+#   (`lowest_k_wins_an_exact_tie`), an all-worst sweep picks the low end
+#   (`all_worst_scores_pick_the_low_end`), degenerate ranges are clamped
+#   (`degenerate_ranges_are_clamped_not_rejected`), one shared
+#   `UnitVectors` set gives every algorithm the same solutions and every
+#   index the same scores as a fresh set per call, bit for bit
+#   (`sweep_solutions_equal_direct_clustering_bit_for_bit`), a set builds
+#   its similarity matrix at most once (`matrix_is_built_at_most_once`)
+#   and silhouette equals an in-test oracle over its own dot products bit
+#   for bit (`silhouette_equals_its_oracle_bit_for_bit`);
 # * accented-term gate: Step II trains on every French and Spanish
 #   ontology term the corpus contains
 #   (`multilingual::detector_trains_on_every_ontology_term_in_the_corpus`).
@@ -120,8 +125,8 @@ run cargo fmt --check
 # deleted items.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# The paper's numbers: a fresh `run_experiments --full` (about a minute
-# on 2 cores) must reproduce the committed `experiments_full.txt` byte
+# The paper's numbers: a fresh `run_experiments --full` (about 18 s on
+# 2 cores, release build) must reproduce the committed `experiments_full.txt` byte
 # for byte, so a refactor or perf change cannot move them silently. The
 # output is deterministic at any thread count; a change that means to
 # move a number regenerates the file (and EXPERIMENTS.md) with it. A

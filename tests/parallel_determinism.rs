@@ -137,24 +137,24 @@ fn serial_and_parallel_runs_are_bit_identical() {
 
     // Step-III kernel: the similarity matrix, one claimed item per row,
     // must stay bit-identical across thread counts (which worker fills
-    // which row moves; cell values must not).
-    use bio_onto_enrich::cluster::similarity::similarity_matrix;
+    // which row moves; cell values must not). A unit set builds its
+    // matrix once, so each thread count gets a fresh set.
+    use bio_onto_enrich::cluster::UnitVectors;
     use bio_onto_enrich::corpus::SparseVector;
-    let unit: Vec<SparseVector> = (0..97u32)
+    let contexts: Vec<SparseVector> = (0..97u32)
         .map(|i| {
             SparseVector::from_pairs([
                 (i % 13, 1.0 + f64::from(i) * 0.37),
                 (i % 7, 0.25),
                 ((i * 31) % 401, 0.11),
             ])
-            .normalized()
         })
         .collect();
     boe_par::set_threads(Some(1));
-    let m1 = similarity_matrix(&unit);
+    let m1 = UnitVectors::new(&contexts).similarities().clone();
     for threads in PARALLEL_THREADS {
         boe_par::set_threads(Some(threads));
-        let m = similarity_matrix(&unit);
+        let m = UnitVectors::new(&contexts).similarities().clone();
         assert_eq!(m1, m, "similarity matrix diverges at {threads} threads");
     }
 

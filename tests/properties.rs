@@ -4,7 +4,7 @@
 //! Driven by the workspace's own deterministic PRNG (no external
 //! dependencies); each test sweeps seeded random cases.
 
-use bio_onto_enrich::cluster::Algorithm;
+use bio_onto_enrich::cluster::{Algorithm, UnitVectors};
 use bio_onto_enrich::corpus::corpus::CorpusBuilder;
 use bio_onto_enrich::corpus::SparseVector;
 use bio_onto_enrich::graph::Graph;
@@ -174,12 +174,10 @@ fn cluster_solutions_partition_objects() {
         let n = rng.gen_range(2usize..24);
         let k = rng.gen_range(1usize..5).min(n);
         let seed = rng.gen_range(0u64..50);
-        let vs: Vec<SparseVector> = (0..n)
-            .map(|i| {
-                SparseVector::from_pairs([((i % 6) as u32, 1.0), ((i / 6) as u32 + 10, 0.5)])
-                    .normalized()
-            })
+        let raw: Vec<SparseVector> = (0..n)
+            .map(|i| SparseVector::from_pairs([((i % 6) as u32, 1.0), ((i / 6) as u32 + 10, 0.5)]))
             .collect();
+        let vs = UnitVectors::new(&raw);
         for alg in Algorithm::ALL {
             let sol = alg.cluster(&vs, k, seed);
             assert_eq!(sol.k(), k, "{alg}");
