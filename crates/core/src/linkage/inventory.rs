@@ -5,6 +5,7 @@ use boe_corpus::context::{ContextOptions, ContextScope};
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::{Corpus, SparseVector};
 use boe_ontology::{ConceptId, Ontology};
+use boe_textkit::normalize::match_key;
 use boe_textkit::TokenId;
 use std::collections::HashMap;
 
@@ -13,7 +14,7 @@ use std::collections::HashMap;
 pub struct LinkedTerm {
     /// Surface form as written in the ontology/corpus (accents intact).
     pub surface: String,
-    /// Normalized identity key ([`boe_textkit::normalize::match_key`]).
+    /// Normalized identity key ([`match_key`]).
     pub key: String,
     /// Token-id sequence in the corpus.
     pub tokens: Vec<TokenId>,
@@ -56,15 +57,14 @@ pub struct OntologyTermInventory {
 }
 
 impl OntologyTermInventory {
-    /// Scan `corpus` for every term of `onto` (preferred + synonyms)
-    /// and for `extras`, and harvest their aggregate contexts at
-    /// `scope`. Terms with zero occurrences are skipped. `extras` are
+    /// Harvest the aggregate context, at `scope`, of every term
+    /// [`terms_in_corpus`] finds for `onto` and `extras`. `extras` are
     /// corpus terms (typically Step-I candidates) that are *not* in the
     /// ontology but may still be proposed as positions, as in the
     /// paper's Table 3 ("re-epithelialization", "wound"); they carry no
     /// concepts. Occurrences and contexts are resolved through `occ`
     /// (at document scope, through its context cache), batched over all
-    /// surfaces in one fan-out.
+    /// terms in one fan-out.
     pub fn build(
         corpus: &Corpus,
         onto: &Ontology,
@@ -76,54 +76,23 @@ impl OntologyTermInventory {
         let mut terms = Vec::new();
         let mut sentence_terms = Vec::new();
         let mut by_key: HashMap<String, usize> = HashMap::new();
-        // Collect (raw surface, key) pairs. Raw surfaces keep their
-        // accents — the corpus tokens do too, so the phrase lookup must
-        // use the raw form (the match key is accent-folded and would
-        // silently miss every accented French/Spanish term).
-        let mut surfaces: Vec<(String, String)> = Vec::new();
-        for concept in onto.concepts() {
-            for raw in concept.terms() {
-                let key = boe_textkit::normalize::match_key(raw);
-                surfaces.push((raw.to_owned(), key));
-            }
-        }
-        for extra in extras {
-            surfaces.push((extra.clone(), boe_textkit::normalize::match_key(extra)));
-        }
-        // Order and dedup by match key. The sort is stable, so among
-        // duplicate keys the first pushed wins — ontology surfaces beat
-        // extras, earlier concepts beat later ones — exactly as a
-        // first-insert-wins seen-set would decide, without cloning every
-        // key into one.
-        surfaces.sort_by(|a, b| a.1.cmp(&b.1));
-        surfaces.dedup_by(|a, b| a.1 == b.1);
-        // One batched resolution over every surface: the index fans the
-        // per-phrase lookups out across threads and returns results in
-        // surface (key) order, making the assembly below — and therefore
-        // term indices and posting lists — identical to the serial build
-        // at any thread count. Surfaces with out-of-vocabulary words
-        // keep an empty token list and resolve to zero occurrences.
-        let tokens_of: Vec<Vec<TokenId>> = surfaces
-            .iter()
-            .map(|(surface, _)| corpus.phrase_ids(surface).unwrap_or_default())
-            .collect();
-        let harvested = boe_par::par_map(&tokens_of, |phrase| {
-            occ.occurrences_and_context(corpus, phrase, opts)
+        // One batched harvest: the index fans the per-phrase lookups out
+        // across threads and returns results in key order, making the
+        // assembly below — and therefore term indices and posting lists
+        // — identical to the serial build at any thread count.
+        let found = terms_in_corpus(corpus, onto, extras, occ);
+        let harvested = boe_par::par_map(&found, |t| {
+            occ.occurrences_and_context(corpus, &t.tokens, opts)
         });
-        for (((surface, key), tokens), (occs, context)) in
-            surfaces.into_iter().zip(tokens_of).zip(harvested)
-        {
-            if tokens.is_empty() || occs.is_empty() {
-                continue;
-            }
+        for (t, (occs, context)) in found.into_iter().zip(harvested) {
             let i = terms.len() as u32;
             sentence_terms.extend(occs.iter().map(|o| (o.doc.0, o.sentence as u32, i)));
-            let concepts = onto.concepts_of_term(&key).to_vec();
-            by_key.insert(key.clone(), terms.len());
+            let concepts = onto.concepts_of_term(&t.key).to_vec();
+            by_key.insert(t.key.clone(), terms.len());
             terms.push(LinkedTerm {
-                surface,
-                key,
-                tokens,
+                surface: t.surface,
+                key: t.key,
+                tokens: t.tokens,
                 concepts,
                 freq: occs.len() as u32,
                 context,
@@ -136,7 +105,7 @@ impl OntologyTermInventory {
             .iter()
             .map(|c| {
                 c.terms()
-                    .filter_map(|t| by_key.get(&boe_textkit::normalize::match_key(t)).copied())
+                    .filter_map(|t| by_key.get(&match_key(t)).copied())
                     .collect()
             })
             .collect();
@@ -239,9 +208,7 @@ impl OntologyTermInventory {
 
     /// Index of a linked term by surface (normalized internally).
     pub fn index_of(&self, surface: &str) -> Option<usize> {
-        self.by_key
-            .get(&boe_textkit::normalize::match_key(surface))
-            .copied()
+        self.by_key.get(&match_key(surface)).copied()
     }
 
     /// Indices of terms sharing at least one sentence with any of the
@@ -272,6 +239,55 @@ impl OntologyTermInventory {
     pub(crate) fn concept_terms(&self, concept: ConceptId) -> &[usize] {
         &self.concept_terms[concept.index()]
     }
+}
+
+/// An ontology term found in the corpus by [`terms_in_corpus`].
+#[derive(Debug, Clone)]
+pub struct CorpusTerm {
+    /// Normalized identity key ([`match_key`]).
+    pub key: String,
+    /// The chosen raw surface (accents intact).
+    pub surface: String,
+    /// That surface's token ids.
+    pub tokens: Vec<TokenId>,
+}
+
+/// The one rule for finding ontology terms in the corpus, shared by
+/// Step II's training examples and Step IV's inventory: every match key
+/// of `onto` and `extras` that occurs in `corpus`, in key order, with
+/// the first of its raw surfaces whose phrase occurs — concept order,
+/// preferred term first, then `extras` — and that surface's token ids.
+/// The lookup uses raw surfaces because the corpus tokens keep their
+/// accents: the accent-folded key would miss every accented French or
+/// Spanish term.
+pub fn terms_in_corpus(
+    corpus: &Corpus,
+    onto: &Ontology,
+    extras: &[String],
+    occ: &OccurrenceIndex,
+) -> Vec<CorpusTerm> {
+    let mut surfaces: Vec<(String, &str)> = onto
+        .concepts()
+        .iter()
+        .flat_map(|c| c.terms())
+        .chain(extras.iter().map(String::as_str))
+        .map(|raw| (match_key(raw), raw))
+        .collect();
+    // Stable, so each key's surfaces keep the order above.
+    surfaces.sort_by(|a, b| a.0.cmp(&b.0));
+    surfaces
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter_map(|same_key| {
+            same_key.iter().find_map(|(key, raw)| {
+                let tokens = corpus.phrase_ids(raw).filter(|t| occ.contains(corpus, t))?;
+                Some(CorpusTerm {
+                    key: key.clone(),
+                    surface: (*raw).to_owned(),
+                    tokens,
+                })
+            })
+        })
+        .collect()
 }
 
 /// The context options every Step IV harvest uses: stemmed, no window,

@@ -14,5 +14,5 @@
 pub mod inventory;
 pub mod linker;
 
-pub use inventory::{LinkedTerm, OntologyTermInventory};
+pub use inventory::{terms_in_corpus, CorpusTerm, LinkedTerm, OntologyTermInventory};
 pub use linker::{LinkerConfig, PositionOrigin, Proposition, SemanticLinker};

@@ -35,7 +35,7 @@
 use crate::diagnostics::{BudgetTrip, Degradation, DetectorOutcome, RunDiagnostics, StageTiming};
 use crate::error::{EnrichError, Stage};
 use crate::governor::{CancelToken, Governor, TripKind};
-use crate::linkage::{LinkerConfig, SemanticLinker};
+use crate::linkage::{terms_in_corpus, LinkerConfig, SemanticLinker};
 use crate::polysemy::detector::{FeatureContext, PolysemyDetector, PolysemyModel};
 use crate::report::{EnrichmentReport, TermReport};
 use crate::senses::{InducedSenses, SenseInducer, SenseInducerConfig};
@@ -44,8 +44,6 @@ use crate::termex::{RankedTerm, TermExtractor, TermMeasure};
 use boe_corpus::occurrence::OccurrenceIndex;
 use boe_corpus::Corpus;
 use boe_ontology::Ontology;
-use boe_textkit::normalize::match_key;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -428,8 +426,11 @@ impl EnrichmentPipeline {
         out
     }
 
-    /// Weak supervision for Step II: ontology terms found in the corpus,
-    /// labelled polysemic iff the ontology attaches them to ≥ 2 concepts.
+    /// Weak supervision for Step II: the ontology terms found in the
+    /// corpus by [`terms_in_corpus`] (the rule Step IV's inventory uses
+    /// too), one row per match key from its chosen surface's tokens,
+    /// labelled polysemic iff the ontology attaches the key to ≥ 2
+    /// concepts.
     /// Returns `Ok(None)` when either class is missing (detector then
     /// defaults to "monosemic", the majority prior); the outcome is
     /// recorded in `diag.detector` either way.
@@ -449,28 +450,12 @@ impl EnrichmentPipeline {
         stop: &(dyn Fn() -> bool + Sync),
         diag: &mut RunDiagnostics,
     ) -> Result<Option<(PolysemyDetector, FeatureContext<'c>)>, RowsInterrupted> {
-        // `Ontology::terms` is keyed by accent-folded match keys, but the
-        // corpus vocabulary keeps accents: a key's tokens come from its
-        // raw surfaces (concept order, preferred first), the first whose
-        // phrase occurs in the corpus. The key stays the row's surface.
-        let mut raw_surfaces: HashMap<String, Vec<&str>> = HashMap::new();
-        for raw in ontology.concepts().iter().flat_map(|c| c.terms()) {
-            raw_surfaces.entry(match_key(raw)).or_default().push(raw);
-        }
-        let mut examples = Vec::new();
-        for (key, concepts) in ontology.terms() {
-            let tokens = raw_surfaces
-                .get(key)
-                .into_iter()
-                .flatten()
-                .filter_map(|raw| corpus.phrase_ids(raw))
-                .find(|tokens| occ.contains(corpus, tokens));
-            let Some(tokens) = tokens else {
-                continue;
-            };
-            examples.push((key, tokens, concepts.len() >= 2));
-        }
-        let pos = examples.iter().filter(|e| e.2).count();
+        let examples = terms_in_corpus(corpus, ontology, &[], occ);
+        let labels: Vec<bool> = examples
+            .iter()
+            .map(|t| ontology.concepts_of_term(&t.key).len() >= 2)
+            .collect();
+        let pos = labels.iter().filter(|&&l| l).count();
         if pos == 0 || pos == examples.len() || examples.len() < 4 {
             diag.detector = DetectorOutcome::Fallback {
                 reason: format!(
@@ -485,15 +470,13 @@ impl EnrichmentPipeline {
         // costliest first: rows that share a head then read the memo
         // instead of waiting on each other.
         let graph = features.graph();
-        let heads = graph.heads(examples.iter().map(|e| e.1.as_slice()));
+        let heads = graph.heads(examples.iter().map(|t| t.tokens.as_slice()));
         let heads_done = matches!(
             boe_par::try_par_map(&heads, &stop, |&v| graph.node_features(v)),
             boe_par::ParOutcome::Complete(_)
         );
         let rows = heads_done.then(|| {
-            boe_par::try_par_map(&examples, &stop, |(surface, tokens, _)| {
-                features.features(tokens, surface)
-            })
+            boe_par::try_par_map(&examples, &stop, |t| features.features(&t.tokens, &t.key))
         });
         let rows = match rows {
             Some(boe_par::ParOutcome::Complete(rows)) => rows,
@@ -508,7 +491,6 @@ impl EnrichmentPipeline {
             examples: examples.len(),
             positives: pos,
         };
-        let labels = examples.iter().map(|e| e.2).collect();
         let detector = PolysemyDetector::train(self.config.polysemy_model, rows, labels);
         Ok(Some((detector, features)))
     }

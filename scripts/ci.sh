@@ -66,8 +66,13 @@ run cargo build --release --offline
 #   and silhouette equals an in-test oracle over its own dot products bit
 #   for bit (`silhouette_equals_its_oracle_bit_for_bit`);
 # * accented-term gate: Step II trains on every French and Spanish
-#   ontology term the corpus contains
-#   (`multilingual::detector_trains_on_every_ontology_term_in_the_corpus`).
+#   ontology term the corpus contains, and the Step IV inventory holds
+#   the same keys
+#   (`multilingual::detector_trains_on_every_ontology_term_in_the_corpus`);
+#   a key whose first raw surface is absent from the corpus is found
+#   through a later one by Step II and Step IV alike, with the same
+#   tokens
+#   (`multilingual::a_key_is_found_through_any_of_its_surfaces_in_steps_ii_and_iv`).
 run timeout "$TEST_TIMEOUT" cargo test -q --offline
 # `perfbench/` is its own workspace (the end-to-end benchmark runner),
 # so the pass above never builds it. Its tests catch a library API break

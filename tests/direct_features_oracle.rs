@@ -8,7 +8,8 @@
 //!
 //! * every vocabulary token as a one-word phrase, the frequent single
 //!   words with their long neighbour lists included;
-//! * every ontology term found in the corpus;
+//! * every ontology term found in the corpus, resolved as the pipeline
+//!   resolves it (accented French and Spanish surfaces included);
 //!
 //! both computed on `boe-par` at 1 and 8 threads. The thread-count
 //! override is process-global, so this file holds a single test.
@@ -19,6 +20,7 @@ use bio_onto_enrich::corpus::{Corpus, OccurrenceIndex, SparseVector};
 use bio_onto_enrich::eval::world::{World, WorldConfig};
 use bio_onto_enrich::par as boe_par;
 use bio_onto_enrich::textkit::{Language, TokenId};
+use bio_onto_enrich::workflow::linkage::terms_in_corpus;
 use bio_onto_enrich::workflow::polysemy::direct_features;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -190,15 +192,11 @@ fn direct_features_match_the_oracle_at_1_and_8_threads() {
         let w = world(lang);
         let corpus: &Corpus = &w.corpus;
         let occ = OccurrenceIndex::build(corpus);
-        let terms: Vec<(String, Vec<TokenId>)> = w
-            .reduced_ontology
-            .terms()
-            .into_iter()
-            .filter_map(|(s, _)| {
-                let ids = corpus.phrase_ids(s)?;
-                occ.contains(corpus, &ids).then(|| (s.to_owned(), ids))
-            })
-            .collect();
+        let terms: Vec<(String, Vec<TokenId>)> =
+            terms_in_corpus(corpus, &w.reduced_ontology, &[], &occ)
+                .into_iter()
+                .map(|t| (t.key, t.tokens))
+                .collect();
         assert!(terms.len() > 20, "{lang:?}: {} usable terms", terms.len());
         let phrases: Vec<(String, Vec<TokenId>)> = corpus
             .vocab()

@@ -5,7 +5,8 @@
 //!
 //! * all 12 graph features of every vocabulary token, with the memo cold
 //!   (first lookup of each node) and warm (every node already cached);
-//! * the full 23-feature row of every ontology term found in the corpus,
+//! * the full 23-feature row of every ontology term found in the corpus
+//!   (resolved as the pipeline resolves it, accented surfaces included),
 //!   built on `boe-par` at 1 and 8 threads so the memo is filled
 //!   concurrently;
 //! * the word graph itself against the keyed-builder route it replaced
@@ -28,6 +29,7 @@ use bio_onto_enrich::graph::pagerank::pagerank;
 use bio_onto_enrich::graph::NodeId;
 use bio_onto_enrich::par as boe_par;
 use bio_onto_enrich::textkit::{Language, TokenId};
+use bio_onto_enrich::workflow::linkage::terms_in_corpus;
 use bio_onto_enrich::workflow::polysemy::detector::FeatureContext;
 use bio_onto_enrich::workflow::polysemy::{direct_features, graph_features, TermGraphContext};
 use std::collections::HashMap;
@@ -186,15 +188,11 @@ fn ontology_term_rows_match_the_oracle_at_1_and_8_threads() {
         let w = world(lang);
         let corpus: &Corpus = &w.corpus;
         let occ = OccurrenceIndex::build(corpus);
-        let terms: Vec<(String, Vec<TokenId>)> = w
-            .reduced_ontology
-            .terms()
-            .into_iter()
-            .filter_map(|(s, _)| {
-                let ids = corpus.phrase_ids(s)?;
-                occ.contains(corpus, &ids).then(|| (s.to_owned(), ids))
-            })
-            .collect();
+        let terms: Vec<(String, Vec<TokenId>)> =
+            terms_in_corpus(corpus, &w.reduced_ontology, &[], &occ)
+                .into_iter()
+                .map(|t| (t.key, t.tokens))
+                .collect();
         assert!(terms.len() > 20, "{lang:?}: {} usable terms", terms.len());
 
         let cooc = CoocCounts::from_corpus(corpus, 5);

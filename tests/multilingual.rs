@@ -2,11 +2,15 @@
 //! paper targets (EN/FR/ES) — synthetic world generation, term
 //! extraction and semantic linkage are language-parametric throughout.
 
+use bio_onto_enrich::corpus::context::ContextScope;
+use bio_onto_enrich::corpus::{CorpusBuilder, OccurrenceIndex};
 use bio_onto_enrich::eval::exp_linkage_precision;
 use bio_onto_enrich::eval::world::{World, WorldConfig};
+use bio_onto_enrich::ontology::OntologyBuilder;
 use bio_onto_enrich::textkit::normalize::match_key;
 use bio_onto_enrich::textkit::Language;
 use bio_onto_enrich::workflow::diagnostics::DetectorOutcome;
+use bio_onto_enrich::workflow::linkage::{terms_in_corpus, OntologyTermInventory};
 use bio_onto_enrich::workflow::termex::candidates::CandidateOptions;
 use bio_onto_enrich::workflow::termex::{TermExtractor, TermMeasure};
 use bio_onto_enrich::workflow::{EnrichmentPipeline, PipelineConfig};
@@ -136,5 +140,67 @@ fn detector_trains_on_every_ontology_term_in_the_corpus() {
             }
             other => panic!("{lang}: the detector must train, got {other:?}"),
         }
+        // Step IV's inventory finds the same terms.
+        let inventory = OntologyTermInventory::build(
+            &w.corpus,
+            onto,
+            &[],
+            ContextScope::Document,
+            &OccurrenceIndex::build(&w.corpus),
+        );
+        let linked: Vec<&str> = inventory.terms().iter().map(|t| t.key.as_str()).collect();
+        assert_eq!(linked, in_corpus, "{lang}: inventory keys");
     }
+}
+
+/// A key whose first raw surface is absent from the corpus is still
+/// found through a later one, by Step II and Step IV alike: "kératite"
+/// (concept A's preferred term) and "keratite" (concept B's synonym)
+/// share the key `keratite`, and the corpus writes only "keratite".
+#[test]
+fn a_key_is_found_through_any_of_its_surfaces_in_steps_ii_and_iv() {
+    let mut ob = OntologyBuilder::new("t", Language::French);
+    ob.add_concept("kératite", vec![]);
+    ob.add_concept("inflammation oculaire", vec!["keratite".to_owned()]);
+    for term in ["cornée", "rétine", "vision"] {
+        ob.add_concept(term, vec![]);
+    }
+    let onto = ob.build().expect("valid");
+    let mut cb = CorpusBuilder::new(Language::French);
+    for _ in 0..3 {
+        cb.add_text("la keratite touche la cornée. la vision baisse.");
+        cb.add_text("une inflammation oculaire atteint la rétine.");
+    }
+    let corpus = cb.build();
+    let keratite = corpus.phrase_ids("keratite").expect("in the corpus");
+    assert!(corpus.phrase_ids("kératite").is_none());
+
+    // Step II: one row per key found; `keratite`, on two concepts, is
+    // the only polysemic one.
+    let report = EnrichmentPipeline::new(PipelineConfig::default())
+        .run(&corpus, &onto)
+        .expect("valid input");
+    assert_eq!(
+        report.diagnostics.detector,
+        DetectorOutcome::Trained {
+            examples: 5,
+            positives: 1
+        }
+    );
+    // Step IV: the inventory holds `keratite` under the tokens of the
+    // one surface that occurs, as the shared resolver gives them.
+    let occ = OccurrenceIndex::build(&corpus);
+    let inventory = OntologyTermInventory::build(&corpus, &onto, &[], ContextScope::Document, &occ);
+    let linked = inventory.get("keratite").expect("keratite is linked");
+    assert_eq!(
+        (linked.surface.as_str(), &linked.tokens),
+        ("keratite", &keratite)
+    );
+    assert_eq!(inventory.len(), 5);
+    let found = terms_in_corpus(&corpus, &onto, &[], &occ);
+    let resolved = found
+        .iter()
+        .find(|t| t.key == "keratite")
+        .expect("resolved");
+    assert_eq!(resolved.tokens, keratite);
 }

@@ -6,6 +6,7 @@ use bio_onto_enrich::cluster::{Algorithm, InternalIndex};
 use bio_onto_enrich::corpus::context::ContextScope;
 use bio_onto_enrich::corpus::OccurrenceIndex;
 use bio_onto_enrich::eval::world::{World, WorldConfig};
+use bio_onto_enrich::workflow::linkage::terms_in_corpus;
 use bio_onto_enrich::workflow::polysemy::detector::{
     FeatureContext, PolysemyDetector, PolysemyModel,
 };
@@ -33,15 +34,9 @@ fn detector_trained_on_ontology_flags_ambiguous_new_terms() {
     let occ = OccurrenceIndex::build(&w.corpus);
     let mut rows = Vec::new();
     let mut labels = Vec::new();
-    for (surface, concepts) in w.reduced_ontology.terms() {
-        let Some(ids) = w.corpus.phrase_ids(surface) else {
-            continue;
-        };
-        if !occ.contains(&w.corpus, &ids) {
-            continue;
-        }
-        rows.push(features.features(&ids, surface));
-        labels.push(concepts.len() >= 2);
+    for t in terms_in_corpus(&w.corpus, &w.reduced_ontology, &[], &occ) {
+        rows.push(features.features(&t.tokens, &t.key));
+        labels.push(w.reduced_ontology.concepts_of_term(&t.key).len() >= 2);
     }
     let positives = labels.iter().filter(|&&l| l).count();
     assert!(positives >= 8, "only {positives} polysemic training terms");
