@@ -17,18 +17,22 @@ pub fn top_features(
 ) -> Vec<Vec<(u32, f64)>> {
     solution
         .centroids(vectors)
-        .into_iter()
-        .map(|centroid| {
-            let mut entries: Vec<(u32, f64)> = centroid.iter().collect();
-            entries.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-            entries.truncate(top_n);
-            entries
-        })
+        .iter()
+        .map(|centroid| ranked_features(centroid, top_n))
         .collect()
+}
+
+/// The `top_n` entries of `centroid` by decreasing weight (dimension id
+/// breaks ties).
+fn ranked_features(centroid: &SparseVector, top_n: usize) -> Vec<(u32, f64)> {
+    let mut entries: Vec<(u32, f64)> = centroid.iter().collect();
+    entries.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    entries.truncate(top_n);
+    entries
 }
 
 /// An induced concept: the representative features of one sense cluster.
@@ -42,6 +46,24 @@ pub struct InducedConcept {
     pub features: Vec<(u32, f64)>,
 }
 
+impl InducedConcept {
+    /// The concept of cluster `cluster` from its composite (the sum of
+    /// its `support` member vectors): the `top_n` features of the
+    /// unit-normalized composite, as [`induce_concepts`] ranks them.
+    pub fn from_composite(
+        cluster: usize,
+        support: usize,
+        composite: &SparseVector,
+        top_n: usize,
+    ) -> Self {
+        InducedConcept {
+            cluster,
+            support,
+            features: ranked_features(&composite.normalized(), top_n),
+        }
+    }
+}
+
 /// Build [`InducedConcept`]s for every cluster of a solution.
 pub fn induce_concepts(
     solution: &ClusterSolution,
@@ -49,13 +71,12 @@ pub fn induce_concepts(
     top_n: usize,
 ) -> Vec<InducedConcept> {
     let sizes = solution.sizes();
-    top_features(solution, vectors, top_n)
-        .into_iter()
+    solution
+        .composites(vectors)
+        .iter()
         .enumerate()
-        .map(|(cluster, features)| InducedConcept {
-            cluster,
-            support: sizes[cluster],
-            features,
+        .map(|(cluster, composite)| {
+            InducedConcept::from_composite(cluster, sizes[cluster], composite, top_n)
         })
         .collect()
 }

@@ -63,7 +63,7 @@ impl OntologyTermInventory {
     /// ontology but may still be proposed as positions, as in the
     /// paper's Table 3 ("re-epithelialization", "wound"); they carry no
     /// concepts. Occurrences and contexts are resolved through `occ`
-    /// (at document scope, through its context cache), batched over all
+    /// (through its context cache, at either scope), batched over all
     /// terms in one fan-out.
     pub fn build(
         corpus: &Corpus,
@@ -79,7 +79,10 @@ impl OntologyTermInventory {
         // One batched harvest: the index fans the per-phrase lookups out
         // across threads and returns results in key order, making the
         // assembly below — and therefore term indices and posting lists
-        // — identical to the serial build at any thread count.
+        // — identical to the serial build at any thread count. The first
+        // lookup builds the index's context cache unless an earlier
+        // stage did: that build fans out over document chunks itself, so
+        // the workers that wait on it wait on a parallel build.
         let found = terms_in_corpus(corpus, onto, extras, occ);
         let harvested = boe_par::par_map(&found, |t| {
             occ.occurrences_and_context(corpus, &t.tokens, opts)

@@ -1,6 +1,6 @@
 //! Sense induction: k-prediction + clustering + concept labelling.
 
-use crate::senses::representation::{build_representation, Representation};
+use crate::senses::representation::{bag_of_words_options, build_representation, Representation};
 use boe_cluster::features::{induce_concepts, InducedConcept};
 use boe_cluster::{Algorithm, ClusterSolution, InternalIndex, KSweep, UnitVectors};
 use boe_corpus::context::ContextScope;
@@ -113,14 +113,10 @@ impl<'c> SenseInducer<'c> {
             self.config.representation,
             self.config.scope,
         );
-        // Chaos corruption is keyed by (phrase, context position), never
-        // by call order, so a corrupted run stays deterministic at any
-        // thread count.
         if boe_chaos::is_enabled() {
             let base = Self::phrase_key(phrase);
             for (i, v) in ctxs.iter_mut().enumerate() {
-                let key = base ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                match boe_chaos::corruption(boe_chaos::sites::TERM_INDUCE, key) {
+                match Self::corruption(base, i) {
                     Some(boe_chaos::Corruption::MakeNan) => v.map_values(|_| f64::NAN),
                     Some(boe_chaos::Corruption::MakeEmpty) => v.map_values(|_| f64::INFINITY),
                     None => {}
@@ -136,10 +132,22 @@ impl<'c> SenseInducer<'c> {
         (ctxs, repaired)
     }
 
+    /// The `term.induce` chaos verdict for context `i` of the phrase
+    /// keyed `phrase_key`. Corruption is keyed by (phrase, context
+    /// position), never by call order, so a corrupted run stays
+    /// deterministic at any thread count.
+    fn corruption(phrase_key: u64, i: usize) -> Option<boe_chaos::Corruption> {
+        let key = phrase_key ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+        boe_chaos::corruption(boe_chaos::sites::TERM_INDUCE, key)
+    }
+
     /// Induce the senses of a term. `is_polysemic` comes from Step II;
     /// monosemous terms get k = 1 ("note that k = 1 when the candidate
     /// term is not polysemic").
     pub fn induce(&self, phrase: &[TokenId], is_polysemic: bool) -> InducedSenses {
+        if !is_polysemic && self.config.representation == Representation::BagOfWords {
+            return self.induce_one_sense(phrase);
+        }
         let (ctxs, repaired) = self.contexts_repaired(phrase);
         if ctxs.is_empty() {
             return InducedSenses {
@@ -165,6 +173,58 @@ impl<'c> SenseInducer<'c> {
             k: solution.k(),
             concepts,
             assignments: solution.assignments().to_vec(),
+            repaired,
+        }
+    }
+
+    /// The k = 1 senses of a bag-of-words term Step II did not flag,
+    /// without one vector per occurrence: the single concept's composite
+    /// is the sum of the term's contexts, which the occurrence index
+    /// takes from its context cache. Context values are exact integer
+    /// counts, so the sum has the bits of clustering the per-occurrence
+    /// contexts into one cluster, in any order. A context the
+    /// `term.induce` chaos site corrupts is dropped whole by
+    /// [`SparseVector::sanitize`] on that path, so here it is left out of
+    /// the sum and counts as repaired when it has entries. (Graph
+    /// contexts take the per-occurrence path: their hashed pair
+    /// dimensions span the whole `u32` range and must not size a dense
+    /// sum.)
+    fn induce_one_sense(&self, phrase: &[TokenId]) -> InducedSenses {
+        let occs = self.occ.find_occurrences(self.corpus, phrase);
+        if occs.is_empty() {
+            return InducedSenses {
+                k: 1,
+                concepts: Vec::new(),
+                assignments: Vec::new(),
+                repaired: 0,
+            };
+        }
+        let opts = bag_of_words_options(self.config.scope);
+        let (len, n) = (phrase.len(), occs.len());
+        let mut repaired = 0;
+        let sum = if boe_chaos::is_enabled() {
+            let base = Self::phrase_key(phrase);
+            let (mut corrupted, mut kept) = (Vec::new(), Vec::new());
+            for (i, o) in occs.into_iter().enumerate() {
+                match Self::corruption(base, i) {
+                    Some(_) => corrupted.push(o),
+                    None => kept.push(o),
+                }
+            }
+            repaired = self
+                .occ
+                .contexts_of(self.corpus, &corrupted, len, opts)
+                .iter()
+                .filter(|v| !v.is_empty())
+                .count();
+            self.occ.summed_context(self.corpus, &kept, len, opts)
+        } else {
+            self.occ.summed_context(self.corpus, &occs, len, opts)
+        };
+        InducedSenses {
+            k: 1,
+            concepts: vec![InducedConcept::from_composite(0, n, &sum, TOP_FEATURES)],
+            assignments: vec![0; n],
             repaired,
         }
     }

@@ -54,13 +54,23 @@ fn pair_dim(a: u32, b: u32) -> u32 {
     (h ^ (h >> 31)) as u32
 }
 
+/// The bag-of-words context of sense induction at `scope`: unwindowed
+/// and stem-conflated.
+pub(crate) fn bag_of_words_options(scope: ContextScope) -> ContextOptions {
+    ContextOptions {
+        window: None,
+        stemmed: true,
+        scope,
+    }
+}
+
 /// Build one context vector per occurrence of `phrase` under the chosen
 /// representation. Context = the occurrence's sentence minus the phrase,
 /// stopwords and non-lexical tokens, stem-conflated. Use
 /// [`ContextScope::Document`] when each document is one citation-style
 /// context (the MSH-WSD setting). Contexts come from `occ`, shared with
-/// the other pipeline stages; at document scope they come from its
-/// per-document cache, which the linker shares.
+/// the other pipeline stages, out of its stemmed context cache, which
+/// the linker shares.
 pub fn build_representation(
     corpus: &Corpus,
     occ: &OccurrenceIndex,
@@ -68,12 +78,7 @@ pub fn build_representation(
     repr: Representation,
     scope: ContextScope,
 ) -> Vec<SparseVector> {
-    let opts = ContextOptions {
-        window: None,
-        stemmed: true,
-        scope,
-    };
-    let bows = occ.contexts(corpus, phrase, opts);
+    let bows = occ.contexts(corpus, phrase, bag_of_words_options(scope));
     match repr {
         Representation::BagOfWords => bows,
         Representation::Graph => bows.iter().map(graph_vector).collect(),

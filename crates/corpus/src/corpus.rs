@@ -22,10 +22,14 @@ pub struct Corpus {
     stems: OnceLock<StemMap>,
 }
 
+/// Vocabulary ids one `boe-par` item of the stem map's stemmer pass
+/// covers.
+const STEM_CHUNK: usize = 256;
+
 /// Every token id's stem dimension, and the stem vocabulary that names
 /// the dimensions.
 #[derive(Debug, Clone)]
-struct StemMap {
+pub(crate) struct StemMap {
     /// Stem dimension per token id (parallel to the vocabulary).
     dims: Vec<u32>,
     stems: Vocabulary,
@@ -96,16 +100,33 @@ impl Corpus {
         self.stem_map().stems.try_text(TokenId(dim))
     }
 
-    /// The stem map, built by one stemmer pass over the vocabulary on
-    /// first use.
-    fn stem_map(&self) -> &StemMap {
+    /// The stem map, built on first use: the vocabulary is stemmed in
+    /// chunks of [`STEM_CHUNK`] ids on `boe-par`, and the stems are then
+    /// interned serially in vocabulary order, so every stem dimension is
+    /// the one a serial pass gives, at any thread count.
+    pub(crate) fn stem_map(&self) -> &StemMap {
         self.stems.get_or_init(|| {
+            let n = self.vocab.len();
+            // Per chunk, its stems laid end to end and where each ends:
+            // one string per chunk, not one per stem, keeps allocations in
+            // the worker threads few.
+            let chunks = boe_par::par_map_indexed(n.div_ceil(STEM_CHUNK), |c| {
+                let (mut text, mut ends) = (String::new(), Vec::new());
+                for i in c * STEM_CHUNK..n.min((c + 1) * STEM_CHUNK) {
+                    text.push_str(&stem::stem(self.lang, self.vocab.text(TokenId(i as u32))));
+                    ends.push(text.len());
+                }
+                (text, ends)
+            });
             let mut stems = Vocabulary::new();
-            let dims = self
-                .vocab
-                .iter()
-                .map(|(_, text)| stems.intern(&stem::stem(self.lang, text)).0)
-                .collect();
+            let mut dims = Vec::with_capacity(n);
+            for (text, ends) in &chunks {
+                let mut start = 0;
+                for &end in ends {
+                    dims.push(stems.intern(&text[start..end]).0);
+                    start = end;
+                }
+            }
             StemMap { dims, stems }
         })
     }

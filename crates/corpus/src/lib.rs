@@ -9,8 +9,8 @@
 //!   the corpus as one sentinel-separated token stream, each token's
 //!   stream positions in one CSR array, exact phrase matching by a
 //!   rarest-token walk that compares stream windows, and context
-//!   harvesting with a document-scope cache, bit-identical to a full
-//!   corpus scan;
+//!   harvesting from one context cache for both scopes, bit-identical
+//!   to a full corpus scan;
 //! * [`stats`] — frequency and windowed co-occurrence statistics;
 //! * [`vector`] — sparse vectors and the cosine kernel every downstream
 //!   step (clustering, linkage) runs on;

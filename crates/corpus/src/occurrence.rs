@@ -27,11 +27,19 @@
 //! corpus scan.
 //!
 //! It is also the one place that decides how a phrase's contexts are
-//! built. At [`ContextScope::Sentence`] every occurrence's vector comes
-//! from [`context_vector`]. At [`ContextScope::Document`] a context is
-//! the whole document minus the phrase, so the index keeps a
-//! per-document cache, built on the first document-scope query (one per
-//! `stemmed` value) and shared by every later phrase and stage.
+//! built. Every unwindowed context, at [`ContextScope::Sentence`] or
+//! [`ContextScope::Document`], comes from one context cache per
+//! `stemmed` value: every corpus position's context dimension (filtered
+//! once, stemmed once) and every document's base vector. The index
+//! builds it on the first query that needs it, on `boe-par` over chunks
+//! of documents, and shares it with every later phrase and stage. A
+//! sentence-scope context is its sentence's cached dimensions outside the
+//! phrase; a document-scope context is its document's base minus the
+//! phrase's own dimensions. A summed context
+//! ([`OccurrenceIndex::summed_context`]: what Step IV compares, and what
+//! Step III's k = 1 path labels) is added up in a dense accumulator, with
+//! no vector per occurrence. Only a windowed sentence-scope context is built from
+//! scratch with [`context_vector`].
 //!
 //! ## Determinism contract
 //!
@@ -40,14 +48,16 @@
 //! token's positions ascend, so anchoring on a fixed phrase offset
 //! enumerates matches in exactly the `(doc, sentence, start)` reading
 //! order. Contexts are bit-identical to [`context_vector`] per
-//! occurrence, summed in order: context values are exact integer counts,
-//! so the cache's subtractions reproduce them exactly.
-//! `crates/corpus/tests/occurrence_index_equality.rs` checks both
-//! against a plain scan on randomized corpora.
+//! occurrence, and sums to their in-order sum: context values are exact
+//! integer counts, so the cache's counts, subtractions and sums in any
+//! order reproduce them exactly. The cache's chunks come back in
+//! document order, so it is the same at any thread count.
+//! `crates/corpus/tests/occurrence_index_equality.rs` checks all of this
+//! against a plain scan on randomized corpora, at 1, 2, 3 and 8 threads.
 
 use crate::context::{context_dim, context_vector, ContextOptions, ContextScope, Occurrence};
 use crate::corpus::Corpus;
-use crate::doc::DocId;
+use crate::doc::{DocId, Document};
 use crate::vector::SparseVector;
 use boe_textkit::TokenId;
 use std::sync::OnceLock;
@@ -84,9 +94,9 @@ pub struct OccurrenceIndex {
     sentences: Vec<SentenceStart>,
     doc_lens: Vec<u32>,
     avg_doc_len: f64,
-    /// Document-scope context caches, raw (`[0]`) and stemmed (`[1]`),
-    /// each built on the first document-scope query that needs it.
-    doc_contexts: [OnceLock<DocContextCache>; 2],
+    /// Context caches, raw (`[0]`) and stemmed (`[1]`), each built on
+    /// the first unwindowed context query that needs it.
+    context_caches: [OnceLock<ContextCache>; 2],
 }
 
 /// The sentinel closing corpus sentence `s`: ids count down from
@@ -156,7 +166,7 @@ impl OccurrenceIndex {
             sentences,
             doc_lens,
             avg_doc_len,
-            doc_contexts: Default::default(),
+            context_caches: Default::default(),
         }
     }
 
@@ -235,14 +245,27 @@ impl OccurrenceIndex {
         opts: ContextOptions,
     ) -> Vec<SparseVector> {
         let occs = self.find_occurrences(corpus, phrase);
-        match self.doc_cache(corpus, opts) {
+        self.contexts_of(corpus, &occs, phrase.len(), opts)
+    }
+
+    /// The context vector of each of `occs`, occurrences of a phrase of
+    /// `phrase_len` tokens, in the order given.
+    pub fn contexts_of(
+        &self,
+        corpus: &Corpus,
+        occs: &[Occurrence],
+        phrase_len: usize,
+        opts: ContextOptions,
+    ) -> Vec<SparseVector> {
+        debug_assert_eq!(self.doc_count(), corpus.len(), "index/corpus mismatch");
+        match self.cache(corpus, opts) {
             Some(cache) => occs
                 .iter()
-                .map(|&o| cache.context_vector(o, phrase.len()))
+                .map(|&o| cache.context_vector(o, phrase_len, opts.scope))
                 .collect(),
             None => occs
                 .iter()
-                .map(|&o| context_vector(corpus, o, phrase.len(), opts))
+                .map(|&o| context_vector(corpus, o, phrase_len, opts))
                 .collect(),
         }
     }
@@ -256,25 +279,35 @@ impl OccurrenceIndex {
         opts: ContextOptions,
     ) -> (Vec<Occurrence>, SparseVector) {
         let occs = self.find_occurrences(corpus, phrase);
-        let context = match self.doc_cache(corpus, opts) {
-            Some(cache) => cache.aggregate(&occs, phrase.len()),
-            None => {
-                let vectors: Vec<SparseVector> = occs
-                    .iter()
-                    .map(|&o| context_vector(corpus, o, phrase.len(), opts))
-                    .collect();
-                SparseVector::sum_of(&vectors)
-            }
-        };
+        let context = self.summed_context(corpus, &occs, phrase.len(), opts);
         (occs, context)
     }
 
-    /// The document-scope cache for `opts.stemmed`, built on first use;
-    /// `None` at sentence scope, which builds every context directly.
-    fn doc_cache(&self, corpus: &Corpus, opts: ContextOptions) -> Option<&DocContextCache> {
-        (opts.scope == ContextScope::Document).then(|| {
-            self.doc_contexts[usize::from(opts.stemmed)]
-                .get_or_init(|| DocContextCache::build(corpus, opts.stemmed))
+    /// The sum of the contexts of `occs`, occurrences of a phrase of
+    /// `phrase_len` tokens (such as [`Self::find_occurrences`] returns,
+    /// or any part of that list): bit-identical to
+    /// [`SparseVector::sum_of`] over [`Self::contexts_of`], without
+    /// building one vector per occurrence when the cache serves `opts`.
+    pub fn summed_context(
+        &self,
+        corpus: &Corpus,
+        occs: &[Occurrence],
+        phrase_len: usize,
+        opts: ContextOptions,
+    ) -> SparseVector {
+        debug_assert_eq!(self.doc_count(), corpus.len(), "index/corpus mismatch");
+        match self.cache(corpus, opts) {
+            Some(cache) => cache.aggregate(occs, phrase_len, opts.scope),
+            None => SparseVector::sum_of(&self.contexts_of(corpus, occs, phrase_len, opts)),
+        }
+    }
+
+    /// The context cache for `opts.stemmed`, built on first use; `None`
+    /// for a windowed sentence-scope context, which is built directly.
+    fn cache(&self, corpus: &Corpus, opts: ContextOptions) -> Option<&ContextCache> {
+        (opts.scope == ContextScope::Document || opts.window.is_none()).then(|| {
+            self.context_caches[usize::from(opts.stemmed)]
+                .get_or_init(|| ContextCache::build(corpus, opts.stemmed))
         })
     }
 
@@ -332,144 +365,192 @@ impl OccurrenceIndex {
     }
 }
 
-/// Precomputed per-document context bases for [`ContextScope::Document`].
+/// Every corpus position's context dimension and every document's
+/// context base, in raw or stem dimensions: what each unwindowed context
+/// is made of, at either scope.
 ///
-/// At document scope every occurrence's context is the whole document
-/// minus the phrase's own tokens, so building it from scratch repeats
-/// the stopword/tag filtering and stem lookups of the entire document
-/// per occurrence. This cache does that work once per document; each
-/// occurrence context is then the cached base minus the dimensions at
-/// the occupied positions. Context values are exact integer counts, so
-/// the subtraction reproduces [`context_vector`]'s output bit for bit.
+/// Building a context from scratch repeats the stopword/tag filtering
+/// and the stem lookup of every position it reads, per occurrence. This
+/// cache does that work once per corpus position. A sentence-scope
+/// context is then the sentence's cached dimensions outside the phrase,
+/// and a document-scope context the document's cached base minus the
+/// dimensions of the phrase's own positions. Context values are exact
+/// integer counts, so both reproduce [`context_vector`]'s output bit for
+/// bit.
+///
+/// The documents are cached in chunks of [`CHUNK_DOCS`], each built by
+/// one `boe-par` item into a handful of flat buffers, and kept in
+/// document order as built: the cache is the same at any thread count,
+/// and joining the chunks would only copy every position once more.
 #[derive(Debug)]
-struct DocContextCache {
-    /// Per doc: the full filtered context vector.
-    base: Vec<SparseVector>,
-    /// The dimension every corpus position contributes, documents and
-    /// sentences laid end to end ([`Self::FILTERED`] for stopwords and
-    /// non-lexical tokens).
-    dims: Vec<u32>,
-    /// Per corpus sentence (documents in order): offset of its first
-    /// position in `dims`, plus a final entry for the end of `dims`.
-    sentence_start: Vec<usize>,
-    /// Per doc: index of its first sentence in `sentence_start`.
-    doc_first_sentence: Vec<usize>,
-    /// One more than the largest unfiltered dimension in `dims` (0 when
-    /// every position is filtered): the size of [`Self::aggregate`]'s
-    /// dense accumulator. Dimensions are token or stem ids, so this is
-    /// bounded by the corpus's vocabulary.
+struct ContextCache {
+    /// The documents, [`CHUNK_DOCS`] per chunk, in order.
+    chunks: Vec<DocChunk>,
+    /// One more than the largest unfiltered dimension of any document (0
+    /// when every position is filtered): the size of
+    /// [`Self::aggregate`]'s dense accumulator. Dimensions are token or
+    /// stem ids, so this is bounded by the corpus's vocabulary.
     dim_space: usize,
 }
 
-impl DocContextCache {
-    /// Marks a position that contributes no dimension.
-    const FILTERED: u32 = u32::MAX;
+/// Documents one chunk of the [`ContextCache`] holds: one `boe-par` item
+/// of its build. A power of two, so finding a document's chunk is a
+/// shift.
+const CHUNK_DOCS: usize = 64;
 
-    /// Precompute the base vector and position-dimension map of every
-    /// document, in raw or stem dimensions.
+/// Marks a position that contributes no dimension.
+const FILTERED: u32 = u32::MAX;
+
+/// The [`ContextCache`] share of up to [`CHUNK_DOCS`] consecutive
+/// documents; every offset is local to the chunk.
+#[derive(Debug)]
+struct DocChunk {
+    /// The dimension every position contributes, documents and sentences
+    /// laid end to end ([`FILTERED`] for stopwords and non-lexical
+    /// tokens).
+    dims: Vec<u32>,
+    /// Per sentence: offset of its first position in `dims`, plus a
+    /// final entry for the end of `dims`.
+    sentence_start: Vec<u32>,
+    /// Per document: index of its first sentence in `sentence_start`.
+    doc_first_sentence: Vec<u32>,
+    /// Every document's full filtered context vector, as sorted
+    /// `(dimension, count)` entries laid end to end.
+    base: Vec<(u32, f64)>,
+    /// Per document: offset of its first entry in `base`, plus a final
+    /// entry for the end of `base`.
+    base_start: Vec<u32>,
+}
+
+/// One document of the [`ContextCache`].
+struct CachedDoc<'a> {
+    /// The dimensions of its chunk.
+    dims: &'a [u32],
+    /// Its sentences' starts in `dims`, plus the end of its last one.
+    sentence_start: &'a [u32],
+    /// Its base vector's entries.
+    base: &'a [(u32, f64)],
+}
+
+impl ContextCache {
+    /// Build every chunk on `boe-par`; the chunks come back in document
+    /// order. A stemmed cache builds the corpus's stem map first, so no
+    /// worker waits on it.
     fn build(corpus: &Corpus, stemmed: bool) -> Self {
-        let mut base = Vec::with_capacity(corpus.len());
-        let mut dims = Vec::new();
-        let mut sentence_start = Vec::new();
-        let mut doc_first_sentence = Vec::with_capacity(corpus.len());
-        let mut dim_space = 0usize;
-        for doc in corpus.docs() {
-            doc_first_sentence.push(sentence_start.len());
-            let mut pairs = Vec::new();
-            for s in &doc.sentences {
-                sentence_start.push(dims.len());
-                for i in 0..s.tokens.len() {
-                    let Some(dim) = context_dim(corpus, s, i, stemmed) else {
-                        dims.push(Self::FILTERED);
-                        continue;
-                    };
-                    debug_assert_ne!(dim, Self::FILTERED, "dimension collides with the sentinel");
-                    dims.push(dim);
-                    pairs.push((dim, 1.0));
-                    dim_space = dim_space.max(dim as usize + 1);
-                }
-            }
-            base.push(SparseVector::from_pairs(pairs));
+        if stemmed {
+            corpus.stem_map();
         }
-        sentence_start.push(dims.len());
-        DocContextCache {
-            base,
-            dims,
-            sentence_start,
-            doc_first_sentence,
-            dim_space,
-        }
-    }
-
-    /// The document-scope context vector of one occurrence.
-    fn context_vector(&self, occ: Occurrence, phrase_len: usize) -> SparseVector {
-        let base = self.base(occ.doc);
-        let mut removed: Vec<u32> = self.removed_dims(occ, phrase_len).collect();
-        if removed.is_empty() {
-            return base.clone();
-        }
-        removed.sort_unstable();
-        base.minus_counts(&removed)
-    }
-
-    /// The cached base vector of a document.
-    fn base(&self, doc: DocId) -> &SparseVector {
-        &self.base[doc.0 as usize]
-    }
-
-    /// The dimensions an occurrence's own tokens contribute to its
-    /// document base (filtered positions yield nothing).
-    fn removed_dims(&self, occ: Occurrence, phrase_len: usize) -> impl Iterator<Item = u32> + '_ {
-        let s = self.doc_first_sentence[occ.doc.0 as usize] + occ.sentence;
-        let (lo, hi) = (self.sentence_start[s], self.sentence_start[s + 1]);
-        self.dims[lo + occ.start..(lo + occ.start + phrase_len).min(hi)]
+        let docs = corpus.docs();
+        let chunks = boe_par::par_map_indexed(docs.len().div_ceil(CHUNK_DOCS), |c| {
+            let end = docs.len().min((c + 1) * CHUNK_DOCS);
+            DocChunk::build(corpus, &docs[c * CHUNK_DOCS..end], stemmed)
+        });
+        let dim_space = chunks
             .iter()
-            .copied()
-            .filter(|&d| d != Self::FILTERED)
+            .flat_map(|c| &c.dims)
+            .filter(|&&d| d != FILTERED)
+            .map(|&d| d as usize + 1)
+            .max()
+            .unwrap_or(0);
+        ContextCache { chunks, dim_space }
     }
 
-    /// The summed context over `occs` (sorted by document, as occurrence
-    /// resolution emits them). Occurrences sharing a document contribute
-    /// `k × base` in one pass; every value stays an exact integer count,
-    /// so the grouped arithmetic reproduces the per-occurrence sum bit
-    /// for bit.
+    /// The cached share of one document.
+    fn doc(&self, doc: DocId) -> CachedDoc<'_> {
+        let (chunk, i) = (
+            &self.chunks[doc.index() / CHUNK_DOCS],
+            doc.index() % CHUNK_DOCS,
+        );
+        let first = chunk.doc_first_sentence[i] as usize;
+        let last = chunk
+            .doc_first_sentence
+            .get(i + 1)
+            .map_or(chunk.sentence_start.len() - 1, |&s| s as usize);
+        CachedDoc {
+            dims: &chunk.dims,
+            sentence_start: &chunk.sentence_start[first..=last],
+            base: &chunk.base[chunk.base_start[i] as usize..chunk.base_start[i + 1] as usize],
+        }
+    }
+
+    /// The context vector of one occurrence at `scope`.
+    fn context_vector(
+        &self,
+        occ: Occurrence,
+        phrase_len: usize,
+        scope: ContextScope,
+    ) -> SparseVector {
+        let doc = self.doc(occ.doc);
+        let (before, phrase, after) = doc.split(occ, phrase_len);
+        match scope {
+            ContextScope::Sentence => counts(before.iter().chain(after).copied().collect()),
+            ContextScope::Document => {
+                let mut removed: Vec<u32> =
+                    phrase.iter().copied().filter(|&d| d != FILTERED).collect();
+                removed.sort_unstable();
+                SparseVector::minus_counts(doc.base, &removed)
+            }
+        }
+    }
+
+    /// The summed context over `occs` at `scope`, in a dense accumulator
+    /// over the cache's own dimension space ([`Self::dim_space`], fixed
+    /// when the cache is built), with no hash map and no per-occurrence
+    /// vector.
     ///
-    /// The sum runs in a dense accumulator over the cache's own dimension
-    /// space ([`Self::dim_space`], fixed when the cache is built), with
-    /// no hash map: per document, `k × base` then one `−1` per removed
-    /// dimension, each slot starting at `0.0`. The dimensions touched are
-    /// recorded when their slot is `0.0`, then sorted, and the nonzero
-    /// slots among them form the result.
-    fn aggregate(&self, occs: &[Occurrence], phrase_len: usize) -> SparseVector {
+    /// At sentence scope each occurrence adds `+1` per dimension of its
+    /// sentence outside the phrase. At document scope, a run of `k`
+    /// occurrences in one document (occurrence resolution lists a
+    /// document's occurrences together) contributes `k × base` in one
+    /// pass, then `−1` per dimension of each phrase's own positions. Each slot starts at
+    /// `0.0` and every value stays an exact integer count, so the sum is
+    /// bit-identical to the per-occurrence sum in any order. The
+    /// dimensions touched are recorded when their slot is `0.0`, then
+    /// sorted, and the nonzero slots among them form the result.
+    fn aggregate(
+        &self,
+        occs: &[Occurrence],
+        phrase_len: usize,
+        scope: ContextScope,
+    ) -> SparseVector {
         if occs.is_empty() {
             return SparseVector::new();
         }
         let mut acc = vec![0.0f64; self.dim_space];
         let mut touched: Vec<u32> = Vec::new();
         let mut add = |dim: u32, v: f64| {
+            if dim == FILTERED {
+                return;
+            }
             let slot = &mut acc[dim as usize];
             if *slot == 0.0 {
                 touched.push(dim);
             }
             *slot += v;
         };
-        let mut i = 0;
-        while i < occs.len() {
-            let doc = occs[i].doc;
-            let mut j = i;
-            while j < occs.len() && occs[j].doc == doc {
-                j += 1;
-            }
-            let k = (j - i) as f64;
-            for (d, v) in self.base(doc).iter() {
-                add(d, k * v);
-            }
-            for &o in &occs[i..j] {
-                for dim in self.removed_dims(o, phrase_len) {
-                    add(dim, -1.0);
+        match scope {
+            ContextScope::Sentence => {
+                for &o in occs {
+                    let (before, _, after) = self.doc(o.doc).split(o, phrase_len);
+                    for &dim in before.iter().chain(after) {
+                        add(dim, 1.0);
+                    }
                 }
             }
-            i = j;
+            ContextScope::Document => {
+                for group in occs.chunk_by(|a, b| a.doc == b.doc) {
+                    let doc = self.doc(group[0].doc);
+                    let k = group.len() as f64;
+                    for &(d, v) in doc.base {
+                        add(d, k * v);
+                    }
+                    for &o in group {
+                        for &dim in doc.split(o, phrase_len).1 {
+                            add(dim, -1.0);
+                        }
+                    }
+                }
+            }
         }
         // A slot that returned to `0.0` and was touched again is listed
         // twice.
@@ -483,6 +564,89 @@ impl DocContextCache {
                 .collect(),
         )
     }
+}
+
+impl DocChunk {
+    /// One pass of [`context_dim`] over the positions of `docs`, then
+    /// each document's base from its unfiltered dimensions, sorted. Every
+    /// buffer is allocated once, at its final size.
+    fn build(corpus: &Corpus, docs: &[Document], stemmed: bool) -> Self {
+        let positions = docs.iter().map(Document::token_count).sum();
+        let sentences: usize = docs.iter().map(|d| d.sentences.len()).sum();
+        let mut dims = Vec::with_capacity(positions);
+        let mut sentence_start = Vec::with_capacity(sentences + 1);
+        let mut doc_first_sentence = Vec::with_capacity(docs.len());
+        // Each document's unfiltered dimensions, sorted in place, from
+        // `sorted[sorted_start[d]]` on.
+        let mut sorted: Vec<u32> = Vec::with_capacity(positions);
+        let mut sorted_start = Vec::with_capacity(docs.len() + 1);
+        for doc in docs {
+            doc_first_sentence.push(sentence_start.len() as u32);
+            sorted_start.push(sorted.len());
+            let first = dims.len();
+            for s in &doc.sentences {
+                sentence_start.push(dims.len() as u32);
+                dims.extend((0..s.tokens.len()).map(|i| {
+                    context_dim(corpus, s, i, stemmed).map_or(FILTERED, |dim| {
+                        debug_assert_ne!(dim, FILTERED, "dimension collides with the marker");
+                        dim
+                    })
+                }));
+            }
+            let from = sorted.len();
+            sorted.extend(dims[first..].iter().filter(|&&d| d != FILTERED));
+            sorted[from..].sort_unstable();
+        }
+        sentence_start.push(dims.len() as u32);
+        sorted_start.push(sorted.len());
+        let doc_dims = |w: &[usize]| &sorted[w[0]..w[1]];
+        let entries = sorted_start.windows(2).map(|w| runs(doc_dims(w)).count());
+        let mut base = Vec::with_capacity(entries.sum());
+        let mut base_start = Vec::with_capacity(docs.len() + 1);
+        for w in sorted_start.windows(2) {
+            base_start.push(base.len() as u32);
+            base.extend(runs(doc_dims(w)));
+        }
+        base_start.push(base.len() as u32);
+        DocChunk {
+            dims,
+            sentence_start,
+            doc_first_sentence,
+            base,
+            base_start,
+        }
+    }
+}
+
+impl<'a> CachedDoc<'a> {
+    /// The dimensions of an occurrence's sentence before, inside and
+    /// after the phrase.
+    fn split(&self, occ: Occurrence, phrase_len: usize) -> (&'a [u32], &'a [u32], &'a [u32]) {
+        let (lo, hi) = (
+            self.sentence_start[occ.sentence] as usize,
+            self.sentence_start[occ.sentence + 1] as usize,
+        );
+        let (before, rest) = self.dims[lo..hi].split_at(occ.start);
+        let (phrase, after) = rest.split_at(phrase_len.min(rest.len()));
+        (before, phrase, after)
+    }
+}
+
+/// `(dimension, repeats)` per run of equal values in `sorted`.
+fn runs(sorted: &[u32]) -> impl Iterator<Item = (u32, f64)> + '_ {
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as f64))
+}
+
+/// The count vector of the unfiltered dimensions in `dims`: one entry
+/// per distinct dimension, valued by its number of repeats. The counts
+/// are exact, so this is bit-identical to [`SparseVector::from_pairs`]
+/// over `(dim, 1.0)` pairs.
+fn counts(mut dims: Vec<u32>) -> SparseVector {
+    dims.retain(|&d| d != FILTERED);
+    dims.sort_unstable();
+    SparseVector::from_sorted(runs(&dims).collect())
 }
 
 #[cfg(test)]
@@ -687,8 +851,8 @@ mod tests {
                 scope,
                 ..Default::default()
             };
-            // A fresh index, so a document-scope cache is first built
-            // inside the fan-out.
+            // A fresh index, so the context cache is first built inside
+            // the fan-out.
             let ox = OccurrenceIndex::build(&c);
             let batch = boe_par::par_map(&phrases, |p| ox.occurrences_and_context(&c, p, opts));
             let serial = OccurrenceIndex::build(&c);

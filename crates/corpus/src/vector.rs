@@ -151,16 +151,17 @@ impl SparseVector {
         self.entries.iter().map(|(_, v)| v).sum()
     }
 
-    /// A copy with one unit subtracted per listed dimension (`removals`
-    /// sorted ascending, repeats allowed); entries reaching zero are
-    /// dropped. For integral count vectors the subtraction is exact, so
-    /// the result is bit-identical to rebuilding the vector without the
-    /// removed contributions.
-    pub fn minus_counts(&self, removals: &[u32]) -> SparseVector {
+    /// The vector of `entries` (sorted, zero-free) with one unit
+    /// subtracted per listed dimension (`removals` sorted ascending,
+    /// repeats allowed); entries reaching zero are dropped. For integral
+    /// count vectors the subtraction is exact, so the result is
+    /// bit-identical to rebuilding the vector without the removed
+    /// contributions.
+    pub(crate) fn minus_counts(entries: &[(u32, f64)], removals: &[u32]) -> SparseVector {
         debug_assert!(removals.windows(2).all(|w| w[0] <= w[1]), "sorted");
-        let mut entries = Vec::with_capacity(self.entries.len());
+        let mut out = Vec::with_capacity(entries.len());
         let mut r = 0usize;
-        for &(d, v) in &self.entries {
+        for &(d, v) in entries {
             while r < removals.len() && removals[r] < d {
                 r += 1;
             }
@@ -171,10 +172,10 @@ impl SparseVector {
             }
             let nv = v - k;
             if nv != 0.0 {
-                entries.push((d, nv));
+                out.push((d, nv));
             }
         }
-        Self::from_sorted(entries)
+        Self::from_sorted(out)
     }
 
     /// Cosine similarity; 0.0 when either vector is zero.

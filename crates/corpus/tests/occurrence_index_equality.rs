@@ -7,6 +7,11 @@
 //! surfaces and phrases that only ever span a sentence boundary (which
 //! must match nowhere).
 //!
+//! Every check runs at 1, 2, 3 and 8 threads, each time through a fresh
+//! index, so the context cache is built under that thread count; the
+//! last cases have enough documents that the parallel cache build
+//! really splits them across workers.
+//!
 //! Driven by the workspace's own deterministic PRNG (no external
 //! dependencies).
 
@@ -18,6 +23,14 @@ use boe_rng::StdRng;
 use boe_textkit::{Language, TokenId};
 
 const CASES: usize = 40;
+/// Cases after [`CASES`] with a large corpus.
+const LARGE_CASES: usize = 3;
+/// Documents in a large case: well above the count below which the
+/// context cache is built serially.
+const LARGE_DOCS: usize = 200;
+/// Phrases probed per large case (the naive scan is per phrase).
+const LARGE_PROBES: usize = 60;
+const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// The oracle: every occurrence of `phrase` (exact adjacent token-id
 /// sequence), found by scanning every sentence of the corpus in reading
@@ -92,9 +105,8 @@ const WORDS: &[&str] = &[
     "año",
 ];
 
-fn rand_corpus(rng: &mut StdRng, language: Language) -> Corpus {
+fn rand_corpus(rng: &mut StdRng, language: Language, docs: usize) -> Corpus {
     let mut b = CorpusBuilder::new(language);
-    let docs = rng.gen_range(1usize..5);
     for _ in 0..docs {
         let mut text = String::new();
         for _ in 0..rng.gen_range(1usize..=3) {
@@ -173,49 +185,68 @@ fn assert_contexts_bit_identical(a: &[SparseVector], b: &[SparseVector], what: &
 fn indexed_resolution_is_bit_identical_to_naive_scan() {
     let mut rng = StdRng::seed_from_u64(0x0CC1);
     let languages = [Language::English, Language::French, Language::Spanish];
-    for case in 0..CASES {
+    for case in 0..CASES + LARGE_CASES {
         let language = languages[case % languages.len()];
-        let c = rand_corpus(&mut rng, language);
-        let indexed = OccurrenceIndex::build(&c);
-        let phrases = probe_phrases(&mut rng, &c);
-
-        for phrase in &phrases {
-            let reference = find_occurrences_naive(&c, phrase);
-            assert_eq!(
-                indexed.find_occurrences(&c, phrase),
-                reference,
-                "case {case}: occurrences diverge"
-            );
-            assert_eq!(
-                indexed.contains(&c, phrase),
-                !reference.is_empty(),
-                "case {case}: contains diverges"
-            );
-            // Per-occurrence vectors and the grouped aggregate, both from
-            // the document-scope cache at document scope.
-            for opts in opts_grid() {
-                let want = contexts_naive(&c, phrase, opts);
-                let what = format!("case {case}, {opts:?}");
-                let got = indexed.contexts(&c, phrase, opts);
-                assert_contexts_bit_identical(&got, &want, &what);
-                let (occs, ctx) = indexed.occurrences_and_context(&c, phrase, opts);
-                assert_eq!(occs, reference, "{what}: occurrences diverge");
-                assert_vectors_bit_identical(&ctx, &SparseVector::sum_of(&want), &what);
-            }
+        let large = case >= CASES;
+        let docs = if large {
+            LARGE_DOCS
+        } else {
+            rng.gen_range(1usize..5)
+        };
+        let c = rand_corpus(&mut rng, language, docs);
+        let mut phrases = probe_phrases(&mut rng, &c);
+        if large {
+            // Keep the tail: the last positional runs, the random probes
+            // and the empty phrase.
+            phrases.drain(..phrases.len() - LARGE_PROBES);
         }
+        for threads in THREADS {
+            boe_par::set_threads(Some(threads));
+            check_case(&c, &phrases, &format!("case {case}, {threads}t"));
+        }
+    }
+    boe_par::set_threads(None);
+}
 
-        // A parallel harvest through a fresh index, so each cache is
-        // first built inside the fan-out: same results, input order
-        // preserved.
-        let fresh = OccurrenceIndex::build(&c);
+/// Every phrase through one index, then a parallel harvest through a
+/// fresh one, against the naive scan.
+fn check_case(c: &Corpus, phrases: &[Vec<TokenId>], case: &str) {
+    let indexed = OccurrenceIndex::build(c);
+    for phrase in phrases {
+        let reference = find_occurrences_naive(c, phrase);
+        assert_eq!(
+            indexed.find_occurrences(c, phrase),
+            reference,
+            "{case}: occurrences diverge"
+        );
+        assert_eq!(
+            indexed.contains(c, phrase),
+            !reference.is_empty(),
+            "{case}: contains diverges"
+        );
+        // Per-occurrence vectors and the aggregate, from the context
+        // cache except for windowed sentence-scope contexts.
         for opts in opts_grid() {
-            let batch = boe_par::par_map(&phrases, |p| fresh.occurrences_and_context(&c, p, opts));
-            assert_eq!(batch.len(), phrases.len());
-            for (phrase, (occs, ctx)) in phrases.iter().zip(&batch) {
-                assert_eq!(occs, &find_occurrences_naive(&c, phrase), "case {case}");
-                let want = SparseVector::sum_of(&contexts_naive(&c, phrase, opts));
-                assert_vectors_bit_identical(ctx, &want, "batch context");
-            }
+            let want = contexts_naive(c, phrase, opts);
+            let what = format!("{case}, {opts:?}");
+            let got = indexed.contexts(c, phrase, opts);
+            assert_contexts_bit_identical(&got, &want, &what);
+            let (occs, ctx) = indexed.occurrences_and_context(c, phrase, opts);
+            assert_eq!(occs, reference, "{what}: occurrences diverge");
+            assert_vectors_bit_identical(&ctx, &SparseVector::sum_of(&want), &what);
+        }
+    }
+
+    // A parallel harvest through a fresh index, so each cache is first
+    // built inside the fan-out: same results, input order preserved.
+    let fresh = OccurrenceIndex::build(c);
+    for opts in opts_grid() {
+        let batch = boe_par::par_map(phrases, |p| fresh.occurrences_and_context(c, p, opts));
+        assert_eq!(batch.len(), phrases.len());
+        for (phrase, (occs, ctx)) in phrases.iter().zip(&batch) {
+            assert_eq!(occs, &find_occurrences_naive(c, phrase), "{case}");
+            let want = SparseVector::sum_of(&contexts_naive(c, phrase, opts));
+            assert_vectors_bit_identical(ctx, &want, "batch context");
         }
     }
 }

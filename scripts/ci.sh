@@ -45,9 +45,16 @@ run cargo build --release --offline
 #   lowest-index panic is the one re-raised
 #   (`the_lowest_index_panic_is_re_raised`);
 # * occurrence-index gate: the positional index reproduces an in-file
-#   naive scan, occurrences and contexts, cached document-scope contexts
-#   included (`occurrence_index_equality`); the corpus stem map matches
-#   an in-file reference (`stem_map`);
+#   naive scan, occurrences and contexts, cached contexts and sums at
+#   both scopes included, at 1, 2, 3 and 8 threads on corpora large
+#   enough to split the parallel cache build
+#   (`occurrence_index_equality`); the corpus stem map matches an
+#   in-file reference at 1, 2, 3 and 8 threads (`stem_map`);
+# * Step III k = 1 gate: `SenseInducer::induce` on terms Step II did not
+#   flag equals an in-file one-cluster reference bit for bit, for both
+#   representations and scopes, EN/FR/ES worlds, 1 and 8 threads, empty
+#   contexts, absent terms and a `term.induce` corrupt plan
+#   (`monosemic_senses_oracle`);
 # * sparse-vector sum gates: `SparseVector::from_pairs` against an
 #   in-order accumulator (single and multi-block inputs), `sum_of`
 #   against the `add_assign` fold and the document-scope aggregate
@@ -103,8 +110,9 @@ done
 # `graph_features` / `FeatureContext`) and must reach the pipeline's
 # report, so a drift between that rebuild and the pipeline fails here.
 # `fallback-wide-m` is the run whose traced `termex.extract` (the
-# parallel candidate scan) weighs most.
-for workload in trained-s fallback-wide-m; do
+# parallel candidate scan) weighs most; `trained-s-1t` runs the
+# one-thread context-cache and stem-map builds through the same check.
+for workload in trained-s trained-s-1t fallback-wide-m; do
     echo "==> perfbench traced smoke run: $workload"
     result=$(cargo run --offline -q --release --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 0.1 --trace 1 | tail -n 1)
